@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .laguerre_basis import BasisConfig, NodeFamily
+from .laguerre_basis import BasisConfig, BasisConstructionError, NodeFamily
 from .ocp_model import (
     BUILTIN_PROBLEMS,
     BUILTIN_REPORT_TIMES,
@@ -26,7 +26,7 @@ from .ocp_model import (
     solve_ocp,
 )
 from .oracle_bvp import NewtonError, TruncationConfig, compare, solve_truncated
-from .sham_engine import SolverConfig, Termination
+from .sham_engine import OperatorSingularError, SolverConfig, Termination
 
 _FMT = "{:.8e}"  # 9 significant digits, scientific
 
@@ -69,6 +69,8 @@ def _report_times(args, t_end: float) -> np.ndarray:
             times = np.array([float(v) for v in args.times.split(",")])
         except ValueError:
             raise SystemExit(_fail("bad --times value"))
+        if not np.all(np.isfinite(times)):
+            raise SystemExit(_fail("--times values must be finite"))
     elif args.num_times:
         times = np.geomspace(t_end / 1000.0, t_end, args.num_times)
     elif args.builtin:
@@ -180,7 +182,7 @@ def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
         lines.append(f"max deviation vs oracle: {_FMT.format(result.worst())}")
         for r, (dev, tmax) in enumerate(zip(result.max_dev, result.argmax_time)):
             lines.append(f"  component {r}: {_FMT.format(dev)} at t={tmax:g}")
-        if result.worst() > args.compare_tol:
+        if not result.worst() <= args.compare_tol:  # a NaN deviation fails too
             lines.append(f"comparison FAILED (tolerance {args.compare_tol:g})")
             _write_summary(out, lines)
             return 3
@@ -261,6 +263,8 @@ def main(argv=None) -> int:
         return _run_single(args, problem, config)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 1
+    except (BasisConstructionError, OperatorSingularError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

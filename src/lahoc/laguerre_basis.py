@@ -135,25 +135,28 @@ def build_rule(config: BasisConfig) -> BasisRule:
     tridiagonal eigensolve and polished by one Newton step.
     """
     beta, n = config.beta, config.n_order
+    # past the degree double precision can hold, the recurrences overflow;
+    # the node and weight checks below turn that into BasisConstructionError
     try:
-        if config.node_family is NodeFamily.GLR:
-            x = _golub_welsch_nodes(n, alpha=1.0)
-            # one Newton step on f(x) = L_n^(1)(x); f'(x) = -L_{n-1}^(2)(x)
-            fx = _genlaguerre(n, 1.0, x)
-            dfx = -_genlaguerre(n - 1, 2.0, x) if n >= 1 else np.zeros_like(x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(dfx != 0, fx / dfx, 0.0)
-            x = x - step
-            nodes = np.concatenate(([0.0], x / beta))
-            ln = _genlaguerre(n, 0.0, beta * nodes[1:])
-            ln1 = _genlaguerre(n + 1, 0.0, beta * nodes[1:])
-            weights = np.empty(n + 1)
-            weights[0] = 1.0 / (beta * (n + 1))
-            weights[1:] = 1.0 / (beta * (n + 1) * ln * ln1)
-        else:
-            x, w = _golub_welsch_rule(n + 1)
-            nodes = x / beta
-            weights = w / beta
+        with np.errstate(over="ignore", invalid="ignore"):
+            if config.node_family is NodeFamily.GLR:
+                x = _golub_welsch_nodes(n, alpha=1.0)
+                # one Newton step on f(x) = L_n^(1)(x); f'(x) = -L_{n-1}^(2)(x)
+                fx = _genlaguerre(n, 1.0, x)
+                dfx = -_genlaguerre(n - 1, 2.0, x) if n >= 1 else np.zeros_like(x)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    step = np.where(dfx != 0, fx / dfx, 0.0)
+                x = x - step
+                nodes = np.concatenate(([0.0], x / beta))
+                ln = _genlaguerre(n, 0.0, beta * nodes[1:])
+                ln1 = _genlaguerre(n + 1, 0.0, beta * nodes[1:])
+                weights = np.empty(n + 1)
+                weights[0] = 1.0 / (beta * (n + 1))
+                weights[1:] = 1.0 / (beta * (n + 1) * ln * ln1)
+            else:
+                x, w = _golub_welsch_rule(n + 1)
+                nodes = x / beta
+                weights = w / beta
     except np.linalg.LinAlgError as exc:
         raise BasisConstructionError(
             f"eigen-solve failed for N={n}, beta={beta}: {exc}"

@@ -257,8 +257,7 @@ def solve_ocp(
     cost = evaluate_cost(problem, node_states, node_controls, result.rule)
 
     per_order_costs = []
-    for m in range(len(result.series.orders)):
-        z = result.series.partial_sum(m)
+    for z in np.cumsum(result.series.orders, axis=0):
         u = optimal_control(problem, z[n:])
         per_order_costs.append(evaluate_cost(problem, z[:n], u, result.rule))
 

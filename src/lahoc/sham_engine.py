@@ -7,14 +7,15 @@ Discretizes n-component systems of the form
 on a Laguerre-Radau grid and solves them by the homotopy deformation
 recurrence: a single block collocation operator is factorized once, the order-0
 term solves the linear part, and each higher order is one linear solve against
-a right-hand side built by convolving the previous orders.
+a right-hand side built from truncated Cauchy products of the previous orders,
+each extended by one coefficient per order.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,6 +68,11 @@ class MonomialTerm:
     @property
     def degree(self) -> int:
         return sum(self.exponents)
+
+    @property
+    def factors(self) -> tuple[int, ...]:
+        """Component index of every factor, each repeated by its exponent."""
+        return tuple(c for c, e in enumerate(self.exponents) for _ in range(e))
 
 
 @dataclass(frozen=True)
@@ -124,24 +130,91 @@ class SolverConfig:
     aux_h: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.hbar):
+            raise ValueError(f"hbar must be finite, got {self.hbar}")
         if self.hbar == 0:
             raise ValueError("hbar = 0 freezes the homotopy")
-        if self.tail_tol <= 0:
-            raise ValueError("tail_tol must be positive")
+        if not (math.isfinite(self.tail_tol) and self.tail_tol > 0):
+            raise ValueError(f"tail_tol must be positive and finite, got {self.tail_tol}")
         if self.max_order < 1:
             raise ValueError("max_order must be >= 1")
 
 
-@dataclass
 class HomotopySeries:
-    """Per-order grid matrices Z_m (n x N+1 each) and their weighted tail norms."""
+    """Per-order grid matrices Z_m (n x N+1 each), stored in one preallocated
+    (capacity, n, N+1) array, their weighted tail norms, and a cache of the
+    truncated Cauchy products the nonlinear terms read.
 
-    orders: list[np.ndarray] = field(default_factory=list)
-    tail_norms: list[float] = field(default_factory=list)
+    A product is keyed by its factor sequence (component indices, repeated by
+    exponent) and stores one coefficient per order.  The product of the
+    factors (c_1, ..., c_L) extends that of (c_1, ..., c_{L-1}), so a chain
+    shares its prefixes with every monomial that starts the same way, and
+    coefficient k of each level depends on orders 0..k only."""
+
+    def __init__(
+        self,
+        orders: Sequence[np.ndarray],
+        tail_norms: Sequence[float] = (),
+        max_order: int | None = None,
+    ):
+        if len(orders) == 0:
+            raise ValueError("a homotopy series needs its order-0 term")
+        capacity = len(orders) if max_order is None else max(len(orders), max_order + 1)
+        self._terms = np.empty((capacity, *np.shape(orders[0])))
+        self._terms[: len(orders)] = orders
+        self._count = len(orders)
+        self.tail_norms = list(tail_norms)
+        # factor sequence -> [coefficients (capacity, N+1), number filled]
+        self._products: dict[tuple[int, ...], list] = {}
+
+    @property
+    def orders(self) -> np.ndarray:
+        """The stored orders, a (count, n, N+1) view."""
+        return self._terms[: self._count]
+
+    def append(self, z: np.ndarray, norm: float) -> None:
+        if self._count == len(self._terms):
+            raise ValueError(f"series is full at {self._count} orders")
+        self._terms[self._count] = z
+        self._count += 1
+        self.tail_norms.append(norm)
+
+    def truncate(self, last_order: int) -> None:
+        """Keep orders 0..last_order and drop every cached product
+        coefficient that read a later order."""
+        if not 0 <= last_order < self._count:
+            raise ValueError(f"order {last_order} out of range for {self._count} stored orders")
+        self._count = last_order + 1
+        del self.tail_norms[self._count :]
+        for entry in self._products.values():
+            entry[1] = min(entry[1], self._count)
 
     def partial_sum(self, up_to: int | None = None) -> np.ndarray:
         take = self.orders if up_to is None else self.orders[: up_to + 1]
         return np.sum(take, axis=0)
+
+    def product(self, factors: tuple[int, ...], up_to: int) -> np.ndarray:
+        """Coefficients of q^0..q^up_to (rows of the returned array) of the
+        node-wise product of the component series named by `factors`.
+
+        Each missing coefficient k of level L is one sum over the stored
+        prefix, P_L[k] = sum_{i<=k} P_{L-1}[i] * Z_{c_L}[k-i], so a run that
+        asks for one more order adds one coefficient per level."""
+        if up_to >= self._count:
+            raise ValueError(f"coefficient {up_to} needs order {up_to}, have {self._count}")
+        last = self._terms[:, factors[-1]]
+        if len(factors) == 1:
+            return last
+        entry = self._products.get(factors)
+        if entry is None:
+            entry = self._products[factors] = [np.empty_like(last), 0]
+        coeffs, filled = entry
+        if filled <= up_to:
+            prefix = self.product(factors[:-1], up_to)
+            for k in range(filled, up_to + 1):
+                coeffs[k] = np.einsum("ij,ij->j", prefix[: k + 1], last[k::-1])
+            entry[1] = up_to + 1
+        return coeffs
 
 
 class Termination(enum.Enum):
@@ -257,34 +330,12 @@ def initial_guess(spec: SystemSpec, rule: BasisRule, operator: BlockOperator) ->
     return operator.solve(rhs).reshape(spec.dim, rule.n_points)
 
 
-def _convolve_trunc(a: list[np.ndarray], b: list[np.ndarray], up_to: int) -> list[np.ndarray]:
-    out = [np.zeros_like(a[0]) for _ in range(up_to + 1)]
-    for i, ai in enumerate(a):
-        if i > up_to:
-            break
-        for j, bj in enumerate(b):
-            if i + j > up_to:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
 def cauchy_order_term(series: HomotopySeries, term: MonomialTerm, order: int) -> np.ndarray:
     """Coefficient of q^(order-1) in the monomial applied to the series,
-    node-wise, by folding truncated discrete convolutions one factor at a time."""
+    node-wise, read from the series' cached chain of partial products."""
     if order < 1 or order > len(series.orders):
         raise ValueError(f"order {order} out of range for {len(series.orders)} stored orders")
-    target = order - 1
-    prod: list[np.ndarray] | None = None
-    for comp, exp in enumerate(term.exponents):
-        if exp == 0:
-            continue
-        factor = [series.orders[j][comp] for j in range(min(len(series.orders), target + 1))]
-        for _ in range(exp):
-            prod = factor if prod is None else _convolve_trunc(prod, factor, target)
-    if prod is None or len(prod) <= target:
-        return np.zeros_like(series.orders[0][0])
-    return term.coefficient * prod[target]
+    return term.coefficient * series.product(term.factors, order - 1)[order - 1]
 
 
 def deformation_step(
@@ -360,10 +411,8 @@ def run_sham(spec: SystemSpec, config: SolverConfig) -> ShamResult:
     deformation orders until the weighted tail norm drops below tail_tol."""
     rule = build_rule(config.basis)
     operator = assemble_operator(spec, rule)
-    series = HomotopySeries()
     z0 = initial_guess(spec, rule, operator)
-    series.orders.append(z0)
-    series.tail_norms.append(tail_norm(rule, z0))
+    series = HomotopySeries([z0], [tail_norm(rule, z0)], max_order=config.max_order)
 
     termination = Termination.MAX_ORDER
     best_order = 0
@@ -375,8 +424,7 @@ def run_sham(spec: SystemSpec, config: SolverConfig) -> ShamResult:
             termination = Termination.DIVERGED
             break
         norm = tail_norm(rule, zm)
-        series.orders.append(zm)
-        series.tail_norms.append(norm)
+        series.append(zm, norm)
         if not math.isfinite(norm) or (best_tail > 0 and norm > 1e6 * best_tail):
             termination = Termination.DIVERGED
             break
@@ -390,8 +438,7 @@ def run_sham(spec: SystemSpec, config: SolverConfig) -> ShamResult:
     if termination is Termination.DIVERGED:
         # keep the best partial sum reached before the blow-up so callers can
         # still inspect the (possibly useful) low-order result
-        del series.orders[best_order + 1 :]
-        del series.tail_norms[best_order + 1 :]
+        series.truncate(best_order)
 
     return ShamResult(series, rule, operator, series.partial_sum(), termination)
 

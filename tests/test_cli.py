@@ -3,7 +3,10 @@ import csv
 import numpy as np
 import pytest
 
+from lahoc import cli
 from lahoc.cli import main
+from lahoc.oracle_bvp import ComparisonResult
+from lahoc.sham_engine import OperatorSingularError
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::lahoc.laguerre_basis.QuadratureOverflowWarning"
@@ -164,3 +167,54 @@ class TestSweep:
         rows = read_csv(out / "sweep.csv")
         assert rows[0]["termination"] in ("Converged", "MaxOrder")
         assert rows[1]["termination"].startswith("error")
+
+
+def single_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    return len(err) == 1 and err[0].startswith("error:")
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("flag", ["--hbar", "--tol"])
+    def test_nan_solver_parameter_exits_one(self, tmp_path, capsys, flag):
+        code, _ = run_cli(tmp_path, "--builtin", "tp31", "--n", "20", flag, "nan")
+        assert code == 1
+        assert single_error_line(capsys)
+
+    def test_nan_report_time_exits_one(self, tmp_path, capsys):
+        code, _ = run_cli(
+            tmp_path, "--builtin", "tp31", "--n", "40", "--beta", "6",
+            "--orders", "30", "--times", "nan,1", "--compare",
+        )
+        assert code == 1
+        assert single_error_line(capsys)
+
+    def test_nan_deviation_fails_comparison(self, tmp_path, monkeypatch):
+        # an oracle comparison that yields NaN must not pass the tolerance gate
+        monkeypatch.setattr(cli, "solve_truncated", lambda spec, cfg: None)
+        monkeypatch.setattr(
+            cli, "compare",
+            lambda a, b, times: ComparisonResult(np.array([np.nan, 0.0]), np.array([1.0, 1.0])),
+        )
+        code, out = run_cli(
+            tmp_path, "--builtin", "tp31", "--n", "40", "--beta", "6",
+            "--orders", "30", "--compare",
+        )
+        assert code == 3
+        assert "comparison FAILED" in (out / "summary.txt").read_text()
+
+
+class TestSolverErrors:
+    def test_basis_construction_error_exits_one(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "--builtin", "tp31", "--n", "400")
+        assert code == 1
+        assert single_error_line(capsys)
+
+    def test_singular_operator_exits_one(self, tmp_path, capsys, monkeypatch):
+        def singular(*args, **kwargs):
+            raise OperatorSingularError("singular operator for n=4, grid=21")
+
+        monkeypatch.setattr(cli, "solve_ocp", singular)
+        code, _ = run_cli(tmp_path, "--builtin", "tp31", "--n", "20")
+        assert code == 1
+        assert single_error_line(capsys)

@@ -15,11 +15,13 @@ from lahoc import (
     builtin_problem_31,
     builtin_problem_32,
     derive_tpbvp,
+    evaluate_cost,
     load_problem,
     optimal_control,
     parse_problem,
     solve_ocp,
 )
+from lahoc import ocp_model
 from lahoc.ocp_model import ProblemFormatError
 
 pytestmark = pytest.mark.filterwarnings(
@@ -291,3 +293,30 @@ class TestParseProblem:
     def test_no_subsystems_rejected(self):
         with pytest.raises(ProblemFormatError):
             parse_problem("lahoc-problem v1\n")
+
+
+class TestPerOrderCosts:
+    @pytest.mark.parametrize("n, max_order", [(40, 100), (20, 150)])
+    def test_each_cost_is_the_cost_of_its_partial_sum(self, monkeypatch, n, max_order):
+        # N=40 converges; N=20 diverges and keeps only the best partial sum
+        runs = []
+        inner = ocp_model.run_sham
+
+        def recording(spec, config):
+            runs.append(inner(spec, config))
+            return runs[-1]
+
+        monkeypatch.setattr(ocp_model, "run_sham", recording)
+        problem = builtin_problem_31()
+        cfg = SolverConfig(
+            hbar=-0.6, basis=BasisConfig(beta=6.0, n_order=n),
+            max_order=max_order, tail_tol=1e-13,
+        )
+        bundle = solve_ocp(problem, cfg, report_times=[1.0])
+        (result,) = runs
+        series, n_states = result.series, problem.n_states
+        assert len(bundle.per_order_costs) == len(series.orders)
+        for m, cost in enumerate(bundle.per_order_costs):
+            z = series.partial_sum(m)
+            u = optimal_control(problem, z[n_states:])
+            assert cost == evaluate_cost(problem, z[:n_states], u, result.rule)

@@ -24,6 +24,7 @@ from lahoc import (
     initial_guess,
     run_sham,
 )
+from lahoc import sham_engine
 from lahoc.sham_engine import COND_SWITCH, tail_norm
 
 from conftest import coupled_linear_spec, linear_decay_spec, solver_config
@@ -292,3 +293,99 @@ class TestGammaDiagnostic:
 def test_cond_switch_separates_the_branches():
     # sanity on the constant itself: equilibrated LU below, truncation above
     assert 1e12 < COND_SWITCH < 1e18
+
+
+class TestSolverConfigRejectsNonFinite:
+    @pytest.mark.parametrize("hbar", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_hbar(self, hbar):
+        with pytest.raises(ValueError, match="hbar"):
+            SolverConfig(hbar=hbar, basis=BasisConfig(beta=1.0, n_order=10))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_nonfinite_tail_tol(self, tol):
+        with pytest.raises(ValueError, match="tail_tol"):
+            SolverConfig(
+                hbar=-1.0, basis=BasisConfig(beta=1.0, n_order=10), tail_tol=tol
+            )
+
+
+def random_cubic_spec(seed: int) -> SystemSpec:
+    """Three decaying components, each equation with two random monomials of
+    degree 2 or 3 over all three components."""
+    rng = np.random.default_rng(seed)
+    sigma = np.diag([1.0, 1.5, 2.0]) + 0.1 * rng.normal(size=(3, 3))
+    nonlinear = []
+    for _ in range(3):
+        terms = []
+        for degree in (2, 3):
+            exps = np.zeros(3, dtype=int)
+            for comp in rng.integers(0, 3, size=degree):
+                exps[comp] += 1
+            terms.append(MonomialTerm(float(rng.uniform(-0.3, 0.3)), tuple(exps)))
+        nonlinear.append(tuple(terms))
+    bc = tuple(InitialValue(float(v)) for v in rng.uniform(0.2, 0.8, size=3))
+    return SystemSpec(dim=3, sigma=sigma, nonlinear=tuple(nonlinear), bc=bc)
+
+
+class TestIncrementalProductsInsideRunSham:
+    """Every nonlinear term a run computes, checked against explicit
+    polynomial multiplication of the orders the run had stored."""
+
+    @staticmethod
+    def checked_run(monkeypatch, spec, cfg):
+        calls = []
+        inner = sham_engine.cauchy_order_term
+
+        def recording(series, term, order):
+            got = inner(series, term, order)
+            calls.append((series.orders[:order].copy(), term, order, got))
+            return got
+
+        monkeypatch.setattr(sham_engine, "cauchy_order_term", recording)
+        result = run_sham(spec, cfg)
+        for orders, term, order, got in calls:
+            prefix = HomotopySeries(orders=list(orders))
+            ref = TestCauchyProducts.brute_force(prefix, term, order - 1)
+            assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max()), (
+                f"{term} at order {order}"
+            )
+        return result, calls
+
+    def test_tp31_every_order(self, monkeypatch):
+        spec = derive_tpbvp(builtin_problem_31())
+        cfg = solver_config(beta=6.0, n=20, hbar=-0.6, max_order=150, tail_tol=1e-13)
+        result, calls = self.checked_run(monkeypatch, spec, cfg)
+        n_terms = sum(len(eq) for eq in spec.nonlinear)
+        assert len(calls) >= 10 * n_terms
+        # N=20 diverges: the series keeps only the best partial sum
+        assert result.termination is Termination.DIVERGED
+        assert len(result.series.orders) == len(result.tail_norms)
+
+    def test_random_three_component_cubic(self, monkeypatch):
+        spec = random_cubic_spec(11)
+        cfg = solver_config(beta=6.0, n=16, hbar=-0.6, max_order=25, tail_tol=1e-300)
+        result, calls = self.checked_run(monkeypatch, spec, cfg)
+        assert result.termination is Termination.MAX_ORDER
+        assert max(order for _, _, order, _ in calls) == 25
+
+
+class TestHomotopySeriesStorage:
+    def test_truncation_drops_products_that_read_later_orders(self):
+        rng = np.random.default_rng(9)
+        series = HomotopySeries(
+            orders=[rng.normal(size=(2, 4)) for _ in range(3)], max_order=5
+        )
+        term = MonomialTerm(1.0, (2, 1))
+        cauchy_order_term(series, term, 3)
+        series.truncate(0)
+        for order in range(1, 6):
+            series.append(rng.normal(size=(2, 4)), 1.0)
+            got = cauchy_order_term(series, term, order + 1)
+            ref = TestCauchyProducts.brute_force(series, term, order)
+            assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+
+    def test_preallocated_capacity_is_enforced(self):
+        series = HomotopySeries(orders=[np.ones((1, 3))], max_order=1)
+        series.append(np.ones((1, 3)), 0.0)
+        with pytest.raises(ValueError):
+            series.append(np.ones((1, 3)), 0.0)
