@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .laguerre_basis import BasisConfig, BasisConstructionError, NodeFamily
+from .laguerre_basis import BasisConfig, BasisConstructionError
 from .ocp_model import (
     BUILTIN_PROBLEMS,
     BUILTIN_REPORT_TIMES,
@@ -105,7 +105,7 @@ def _solver_config(args) -> SolverConfig | None:
         _fail("--n must be >= 4")
         return None
     try:
-        basis = BasisConfig(beta=args.beta, n_order=args.n, node_family=NodeFamily.GLR)
+        basis = BasisConfig(beta=args.beta, n_order=args.n)
         return SolverConfig(hbar=args.hbar, basis=basis, max_order=args.orders,
                             tail_tol=args.tol)
     except ValueError as exc:
@@ -226,7 +226,7 @@ def _run_sweep(args, problem: OCProblem) -> int:
             continue
         try:
             bundle = solve_ocp(problem, config)
-        except Exception as exc:  # record per-row failure, keep sweeping
+        except (BasisConstructionError, OperatorSingularError) as exc:
             rows.append((v, f"error: {exc}", "", "", ""))
             continue
         rows.append(

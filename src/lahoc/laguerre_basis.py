@@ -1,24 +1,18 @@
 """Modified Laguerre bases on [0, inf).
 
-Provides scaled Laguerre polynomial evaluation, Gauss-Laguerre (GL) and
-Gauss-Laguerre-Radau (GLR) quadrature rules, pseudo-spectral differentiation
-matrices, and barycentric interpolation on the resulting grids.
+Provides scaled Laguerre polynomial evaluation, the Gauss-Laguerre-Radau (GLR)
+quadrature rule, its pseudo-spectral differentiation matrix, and barycentric
+interpolation on the resulting grid.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-
-
-class NodeFamily(enum.Enum):
-    GL = "gauss-laguerre"
-    GLR = "gauss-laguerre-radau"
 
 
 class BasisConstructionError(RuntimeError):
@@ -31,11 +25,10 @@ class QuadratureOverflowWarning(RuntimeWarning):
 
 @dataclass(frozen=True)
 class BasisConfig:
-    """Scaling parameter beta (units 1/time), highest degree N, and node family."""
+    """Scaling parameter beta (units 1/time) and highest degree N."""
 
     beta: float
     n_order: int
-    node_family: NodeFamily = NodeFamily.GLR
 
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0):
@@ -79,16 +72,6 @@ def _golub_welsch_nodes(degree: int, alpha: float) -> np.ndarray:
     return vals
 
 
-def _golub_welsch_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the classical degree-point Gauss-Laguerre rule (alpha=0)."""
-    k = np.arange(degree)
-    diag = 2.0 * k + 1
-    off = np.sqrt((k[:-1] + 1) * (k[:-1] + 1.0))
-    vals, vecs = eigh_tridiagonal(diag, off)
-    # total mass of e^{-x} on [0, inf) is 1
-    return vals, vecs[0, :] ** 2
-
-
 def _barycentric_log_weights(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Barycentric weights as (sign, log magnitude); log form avoids overflow
     for Laguerre nodes spread over [0, ~4N/beta]."""
@@ -118,45 +101,33 @@ class BasisRule:
     def n_points(self) -> int:
         return len(self.nodes)
 
-    def diff_condition(self) -> float:
-        """2-norm condition estimate of the differentiation matrix.
-
-        In double precision this degrades the last digits for N above ~150.
-        """
-        return float(np.linalg.cond(self.diff))
-
 
 def build_rule(config: BasisConfig) -> BasisRule:
-    """Construct the GL or GLR rule for the given configuration.
+    """Construct the GLR rule for the given configuration.
 
-    GLR: node 0 is pinned at t=0, interior nodes are the zeros of the
-    derivative of the degree-(N+1) polynomial (equivalently the order-1
-    generalized Laguerre roots of degree N), located by a symmetric
-    tridiagonal eigensolve and polished by one Newton step.
+    Node 0 is pinned at t=0, interior nodes are the zeros of the derivative
+    of the degree-(N+1) polynomial (equivalently the order-1 generalized
+    Laguerre roots of degree N), located by a symmetric tridiagonal
+    eigensolve and polished by one Newton step.
     """
     beta, n = config.beta, config.n_order
     # past the degree double precision can hold, the recurrences overflow;
     # the node and weight checks below turn that into BasisConstructionError
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            if config.node_family is NodeFamily.GLR:
-                x = _golub_welsch_nodes(n, alpha=1.0)
-                # one Newton step on f(x) = L_n^(1)(x); f'(x) = -L_{n-1}^(2)(x)
-                fx = _genlaguerre(n, 1.0, x)
-                dfx = -_genlaguerre(n - 1, 2.0, x) if n >= 1 else np.zeros_like(x)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    step = np.where(dfx != 0, fx / dfx, 0.0)
-                x = x - step
-                nodes = np.concatenate(([0.0], x / beta))
-                ln = _genlaguerre(n, 0.0, beta * nodes[1:])
-                ln1 = _genlaguerre(n + 1, 0.0, beta * nodes[1:])
-                weights = np.empty(n + 1)
-                weights[0] = 1.0 / (beta * (n + 1))
-                weights[1:] = 1.0 / (beta * (n + 1) * ln * ln1)
-            else:
-                x, w = _golub_welsch_rule(n + 1)
-                nodes = x / beta
-                weights = w / beta
+            x = _golub_welsch_nodes(n, alpha=1.0)
+            # one Newton step on f(x) = L_n^(1)(x); f'(x) = -L_{n-1}^(2)(x)
+            fx = _genlaguerre(n, 1.0, x)
+            dfx = -_genlaguerre(n - 1, 2.0, x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(dfx != 0, fx / dfx, 0.0)
+            x = x - step
+            nodes = np.concatenate(([0.0], x / beta))
+            ln = _genlaguerre(n, 0.0, beta * nodes[1:])
+            ln1 = _genlaguerre(n + 1, 0.0, beta * nodes[1:])
+            weights = np.empty(n + 1)
+            weights[0] = 1.0 / (beta * (n + 1))
+            weights[1:] = 1.0 / (beta * (n + 1) * ln * ln1)
     except np.linalg.LinAlgError as exc:
         raise BasisConstructionError(
             f"eigen-solve failed for N={n}, beta={beta}: {exc}"
@@ -174,32 +145,19 @@ def build_rule(config: BasisConfig) -> BasisRule:
 
 def build_diff_matrix(nodes: np.ndarray, config: BasisConfig) -> np.ndarray:
     """Differentiation matrix mapping grid values of a degree-N polynomial to
-    grid values of its derivative.
-
-    GLR uses the closed-form entries in terms of the degree-(N+1) polynomial;
-    GL uses the barycentric construction (with diagonals from exact row sums),
-    which is algebraically exact for the Lagrange basis.
+    grid values of its derivative, from the closed-form GLR entries in terms
+    of the degree-(N+1) polynomial.
     """
     nodes = np.asarray(nodes, dtype=float)
     if np.any(np.diff(np.sort(nodes)) == 0):
         raise BasisConstructionError("duplicate nodes")
     beta, n = config.beta, config.n_order
-    m = len(nodes)
-    if config.node_family is NodeFamily.GLR:
-        ln1 = _genlaguerre(n + 1, 0.0, beta * nodes)
-        dt = nodes[:, None] - nodes[None, :]
-        np.fill_diagonal(dt, 1.0)
-        d = (ln1[:, None] / ln1[None, :]) / dt
-        np.fill_diagonal(d, beta / 2.0)
-        d[0, 0] = -beta * n / 2.0
-        return d
-    sign, logw = _barycentric_log_weights(nodes)
+    ln1 = _genlaguerre(n + 1, 0.0, beta * nodes)
     dt = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(dt, 1.0)
-    ratio = (sign[None, :] * sign[:, None]) * np.exp(logw[None, :] - logw[:, None])
-    d = ratio / dt
-    np.fill_diagonal(d, 0.0)
-    d[np.arange(m), np.arange(m)] = -d.sum(axis=1)
+    d = (ln1[:, None] / ln1[None, :]) / dt
+    np.fill_diagonal(d, beta / 2.0)
+    d[0, 0] = -beta * n / 2.0
     return d
 
 
@@ -235,28 +193,23 @@ def quadrature_unweighted(rule: BasisRule, samples: np.ndarray) -> float:
 def interpolate(rule: BasisRule, samples: np.ndarray, t_query) -> float | np.ndarray:
     """Barycentric Lagrange evaluation of the degree-N interpolant at t_query.
 
-    Queries coinciding with a node return the node sample exactly.
+    `samples` holds node values, shape (N+1,) or (rows, N+1); the result has
+    one column per query after the sample rows, and a scalar query on 1-D
+    samples returns a float. One (queries x nodes) weight matrix serves every
+    row. Queries coinciding with a node return the node sample exactly.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.shape != rule.nodes.shape:
-        raise ValueError(f"expected {rule.nodes.shape} samples, got {samples.shape}")
+    if samples.ndim not in (1, 2) or samples.shape[-1] != rule.n_points:
+        raise ValueError(
+            f"expected samples of shape ({rule.n_points},) or (rows, {rule.n_points}), "
+            f"got {samples.shape}"
+        )
     tq = np.atleast_1d(np.asarray(t_query, dtype=float))
-    w = rule.bary_sign * np.exp(rule.bary_log)
-    out = np.empty_like(tq)
-    for i, t in enumerate(tq):
-        dt = t - rule.nodes
-        hit = np.nonzero(dt == 0)[0]
-        if hit.size:
-            out[i] = samples[hit[0]]
-            continue
-        terms = w / dt
-        out[i] = (terms @ samples) / terms.sum()
-    return float(out[0]) if np.isscalar(t_query) else out
-
-
-def dump_rule_csv(rule: BasisRule, path) -> None:
-    """Debug dump: one row per node with index, node, and weight."""
-    with open(path, "w") as fh:
-        fh.write("index,node,weight\n")
-        for j, (t, w) in enumerate(zip(rule.nodes, rule.weights)):
-            fh.write(f"{j},{t:.8e},{w:.8e}\n")
+    dt = tq[:, None] - rule.nodes[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = rule.bary_sign * np.exp(rule.bary_log) / dt
+    hit = dt == 0
+    on_node = hit.any(axis=1)
+    terms[on_node] = hit[on_node]
+    out = (samples @ terms.T) / terms.sum(axis=1)
+    return float(out[0]) if np.isscalar(t_query) and samples.ndim == 1 else out

@@ -232,12 +232,8 @@ class SolutionBundle:
 
     def at(self, times) -> np.ndarray:
         """Interpolated (states; costates) stack at arbitrary times >= 0."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
         z = np.vstack([self.node_states, self.node_costates])
-        out = np.empty((z.shape[0], len(times)))
-        for r in range(z.shape[0]):
-            out[r] = interpolate(self.rule, z[r], times)
-        return out
+        return interpolate(self.rule, z, np.atleast_1d(times))
 
 
 def solve_ocp(

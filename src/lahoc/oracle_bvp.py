@@ -245,12 +245,3 @@ def compare(traj_a, traj_b, times) -> ComparisonResult:
     idx = dev.argmax(axis=1)
     return ComparisonResult(dev.max(axis=1), times[idx])
 
-
-def dump_trajectory_csv(traj: MeshTrajectory, path) -> None:
-    """CSV dump: time column followed by one column per component."""
-    n = traj.values.shape[0]
-    with open(path, "w") as fh:
-        fh.write("time," + ",".join(f"z{r}" for r in range(n)) + "\n")
-        for j, t in enumerate(traj.times):
-            row = ",".join(f"{traj.values[r, j]:.8e}" for r in range(n))
-            fh.write(f"{t:.8e},{row}\n")

@@ -127,7 +127,6 @@ class SolverConfig:
     basis: BasisConfig
     max_order: int = 20
     tail_tol: float = 1e-12
-    aux_h: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.hbar):
@@ -225,9 +224,8 @@ class Termination(enum.Enum):
 
 @dataclass
 class BlockOperator:
-    """Dense block collocation matrix with boundary rows replaced, plus the
-    raw (pre-replacement) matrix and a cached pseudo-inverse factorization
-    reused for every deformation order.
+    """Dense block collocation matrix with boundary rows replaced, plus a
+    cached factorization reused for every deformation order.
 
     The differentiation-matrix entries grow like the Laguerre-polynomial
     extrema (roughly e^{beta t / 2} at the largest nodes), so the assembled
@@ -244,7 +242,6 @@ class BlockOperator:
     own solutions at round-off level."""
 
     matrix: np.ndarray
-    raw: np.ndarray
     row_scale: np.ndarray
     boundary_rows: np.ndarray
     boundary_values: np.ndarray
@@ -265,17 +262,16 @@ def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
     decay at infinity."""
     n, npts = spec.dim, rule.n_points
     size = n * npts
-    raw = np.zeros((size, size))
+    matrix = np.zeros((size, size))
     for p in range(n):
         rows = slice(p * npts, (p + 1) * npts)
         for q in range(n):
             cols = slice(q * npts, (q + 1) * npts)
             if p == q:
-                raw[rows, cols] = rule.diff + spec.sigma[p, q] * np.eye(npts)
+                matrix[rows, cols] = rule.diff + spec.sigma[p, q] * np.eye(npts)
             elif spec.sigma[p, q] != 0.0:
-                raw[rows, cols] = spec.sigma[p, q] * np.eye(npts)
+                matrix[rows, cols] = spec.sigma[p, q] * np.eye(npts)
 
-    matrix = raw.copy()
     brows = np.empty(n, dtype=int)
     bvals = np.empty(n)
     for r, tag in enumerate(spec.bc):
@@ -305,12 +301,10 @@ def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
             f"singular operator for n={spec.dim}, grid={rule.n_points}"
         )
     if s[0] / s[-1] <= COND_SWITCH:
-        return BlockOperator(
-            matrix, raw, row_scale, brows, bvals, lu=lu_factor(equilibrated)
-        )
+        return BlockOperator(matrix, row_scale, brows, bvals, lu=lu_factor(equilibrated))
     keep = s > PINV_RCOND * s[0]
     pinv = (vt[keep].T / s[keep]) @ u[:, keep].T
-    return BlockOperator(matrix, raw, row_scale, brows, bvals, pinv=pinv)
+    return BlockOperator(matrix, row_scale, brows, bvals, pinv=pinv)
 
 
 def _forcing_grid(spec: SystemSpec, rule: BasisRule) -> np.ndarray:
@@ -348,36 +342,30 @@ def deformation_step(
 ) -> np.ndarray:
     """One order of the deformation recurrence.
 
-    Solves L[z_m - chi_m z_{m-1}] = hbar H (L[z_{m-1}] + Q_{m-1} - (1-chi_m) phi)
-    with homogeneous boundary rows, against the cached factorization. For
-    m >= 2 this reduces to z_m = (1 + hbar) z_{m-1} + hbar A^{-1} Q_{m-1}; at
-    m = 1 the carried L[z_0] cancels the forcing because z_0 solved the
-    linear part exactly on this grid.
+    With the linear operator L taken as the whole linear part and homogeneous
+    boundary rows, L[z_m - chi_m z_{m-1}] = hbar (L[z_{m-1}] + Q_{m-1} -
+    (1-chi_m) phi) reduces to z_m = chi_m (1 + hbar) z_{m-1} + hbar A^{-1}
+    Q_{m-1}, A being L with the boundary rows replaced. At m = 1 the carried
+    L[z_0] cancels the forcing because z_0 solved the linear part exactly on
+    this grid; for m >= 2, z_{m-1} vanishes at the boundary nodes, so A z_{m-1}
+    is L z_{m-1} on the interior rows and zero on the boundary rows, and A^{-1}
+    maps it back to z_{m-1}.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    n, npts = spec.dim, rule.n_points
-    chi = 0.0 if order == 1 else 1.0
-
-    q_grid = np.zeros((n, npts))
+    q = np.zeros((spec.dim, rule.n_points))
     for r, terms in enumerate(spec.nonlinear):
         for term in terms:
-            q_grid[r] += cauchy_order_term(series, term, order)
-    if not np.all(np.isfinite(q_grid)):
-        raise DivergenceError(order, float(np.nanmax(np.abs(q_grid))))
+            q[r] += cauchy_order_term(series, term, order)
+    if not np.all(np.isfinite(q)):
+        raise DivergenceError(order, float(np.nanmax(np.abs(q))))
 
-    z_prev = series.orders[order - 1].ravel()
-    lz_prev = operator.raw @ z_prev
-    resid = lz_prev + q_grid.ravel()
-    if chi == 0.0:
-        resid -= _forcing_grid(spec, rule).ravel()
-
-    h_vals = 1.0 if config.aux_h is None else np.tile(config.aux_h(rule.nodes), n)
-    rhs = chi * lz_prev + config.hbar * h_vals * resid
-    rhs[operator.boundary_rows] = 0.0
-    if not np.all(np.isfinite(rhs)):
-        raise DivergenceError(order, float(np.nanmax(np.abs(rhs))))
-    return operator.solve(rhs).reshape(n, npts)
+    q = q.ravel()
+    q[operator.boundary_rows] = 0.0
+    step = config.hbar * operator.solve(q).reshape(spec.dim, rule.n_points)
+    if order == 1:
+        return step
+    return (1.0 + config.hbar) * series.orders[order - 1] + step
 
 
 def tail_norm(rule: BasisRule, z: np.ndarray) -> float:
@@ -399,11 +387,7 @@ class ShamResult:
 
     def at(self, times) -> np.ndarray:
         """Interpolate the converged partial sums at arbitrary times."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        out = np.empty((self.solution.shape[0], len(times)))
-        for r in range(self.solution.shape[0]):
-            out[r] = interpolate(self.rule, self.solution[r], times)
-        return out
+        return interpolate(self.rule, self.solution, np.atleast_1d(times))
 
 
 def run_sham(spec: SystemSpec, config: SolverConfig) -> ShamResult:
@@ -444,26 +428,22 @@ def run_sham(spec: SystemSpec, config: SolverConfig) -> ShamResult:
 
 
 def gamma_diagnostic(
-    spec: SystemSpec,
-    config: SolverConfig,
-    lipschitz_estimate: float,
-    alpha_min: float | None = None,
-    alpha_max: float | None = None,
-    h_max: float = 1.0,
+    spec: SystemSpec, config: SolverConfig, lipschitz_estimate: float
 ) -> float:
-    """Contraction-ratio diagnostic (N|1 + hbar H| + a1 + |hbar| H L) / (beta/2 + a0).
+    """Contraction-ratio diagnostic (N|1 + hbar| + a1 + |hbar| L) / (beta/2 + a0),
+    with the auxiliary function H = 1 and the bounds a0, a1 taken from the
+    diagonal of sigma.
 
-    Purely informational: the solver never gates on it. When the bounds a0, a1
-    are not supplied they are taken from the diagonal of sigma. Returns NaN
-    when beta/2 + a0 <= 0 (the ratio is undefined there).
+    Purely informational: the solver never gates on it. Returns NaN when
+    beta/2 + a0 <= 0 (the ratio is undefined there).
     """
     diag = np.diag(spec.sigma)
-    a0 = float(np.min(diag)) if alpha_min is None else alpha_min
-    a1 = float(np.max(np.abs(diag))) if alpha_max is None else alpha_max
+    a0 = float(np.min(diag))
+    a1 = float(np.max(np.abs(diag)))
     beta = config.basis.beta
     n = config.basis.n_order
     denom = beta / 2.0 + a0
     if denom <= 0:
         return math.nan
-    num = n * abs(1.0 + config.hbar * h_max) + a1 + abs(config.hbar) * h_max * lipschitz_estimate
+    num = n * abs(1.0 + config.hbar) + a1 + abs(config.hbar) * lipschitz_estimate
     return num / denom

@@ -1,4 +1,6 @@
 import csv
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +170,22 @@ class TestSweep:
         assert rows[0]["termination"] in ("Converged", "MaxOrder")
         assert rows[1]["termination"].startswith("error")
 
+    def test_basis_error_becomes_a_row(self, tmp_path):
+        code, out = run_cli(tmp_path, "--builtin", "tp31", "--sweep", "n=20,400")
+        assert code == 0
+        rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 2
+        assert not rows[0]["termination"].startswith("error")
+        assert rows[1]["termination"].startswith("error: ")
+
+    def test_unexpected_errors_propagate(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected keyword")
+
+        monkeypatch.setattr(cli, "solve_ocp", broken)
+        with pytest.raises(TypeError):
+            run_cli(tmp_path, "--builtin", "tp31", "--sweep", "n=20")
+
 
 def single_error_line(capsys):
     err = capsys.readouterr().err.strip().splitlines()
@@ -218,3 +236,34 @@ class TestSolverErrors:
         code, _ = run_cli(tmp_path, "--builtin", "tp31", "--n", "20")
         assert code == 1
         assert single_error_line(capsys)
+
+
+def readme_cli_lines() -> list[str]:
+    """Every `lahoc ...` command in README's code blocks, continuation lines joined."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands, in_block, pending = [], False, ""
+    for raw in readme.read_text().splitlines():
+        if raw.startswith("```"):
+            in_block, pending = not in_block, ""
+            continue
+        if not in_block:
+            continue
+        line = pending + raw.strip()
+        if line.endswith("\\"):
+            pending = line[:-1]
+            continue
+        pending = ""
+        if line.startswith("lahoc "):
+            commands.append(line)
+    return commands
+
+
+def test_readme_cli_examples_parse():
+    commands = readme_cli_lines()
+    assert len(commands) >= 8
+    parser = cli._build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
