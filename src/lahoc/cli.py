@@ -9,6 +9,7 @@ input, 2 series diverged, 3 oracle comparison beyond tolerance.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 import time
 from pathlib import Path
@@ -239,11 +240,10 @@ def _run_sweep(args, problem: OCProblem) -> int:
             )
         )
 
-    path = out / "sweep.csv"
-    with open(path, "w") as fh:
-        fh.write(f"{axis},termination,orders_used,final_tail_norm,cost\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    with open(out / "sweep.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([axis, "termination", "orders_used", "final_tail_norm", "cost"])
+        writer.writerows(rows)
     for row in rows:
         print(", ".join(str(v) for v in row))
     return 0

@@ -1,22 +1,23 @@
 """Independent truncated-domain solver for the state/costate boundary value problem.
 
 Midpoint-rule collocation on a geometrically graded mesh over [0, t_end] with
-a damped Newton iteration and an analytic sparse Jacobian. The decay condition
-on costate components is imposed at t_end. Used to cross-validate the spectral
+a damped Newton iteration. The decay condition on costate components is
+imposed at t_end. The unknowns are ordered time-major and the residual rows
+run initial values, then one block of n rows per mesh interval, then the decay
+rows, so the analytic Jacobian is a band matrix 3n diagonals wide that each
+Newton step factors with band LU. Used to cross-validate the spectral
 homotopy trajectories.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import LinAlgError, solve_banded
 
-from .sham_engine import DecayAtInfinity, InitialValue, MonomialTerm, SystemSpec
+from .sham_engine import InitialValue, SystemSpec
 
 
 class NewtonError(RuntimeError):
@@ -105,76 +106,77 @@ def _rhs(spec: SystemSpec, z: np.ndarray, phi: np.ndarray, scale: float) -> np.n
     return phi - spec.sigma @ z - _eval_monomials(spec, z, scale)
 
 
-def _residual_and_jacobian(
+def _split_bc(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the initial-value and of the decaying components, ascending."""
+    is_initial = np.array([isinstance(tag, InitialValue) for tag in spec.bc])
+    return np.flatnonzero(is_initial), np.flatnonzero(~is_initial)
+
+
+def _residual(
     spec: SystemSpec,
     times: np.ndarray,
     z: np.ndarray,
     phi_mid: np.ndarray,
     scale: float,
-    want_jac: bool,
-):
-    n = spec.dim
-    m = len(times) - 1
+) -> np.ndarray:
+    """Collocation residual: initial-value rows, then n rows per mesh interval,
+    then the decay rows at t_end."""
+    initial, decay = _split_bc(spec)
     h = np.diff(times)
     zmid = 0.5 * (z[:, :-1] + z[:, 1:])
-    f_mid = _rhs(spec, zmid, phi_mid, scale)
-    res = np.empty((m + 1) * n)
-    # interval residuals occupy rows i*n..(i+1)*n; boundary rows come last
-    interval = (z[:, 1:] - z[:, :-1]) - h * f_mid
-    res[: m * n] = interval.T.ravel()
-    brow = m * n
-    bindex = []
-    for r, tag in enumerate(spec.bc):
-        if isinstance(tag, InitialValue):
-            res[brow] = z[r, 0] - tag.value
-            bindex.append((brow, r, 0))
-        else:
-            res[brow] = z[r, -1]
-            bindex.append((brow, r, m))
-        brow += 1
+    interval = (z[:, 1:] - z[:, :-1]) - h * _rhs(spec, zmid, phi_mid, scale)
+    values = np.array([spec.bc[r].value for r in initial])
+    return np.concatenate([z[initial, 0] - values, interval.T.ravel(), z[decay, -1]])
 
-    if not want_jac:
-        return res, None
 
-    jg = _monomial_jacobian(spec, zmid, scale)
-    jf = -(spec.sigma[None, :, :] + jg)  # d(rhs)/dz at midpoints, (m, n, n)
+def _banded_jacobian(
+    spec: SystemSpec,
+    times: np.ndarray,
+    z: np.ndarray,
+    scale: float,
+) -> tuple[tuple[int, int], np.ndarray]:
+    """Jacobian of `_residual` in LAPACK band storage, for `solve_banded`.
+
+    Unknown (t, r) is column t*n + r. Interval i's rows k0 + i*n + (0..n-1),
+    with k0 initial-value rows before them, touch columns i*n .. (i+2)*n - 1,
+    so the matrix has l = n - 1 + k0 sub- and u = 2n - 1 - k0 superdiagonals,
+    and entry (R, C) is stored at ab[u + R - C, C].
+    """
+    n = spec.dim
+    m = len(times) - 1
+    initial, decay = _split_bc(spec)
+    k0 = len(initial)
+    l, u = n - 1 + k0, 2 * n - 1 - k0
+    h = np.diff(times)
+    zmid = 0.5 * (z[:, :-1] + z[:, 1:])
+    # d(rhs)/dz at the midpoints, (m, n, n)
+    jf = -(spec.sigma[None, :, :] + _monomial_jacobian(spec, zmid, scale))
+    half_hjf = 0.5 * h[:, None, None] * jf
     eye = np.eye(n)
-    rows, cols, vals = [], [], []
-    row_base = np.repeat(np.arange(n), n)
-    col_base = np.tile(np.arange(n), n)
-    for i in range(m):
-        block_l = -eye - 0.5 * h[i] * jf[i]
-        block_r = eye - 0.5 * h[i] * jf[i]
-        r0 = i * n
-        rows.append(r0 + row_base)
-        cols.append(i * n + col_base)
-        vals.append(block_l.ravel())
-        rows.append(r0 + row_base)
-        cols.append((i + 1) * n + col_base)
-        vals.append(block_r.ravel())
-    for brow_i, r, col_t in bindex:
-        rows.append(np.array([brow_i]))
-        cols.append(np.array([col_t * n + r]))
-        vals.append(np.array([1.0]))
-    jac = csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=((m + 1) * n, (m + 1) * n),
-    )
-    return res, jac
+
+    ab = np.zeros((l + u + 1, (m + 1) * n))
+    r = np.arange(n)[:, None]
+    c = np.arange(n)[None, :]
+    col_left = np.arange(m)[:, None, None] * n + c  # (m, 1, n)
+    ab[u + k0 + r - c, col_left] = -eye - half_hjf
+    ab[u + k0 - n + r - c, col_left + n] = eye - half_hjf
+    ab[u + np.arange(k0) - initial, initial] = 1.0
+    ab[u + k0 + np.arange(len(decay)) - decay, m * n + decay] = 1.0
+    return (l, u), ab
 
 
 def _newton(spec, times, z0, phi_mid, cfg, scale):
     n = spec.dim
     z = z0.copy()
-    res, _ = _residual_and_jacobian(spec, times, z, phi_mid, scale, want_jac=False)
+    res = _residual(spec, times, z, phi_mid, scale)
     rnorm = np.linalg.norm(res, ord=np.inf)
     for it in range(cfg.max_newton_iters):
         if rnorm < cfg.newton_tol:
             return z, it, rnorm
-        _, jac = _residual_and_jacobian(spec, times, z, phi_mid, scale, want_jac=True)
+        bands, ab = _banded_jacobian(spec, times, z, scale)
         try:
-            delta = spsolve(jac, res)
-        except RuntimeError as exc:
+            delta = solve_banded(bands, ab, res, overwrite_ab=True)
+        except (LinAlgError, ValueError) as exc:
             raise NewtonError(f"Jacobian solve failed: {exc}") from exc
         if not np.all(np.isfinite(delta)):
             raise NewtonError("singular Jacobian (non-finite Newton step)")
@@ -182,7 +184,7 @@ def _newton(spec, times, z0, phi_mid, cfg, scale):
         dz = delta.reshape(len(times), n).T
         while True:
             z_try = z - step * dz
-            res_try, _ = _residual_and_jacobian(spec, times, z_try, phi_mid, scale, want_jac=False)
+            res_try = _residual(spec, times, z_try, phi_mid, scale)
             rnorm_try = np.linalg.norm(res_try, ord=np.inf)
             if rnorm_try < (1 - 0.1 * step) * rnorm or step < 1e-4:
                 break

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lahoc import cli
+from lahoc import BasisConfig, BasisConstructionError, build_rule, cli
 from lahoc.cli import main
 from lahoc.oracle_bvp import ComparisonResult
 from lahoc.sham_engine import OperatorSingularError
@@ -177,6 +177,16 @@ class TestSweep:
         assert len(rows) == 2
         assert not rows[0]["termination"].startswith("error")
         assert rows[1]["termination"].startswith("error: ")
+
+    def test_error_text_with_a_comma_stays_in_one_field(self, tmp_path):
+        with pytest.raises(BasisConstructionError) as info:
+            build_rule(BasisConfig(beta=1.0, n_order=400))
+        assert "," in str(info.value)
+        code, out = run_cli(tmp_path, "--builtin", "tp31", "--sweep", "n=400")
+        assert code == 0
+        (row,) = read_csv(out / "sweep.csv")
+        assert list(row) == ["n", "termination", "orders_used", "final_tail_norm", "cost"]
+        assert row["termination"] == f"error: {info.value}"
 
     def test_unexpected_errors_propagate(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

@@ -2,16 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 from lahoc import (
+    DecayAtInfinity,
+    InitialValue,
     MeshTrajectory,
+    MonomialTerm,
+    SystemSpec,
     TruncationConfig,
     builtin_problem_31,
+    builtin_problem_32,
     compare,
     derive_tpbvp,
+    oracle_bvp,
     solve_truncated,
 )
-from lahoc.oracle_bvp import graded_mesh
+from lahoc.oracle_bvp import NewtonError, _banded_jacobian, _residual, graded_mesh
 
 from conftest import coupled_linear_spec, linear_decay_spec
 
@@ -106,6 +113,112 @@ class TestNonlinearBenchmark:
         assert traj.values[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert traj.values[1, 0] == pytest.approx(0.8, abs=1e-12)
         assert np.abs(traj.values[2:, -1]).max() < 1e-10
+
+
+def decay_first_spec() -> SystemSpec:
+    """Cubic 3-component system whose two decay components come before its
+    initial-value component: the boundary rows sit at the band's limits."""
+    return SystemSpec(
+        dim=3,
+        sigma=np.array([[1.0, 0.3, -0.2], [0.1, 2.0, 0.4], [-0.5, 0.2, 1.5]]),
+        nonlinear=(
+            (MonomialTerm(0.4, (1, 1, 1)),),
+            (MonomialTerm(-0.3, (2, 0, 1)), MonomialTerm(0.2, (0, 3, 0))),
+            (MonomialTerm(0.5, (0, 1, 2)),),
+        ),
+        bc=(DecayAtInfinity(), DecayAtInfinity(), InitialValue(0.6)),
+    )
+
+
+def dense_from_band(bands, ab):
+    """The full matrix whose LAPACK band storage is `ab`."""
+    l, u = bands
+    size = ab.shape[1]
+    rows, cols = np.indices((size, size))
+    diag = u + rows - cols
+    inside = (diag >= 0) & (diag <= l + u)
+    dense = np.zeros((size, size))
+    dense[inside] = ab[diag[inside], cols[inside]]
+    return dense
+
+
+class TestBandedJacobian:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            derive_tpbvp(builtin_problem_31()),
+            derive_tpbvp(builtin_problem_32()),
+            decay_first_spec(),
+        ],
+        ids=["tp31", "tp32", "decay_first"],
+    )
+    def test_matches_central_differences_of_the_residual(self, spec):
+        rng = np.random.default_rng(3)
+        n = spec.dim
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.6, size=7))])
+        m = len(times) - 1
+        z = 0.5 * rng.standard_normal((n, m + 1))
+        phi_mid = rng.standard_normal((n, m))
+        scale = 0.7
+
+        def residual(x):
+            return _residual(spec, times, x.reshape(m + 1, n).T, phi_mid, scale)
+
+        x = z.T.ravel()  # unknown (t, r) is entry t*n + r
+        eps = 1e-6
+        fd = np.empty((x.size, x.size))
+        for k in range(x.size):
+            dx = np.zeros_like(x)
+            dx[k] = eps
+            fd[:, k] = (residual(x + dx) - residual(x - dx)) / (2 * eps)
+
+        bands, ab = _banded_jacobian(spec, times, z, scale)
+        assert ab.shape == (sum(bands) + 1, x.size)
+        jac = dense_from_band(bands, ab)
+        assert np.abs(jac - fd).max() < 1e-7 * max(1.0, np.abs(fd).max())
+
+
+class TestNewtonSolve:
+    @pytest.mark.parametrize(
+        "error",
+        [LinAlgError("singular matrix"), ValueError("array must not contain infs or NaNs")],
+        ids=["LinAlgError", "ValueError"],
+    )
+    def test_failed_band_solve_raises_newton_error(self, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(oracle_bvp, "solve_banded", broken)
+        with pytest.raises(NewtonError) as info:
+            solve_truncated(coupled_linear_spec(), TruncationConfig(t_end=30.0, mesh_points=100))
+        assert info.value.__cause__ is error
+
+    def test_failed_first_solve_falls_back_to_continuation(self, monkeypatch):
+        real = oracle_bvp.solve_banded
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise LinAlgError("singular matrix")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_bvp, "solve_banded", fails_once)
+        cfg = TruncationConfig(t_end=40.0, mesh_points=400)
+        traj = solve_truncated(derive_tpbvp(builtin_problem_31()), cfg)
+        assert len(calls) > 1
+        assert traj.final_residual < cfg.newton_tol
+
+    @pytest.mark.parametrize(
+        "problem, mesh, iters",
+        [(builtin_problem_31, 2000, 6), (builtin_problem_32, 1200, 4)],
+        ids=["tp31", "tp32"],
+    )
+    def test_newton_iteration_counts(self, problem, mesh, iters):
+        cfg = TruncationConfig(t_end=40.0, mesh_points=mesh)
+        traj = solve_truncated(derive_tpbvp(problem()), cfg)
+        assert traj.newton_iters == iters
+        assert traj.final_residual < cfg.newton_tol
 
 
 class TestCompare:
