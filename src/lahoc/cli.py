@@ -142,9 +142,15 @@ def _write_convergence(path: Path, bundle) -> None:
 
 
 def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
+    oracle_config = None
+    if args.compare:
+        try:
+            oracle_config = TruncationConfig(t_end=args.t_end, mesh_points=args.mesh)
+        except ValueError as exc:
+            return _fail(f"oracle: {exc}")
+    times = _report_times(args, args.t_end)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    times = _report_times(args, args.t_end)
 
     t0 = time.perf_counter()
     bundle = solve_ocp(problem, config, report_times=times,
@@ -169,10 +175,9 @@ def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
 
     if args.compare and status == 0:
         spec = derive_tpbvp(problem)
-        cfg = TruncationConfig(t_end=args.t_end, mesh_points=args.mesh)
         t0 = time.perf_counter()
         try:
-            oracle = solve_truncated(spec, cfg)
+            oracle = solve_truncated(spec, oracle_config)
         except NewtonError as exc:
             lines.append(f"oracle: failed ({exc})")
             _write_summary(out, lines)

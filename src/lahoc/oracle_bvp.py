@@ -5,7 +5,8 @@ a damped Newton iteration. The decay condition on costate components is
 imposed at t_end. The unknowns are ordered time-major and the residual rows
 run initial values, then one block of n rows per mesh interval, then the decay
 rows, so the analytic Jacobian is a band matrix 3n diagonals wide that each
-Newton step factors with band LU. Used to cross-validate the spectral
+Newton step factors with band LU. Trajectories are read between mesh points
+through a not-a-knot cubic spline. Used to cross-validate the spectral
 homotopy trajectories.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgError, solve_banded
 
 from .sham_engine import InitialValue, SystemSpec
@@ -34,12 +34,11 @@ class TruncationConfig:
     grading: float = 4.0  # exponential clustering strength near t = 0
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        for name in ("t_end", "newton_tol", "grading"):
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive")
         if self.mesh_points < 50:
             raise ValueError("mesh_points must be >= 50")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
         if not (0 < self.damping <= 1):
             raise ValueError("damping must lie in (0, 1]")
 
@@ -66,7 +65,47 @@ class MeshTrajectory:
             raise ValueError(
                 f"query times must lie in [{self.times[0]}, {self.times[-1]}]"
             )
-        return CubicSpline(self.times, self.values, axis=1)(times)
+        x, y = self.times, self.values.T
+        s = _not_a_knot_slopes(x, y)
+        # Cubic Hermite piece of each query's interval, in powers of t - x[i]
+        i = np.clip(np.searchsorted(x, times, side="right") - 1, 0, len(x) - 2)
+        h = (x[i + 1] - x[i])[:, None]
+        slope = (y[i + 1] - y[i]) / h
+        curv = (s[i] + s[i + 1] - 2 * slope) / h
+        c2 = (slope - s[i]) / h - curv
+        c3 = curv / h
+        d = (times - x[i])[:, None]
+        d2 = d * d
+        return (y[i] + s[i] * d + c2 * d2 + c3 * (d2 * d)).T
+
+
+def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the not-a-knot cubic spline through the columns of y,
+    shape (len(x), components) (de Boor 1978), with the end rows of SciPy's
+    `CubicSpline(bc_type="not-a-knot")`: 2 points give the line, 3 the parabola."""
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    ab = np.zeros((3, len(x)))  # tridiagonal, in `solve_banded` storage
+    b = np.empty(y.shape)
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[2, :-2] = dx[1:]
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    if len(x) == 2:  # both slopes are the secant slope
+        ab[1] = 1.0
+        b[:] = slope[0]
+    elif len(x) == 3:  # s0 + s1 and s1 + s2 are twice the secant slopes
+        ab[1, [0, 2]] = ab[0, 1] = ab[2, 1] = 1.0
+        b[0], b[2] = 2 * slope[0], 2 * slope[1]
+    else:  # the third derivative is continuous at x[1] and at x[-2]
+        d = x[2] - x[0]
+        ab[1, 0], ab[0, 1] = dx[1], d
+        b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        ab[1, -1], ab[2, -2] = dx[-2], d
+        b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    return solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
 
 
 def _eval_monomials(spec: SystemSpec, z: np.ndarray, scale: float = 1.0) -> np.ndarray:

@@ -106,6 +106,19 @@ class TestBadInput:
         code, _ = run_cli(tmp_path, "--problem", str(tmp_path / "nope.txt"))
         assert code == 1
 
+    def test_bad_oracle_mesh_exits_one_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_ocp ran before the oracle settings were checked")
+
+        monkeypatch.setattr(cli, "solve_ocp", no_solve)
+        code, out = run_cli(
+            tmp_path, "--builtin", "tp31", "--n", "40", "--beta", "6",
+            "--orders", "40", "--compare", "--mesh", "20",
+        )
+        assert code == 1
+        assert single_error_line(capsys)
+        assert not (out / "summary.txt").exists()
+
 
 class TestCompareMode:
     def test_against_oracle_within_tolerance(self, tmp_path):
@@ -216,6 +229,16 @@ class TestNonFiniteInput:
         )
         assert code == 1
         assert single_error_line(capsys)
+
+    @pytest.mark.parametrize("t_end", ["nan", "inf"])
+    def test_non_finite_oracle_horizon_exits_one(self, tmp_path, capsys, t_end):
+        code, out = run_cli(
+            tmp_path, "--builtin", "tp31", "--n", "40", "--beta", "6",
+            "--orders", "40", "--compare", "--t-end", t_end,
+        )
+        assert code == 1
+        assert single_error_line(capsys)
+        assert not (out / "summary.txt").exists()
 
     def test_nan_deviation_fails_comparison(self, tmp_path, monkeypatch):
         # an oracle comparison that yields NaN must not pass the tolerance gate

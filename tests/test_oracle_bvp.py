@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgError
 
 from lahoc import (
@@ -33,6 +34,12 @@ class TestTruncationConfig:
             TruncationConfig(newton_tol=0.0)
         with pytest.raises(ValueError):
             TruncationConfig(damping=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize("field", ["t_end", "newton_tol", "grading", "damping"])
+    def test_rejects_non_finite_and_zero(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TruncationConfig(**{field: value})
 
     def test_defaults_valid(self):
         cfg = TruncationConfig()
@@ -219,6 +226,56 @@ class TestNewtonSolve:
         traj = solve_truncated(derive_tpbvp(problem()), cfg)
         assert traj.newton_iters == iters
         assert traj.final_residual < cfg.newton_tol
+
+
+def spline_mesh(kind: str, points: int, rng) -> np.ndarray:
+    if kind == "graded":
+        tau = np.linspace(0.0, 1.0, points)
+        return 40.0 * np.expm1(4.0 * tau) / np.expm1(4.0)
+    gaps = rng.uniform(0.05, 1.0, size=points - 1)
+    return np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+class TestMeshSpline:
+    """`MeshTrajectory.at` is the not-a-knot cubic spline through the mesh values."""
+
+    @pytest.mark.parametrize("components", [1, 12])
+    @pytest.mark.parametrize("points", [2, 3, 4, 5, 51, 2001])
+    @pytest.mark.parametrize("kind", ["random", "graded"])
+    def test_matches_scipy_cubic_spline(self, kind, points, components):
+        rng = np.random.default_rng(points * 100 + components)
+        times = spline_mesh(kind, points, rng)
+        values = rng.standard_normal((components, points)) * rng.uniform(0.1, 10.0, (components, 1))
+        queries = np.concatenate([
+            rng.uniform(times[0], times[-1], size=200),
+            times,  # every node, both endpoints among them
+            [times[0], times[-1]],
+        ])
+        got = MeshTrajectory(times, values).at(queries)
+        want = CubicSpline(times, values, axis=1)(queries)
+        assert got.shape == (components, len(queries))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(values).max()
+
+    @pytest.mark.parametrize("points", [4, 5, 40])
+    def test_reproduces_a_cubic(self, points):
+        rng = np.random.default_rng(points)
+        times = spline_mesh("random", points, rng)
+        coefficients = rng.standard_normal((3, 4))  # three cubics, highest power first
+
+        def exact(t):
+            return np.array([np.polyval(c, t) for c in coefficients])
+
+        queries = np.concatenate([rng.uniform(times[0], times[-1], size=100), times])
+        got = MeshTrajectory(times, exact(times)).at(queries)
+        scale = np.abs(exact(queries)).max()
+        assert np.abs(got - exact(queries)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("query", [-1e-6, 5.0 + 1e-6, [1.0, 6.0]])
+    def test_queries_outside_the_mesh_raise(self, query):
+        times = np.linspace(0.0, 5.0, 11)
+        traj = MeshTrajectory(times, np.vstack([np.exp(-times), np.cos(times)]))
+        with pytest.raises(ValueError, match="query times"):
+            traj.at(query)
 
 
 class TestCompare:
