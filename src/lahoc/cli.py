@@ -144,10 +144,11 @@ def _write_convergence(path: Path, bundle) -> None:
 def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
     oracle_config = None
     if args.compare:
-        try:
-            oracle_config = TruncationConfig(t_end=args.t_end, mesh_points=args.mesh)
-        except ValueError as exc:
-            return _fail(f"oracle: {exc}")
+        if not 0 < args.t_end < np.inf:  # NaN fails too
+            return _fail("--t-end must be finite and positive")
+        if args.mesh < 50:
+            return _fail("--mesh (mesh intervals) must be >= 50")
+        oracle_config = TruncationConfig(t_end=args.t_end, mesh_points=args.mesh)
     times = _report_times(args, args.t_end)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)

@@ -37,16 +37,22 @@ class BasisConfig:
             raise ValueError(f"n_order must be >= 1, got {self.n_order}")
 
 
-def _genlaguerre(degree: int, alpha: float, x: np.ndarray) -> np.ndarray:
-    """Generalized Laguerre polynomial L_degree^(alpha)(x) by three-term recurrence."""
+def _genlaguerre_pair(degree: int, alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L_{degree-1}^(alpha)(x) and L_degree^(alpha)(x), degree >= 1, from one
+    pass of the three-term recurrence."""
     x = np.asarray(x, dtype=float)
     p_prev = np.ones_like(x)
-    if degree == 0:
-        return p_prev
     p = 1.0 + alpha - x
     for k in range(1, degree):
         p, p_prev = ((2 * k + alpha + 1 - x) * p - (k + alpha) * p_prev) / (k + 1), p
-    return p
+    return p_prev, p
+
+
+def _genlaguerre(degree: int, alpha: float, x: np.ndarray) -> np.ndarray:
+    """Generalized Laguerre polynomial L_degree^(alpha)(x) by three-term recurrence."""
+    if degree == 0:
+        return np.ones_like(np.asarray(x, dtype=float))
+    return _genlaguerre_pair(degree, alpha, x)[1]
 
 
 def eval_laguerre(beta: float, degree: int, t):
@@ -72,15 +78,15 @@ def _golub_welsch_nodes(degree: int, alpha: float) -> np.ndarray:
     return vals
 
 
-def _barycentric_log_weights(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Barycentric weights as (sign, log magnitude); log form avoids overflow
-    for Laguerre nodes spread over [0, ~4N/beta]."""
+def _barycentric_weights(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Barycentric weights w_j = 1 / prod_{k != j} (t_j - t_k) as signed
+    mantissa and binary exponent, w_j = m_j 2^{e_j}: the products of
+    np.frexp mantissas cannot overflow for Laguerre nodes spread over
+    [0, ~4N/beta], and the exponents add exactly."""
     diffs = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diffs, 1.0)
-    sign = np.prod(np.sign(diffs), axis=1)
-    logw = -np.sum(np.log(np.abs(diffs)), axis=1)
-    logw -= logw.max()
-    return sign, logw
+    mant, expo = np.frexp(diffs)
+    return 1.0 / np.prod(mant, axis=1), -np.sum(expo, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +100,8 @@ class BasisRule:
     nodes: np.ndarray
     weights: np.ndarray
     diff: np.ndarray
-    bary_sign: np.ndarray = field(repr=False)
-    bary_log: np.ndarray = field(repr=False)
+    bary_mant: np.ndarray = field(repr=False)
+    bary_exp: np.ndarray = field(repr=False)
 
     @property
     def n_points(self) -> int:
@@ -123,11 +129,11 @@ def build_rule(config: BasisConfig) -> BasisRule:
                 step = np.where(dfx != 0, fx / dfx, 0.0)
             x = x - step
             nodes = np.concatenate(([0.0], x / beta))
-            ln = _genlaguerre(n, 0.0, beta * nodes[1:])
-            ln1 = _genlaguerre(n + 1, 0.0, beta * nodes[1:])
+            # L_N and L_{N+1} at every node, shared by the weights and diff
+            ln, ln1 = _genlaguerre_pair(n + 1, 0.0, beta * nodes)
             weights = np.empty(n + 1)
             weights[0] = 1.0 / (beta * (n + 1))
-            weights[1:] = 1.0 / (beta * (n + 1) * ln * ln1)
+            weights[1:] = 1.0 / (beta * (n + 1) * ln[1:] * ln1[1:])
     except np.linalg.LinAlgError as exc:
         raise BasisConstructionError(
             f"eigen-solve failed for N={n}, beta={beta}: {exc}"
@@ -138,9 +144,9 @@ def build_rule(config: BasisConfig) -> BasisRule:
     if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
         raise BasisConstructionError(f"invalid weights for N={n}, beta={beta}")
 
-    diff = build_diff_matrix(nodes, config)
-    sign, logw = _barycentric_log_weights(nodes)
-    return BasisRule(config, nodes, weights, diff, sign, logw)
+    diff = _diff_matrix(nodes, ln1, config)
+    mant, expo = _barycentric_weights(nodes)
+    return BasisRule(config, nodes, weights, diff, mant, expo)
 
 
 def build_diff_matrix(nodes: np.ndarray, config: BasisConfig) -> np.ndarray:
@@ -151,8 +157,12 @@ def build_diff_matrix(nodes: np.ndarray, config: BasisConfig) -> np.ndarray:
     nodes = np.asarray(nodes, dtype=float)
     if np.any(np.diff(np.sort(nodes)) == 0):
         raise BasisConstructionError("duplicate nodes")
+    return _diff_matrix(nodes, _genlaguerre(config.n_order + 1, 0.0, config.beta * nodes), config)
+
+
+def _diff_matrix(nodes: np.ndarray, ln1: np.ndarray, config: BasisConfig) -> np.ndarray:
+    """The GLR differentiation matrix from the degree-(N+1) values at the nodes."""
     beta, n = config.beta, config.n_order
-    ln1 = _genlaguerre(n + 1, 0.0, beta * nodes)
     dt = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(dt, 1.0)
     d = (ln1[:, None] / ln1[None, :]) / dt
@@ -170,15 +180,17 @@ def quadrature_weighted(rule: BasisRule, samples: np.ndarray) -> float:
     return float(rule.weights @ samples)
 
 
-def quadrature_unweighted(rule: BasisRule, samples: np.ndarray) -> float:
+def quadrature_unweighted(rule: BasisRule, samples: np.ndarray) -> float | np.ndarray:
     """Approximate the plain integral of a decaying function from its node samples.
 
     Divides out the Laguerre weight: sum of samples * omega_j * e^{beta t_j}.
-    Warns when the largest exponential factor exceeds 1e15 (overflow-prone).
+    Samples of shape (..., N+1) give one integral per leading index, each
+    with the same bits as alone; 1-D samples give a float. Warns when the
+    largest exponential factor exceeds 1e15 (overflow-prone).
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.shape != rule.nodes.shape:
-        raise ValueError(f"expected {rule.nodes.shape} samples, got {samples.shape}")
+    if samples.shape[-1:] != rule.nodes.shape:
+        raise ValueError(f"expected samples of shape (..., {rule.n_points}), got {samples.shape}")
     beta = rule.config.beta
     if beta * rule.nodes[-1] > math.log(1e15):
         warnings.warn(
@@ -187,16 +199,22 @@ def quadrature_unweighted(rule: BasisRule, samples: np.ndarray) -> float:
             QuadratureOverflowWarning,
             stacklevel=2,
         )
-    return float((rule.weights * np.exp(beta * rule.nodes)) @ samples)
+    total = np.sum(samples * (rule.weights * np.exp(beta * rule.nodes)), axis=-1)
+    return float(total) if samples.ndim == 1 else total
 
 
 def interpolate(rule: BasisRule, samples: np.ndarray, t_query) -> float | np.ndarray:
-    """Barycentric Lagrange evaluation of the degree-N interpolant at t_query.
+    """Lagrange evaluation of the degree-N interpolant at t_query.
 
     `samples` holds node values, shape (N+1,) or (rows, N+1); the result has
     one column per query after the sample rows, and a scalar query on 1-D
-    samples returns a float. One (queries x nodes) weight matrix serves every
-    row. Queries coinciding with a node return the node sample exactly.
+    samples returns a float. One (queries x nodes) basis matrix serves every
+    row. It is the first (modified) barycentric form,
+    l_j(t) = l(t) w_j / (t - t_j) with l(t) = prod_k (t - t_k), which has no
+    denominator to cancel in the far part of the grid (Higham, IMA J. Numer.
+    Anal. 24, 2004). l(t) is taken in log scale, base 2: the product of the
+    np.frexp mantissas of t - t_k, and the exact sum of their exponents.
+    Queries coinciding with a node return the node sample exactly.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim not in (1, 2) or samples.shape[-1] != rule.n_points:
@@ -206,10 +224,14 @@ def interpolate(rule: BasisRule, samples: np.ndarray, t_query) -> float | np.nda
         )
     tq = np.atleast_1d(np.asarray(t_query, dtype=float))
     dt = tq[:, None] - rule.nodes[None, :]
+    mant, expo = np.frexp(dt)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = rule.bary_sign * np.exp(rule.bary_log) / dt
+        terms = np.ldexp(
+            np.prod(mant, axis=1)[:, None] * rule.bary_mant / dt,
+            np.sum(expo, axis=1)[:, None] + rule.bary_exp,
+        )
     hit = dt == 0
     on_node = hit.any(axis=1)
     terms[on_node] = hit[on_node]
-    out = (samples @ terms.T) / terms.sum(axis=1)
+    out = samples @ terms.T
     return float(out[0]) if np.isscalar(t_query) and samples.ndim == 1 else out

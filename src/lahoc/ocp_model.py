@@ -179,15 +179,19 @@ def derive_tpbvp(problem: OCProblem) -> SystemSpec:
 
 
 def optimal_control(problem: OCProblem, costates: np.ndarray) -> np.ndarray:
-    """u_i = -R_i^{-1} B_i^T lambda_i per subsystem at every column of costates."""
+    """u_i = -R_i^{-1} B_i^T lambda_i per subsystem at every column of costates.
+
+    A stack of costate grids, shape (..., n, T), gives a stack of control
+    grids in one call; each grid of the stack gets the same bits as alone."""
     costates = np.atleast_2d(np.asarray(costates, dtype=float))
-    if costates.shape[0] != problem.n_states:
-        raise ValueError(f"expected {problem.n_states} costate rows, got {costates.shape[0]}")
-    out = np.empty((problem.n_inputs, costates.shape[1]))
+    if costates.shape[-2] != problem.n_states:
+        raise ValueError(f"expected {problem.n_states} costate rows, got {costates.shape[-2]}")
+    out = np.empty((*costates.shape[:-2], problem.n_inputs, costates.shape[-1]))
     r = c = 0
     for sub in problem.subsystems:
-        lam = costates[r : r + sub.n_states]
-        out[c : c + sub.n_inputs] = -np.linalg.solve(sub.r_mat, sub.b_mat.T @ lam)
+        gain = -np.linalg.solve(sub.r_mat, sub.b_mat.T)
+        lam = costates[..., r : r + sub.n_states, :]
+        out[..., c : c + sub.n_inputs, :] = np.einsum("ij,...jt->...it", gain, lam)
         r += sub.n_states
         c += sub.n_inputs
     return out
@@ -195,18 +199,21 @@ def optimal_control(problem: OCProblem, costates: np.ndarray) -> np.ndarray:
 
 def evaluate_cost(
     problem: OCProblem, states: np.ndarray, controls: np.ndarray, rule: BasisRule
-) -> float:
+) -> float | np.ndarray:
     """Quadratic cost 1/2 integral of (x^T Q x + u^T R u), evaluated with the
-    unweighted node quadrature; trajectories must be sampled at rule nodes."""
+    unweighted node quadrature; trajectories must be sampled at rule nodes.
+
+    Stacks of state and control grids, shapes (..., n, T) and (..., m, T),
+    give an array of costs in one call, each equal to its own single call."""
     states = np.atleast_2d(states)
     controls = np.atleast_2d(controls)
-    integrand = np.zeros(states.shape[1])
+    integrand = np.zeros((*states.shape[:-2], states.shape[-1]))
     r = c = 0
     for sub in problem.subsystems:
-        x = states[r : r + sub.n_states]
-        u = controls[c : c + sub.n_inputs]
-        integrand += np.einsum("it,ij,jt->t", x, sub.q_mat, x)
-        integrand += np.einsum("it,ij,jt->t", u, sub.r_mat, u)
+        x = states[..., r : r + sub.n_states, :]
+        u = controls[..., c : c + sub.n_inputs, :]
+        integrand += np.einsum("...it,ij,...jt->...t", x, sub.q_mat, x)
+        integrand += np.einsum("...it,ij,...jt->...t", u, sub.r_mat, u)
         r += sub.n_states
         c += sub.n_inputs
     return 0.5 * quadrature_unweighted(rule, integrand)
@@ -249,13 +256,10 @@ def solve_ocp(
     n = problem.n_states
     node_states = result.solution[:n]
     node_costates = result.solution[n:]
-    node_controls = optimal_control(problem, node_costates)
-    cost = evaluate_cost(problem, node_states, node_controls, result.rule)
-
-    per_order_costs = []
-    for z in np.cumsum(result.series.orders, axis=0):
-        u = optimal_control(problem, z[n:])
-        per_order_costs.append(evaluate_cost(problem, z[:n], u, result.rule))
+    # the cost of every partial sum in one stacked call; the last is the solution's
+    sums = np.cumsum(result.series.orders, axis=0)
+    sum_controls = optimal_control(problem, sums[:, n:])
+    per_order_costs = evaluate_cost(problem, sums[:, :n], sum_controls, result.rule).tolist()
 
     if report_times is None:
         report_times = result.rule.nodes
@@ -274,7 +278,7 @@ def solve_ocp(
         states=states,
         costates=costates,
         controls=controls,
-        cost=cost,
+        cost=per_order_costs[-1],
         per_order_costs=per_order_costs,
         tail_norms=list(result.tail_norms),
         termination=result.termination,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,7 +70,7 @@ class MonomialTerm:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    @property
+    @cached_property
     def factors(self) -> tuple[int, ...]:
         """Component index of every factor, each repeated by its exponent."""
         return tuple(c for c, e in enumerate(self.exponents) for _ in range(e))
@@ -140,80 +141,105 @@ class SolverConfig:
 
 
 class HomotopySeries:
-    """Per-order grid matrices Z_m (n x N+1 each), stored in one preallocated
-    (capacity, n, N+1) array, their weighted tail norms, and a cache of the
-    truncated Cauchy products the nonlinear terms read.
+    """Per-order grid matrices Z_m (n x N+1 each), their weighted tail norms,
+    and the truncated Cauchy products the nonlinear terms read, all in one
+    preallocated (capacity, n + chains, N+1) store.
 
-    A product is keyed by its factor sequence (component indices, repeated by
-    exponent) and stores one coefficient per order.  The product of the
-    factors (c_1, ..., c_L) extends that of (c_1, ..., c_{L-1}), so a chain
-    shares its prefixes with every monomial that starts the same way, and
-    coefficient k of each level depends on orders 0..k only."""
+    Rows 0..n-1 of order k hold Z_k. Every further row is a chain: the
+    node-wise product of the component series named by a factor sequence
+    (c_1, ..., c_L), kept as (parent row, last component) with the parent the
+    chain of (c_1, ..., c_{L-1}). Coefficient k of a chain is
+    P[k] = sum_{i<=k} P_parent[i] * Z_{c_L}[k-i], which reads orders 0..k only,
+    so each order adds one coefficient per chain, parents before children.
+    The chains of `products` are registered at construction; any other is
+    registered, and filled up to the current order, when first asked for."""
 
     def __init__(
         self,
         orders: Sequence[np.ndarray],
         tail_norms: Sequence[float] = (),
         max_order: int | None = None,
+        products: Sequence[tuple[int, ...]] = (),
     ):
         if len(orders) == 0:
             raise ValueError("a homotopy series needs its order-0 term")
         capacity = len(orders) if max_order is None else max(len(orders), max_order + 1)
-        self._terms = np.empty((capacity, *np.shape(orders[0])))
-        self._terms[: len(orders)] = orders
+        self._dim = np.shape(orders[0])[0]
+        self._store = np.empty((capacity, *np.shape(orders[0])))
+        self._store[: len(orders)] = orders
         self._count = len(orders)
+        self._filled = 0  # chain coefficients 0.._filled-1 are current
         self.tail_norms = list(tail_norms)
-        # factor sequence -> [coefficients (capacity, N+1), number filled]
-        self._products: dict[tuple[int, ...], list] = {}
+        self._rows = {(c,): c for c in range(self._dim)}  # factor sequence -> store row
+        self._chains: list[tuple[int, int, int]] = []  # (row, parent, last), parents first
+        self._register(products)
 
     @property
     def orders(self) -> np.ndarray:
         """The stored orders, a (count, n, N+1) view."""
-        return self._terms[: self._count]
+        return self._store[: self._count, : self._dim]
 
     def append(self, z: np.ndarray, norm: float) -> None:
-        if self._count == len(self._terms):
+        if self._count == len(self._store):
             raise ValueError(f"series is full at {self._count} orders")
-        self._terms[self._count] = z
+        self._store[self._count, : self._dim] = z
         self._count += 1
         self.tail_norms.append(norm)
 
     def truncate(self, last_order: int) -> None:
-        """Keep orders 0..last_order and drop every cached product
-        coefficient that read a later order."""
+        """Keep orders 0..last_order; chain coefficients that read a later
+        order are recomputed when asked for again."""
         if not 0 <= last_order < self._count:
             raise ValueError(f"order {last_order} out of range for {self._count} stored orders")
         self._count = last_order + 1
+        self._filled = min(self._filled, self._count)
         del self.tail_norms[self._count :]
-        for entry in self._products.values():
-            entry[1] = min(entry[1], self._count)
 
     def partial_sum(self, up_to: int | None = None) -> np.ndarray:
         take = self.orders if up_to is None else self.orders[: up_to + 1]
         return np.sum(take, axis=0)
 
-    def product(self, factors: tuple[int, ...], up_to: int) -> np.ndarray:
-        """Coefficients of q^0..q^up_to (rows of the returned array) of the
-        node-wise product of the component series named by `factors`.
+    def _register(self, factor_lists: Sequence[tuple[int, ...]]) -> list[int]:
+        """Store rows of the chains named by `factor_lists`, adding each
+        missing chain and its missing prefixes; coefficients already filled
+        for the other chains are filled for the new ones too."""
+        new = []
+        for factors in factor_lists:
+            for length in range(2, len(factors) + 1):
+                key = factors[:length]
+                if key not in self._rows:
+                    self._rows[key] = self._store.shape[1] + len(new)
+                    new.append((self._rows[key], self._rows[key[:-1]], key[-1]))
+        if new:
+            grown = np.empty((self._store.shape[0], len(new), self._store.shape[2]))
+            self._store = np.concatenate((self._store, grown), axis=1)
+            self._chains += new
+            for k in range(self._filled):
+                self._fill_order(k, new)
+        return [self._rows[factors] for factors in factor_lists]
 
-        Each missing coefficient k of level L is one sum over the stored
-        prefix, P_L[k] = sum_{i<=k} P_{L-1}[i] * Z_{c_L}[k-i], so a run that
-        asks for one more order adds one coefficient per level."""
-        if up_to >= self._count:
-            raise ValueError(f"coefficient {up_to} needs order {up_to}, have {self._count}")
-        last = self._terms[:, factors[-1]]
-        if len(factors) == 1:
-            return last
-        entry = self._products.get(factors)
-        if entry is None:
-            entry = self._products[factors] = [np.empty_like(last), 0]
-        coeffs, filled = entry
-        if filled <= up_to:
-            prefix = self.product(factors[:-1], up_to)
-            for k in range(filled, up_to + 1):
-                coeffs[k] = np.einsum("ij,ij->j", prefix[: k + 1], last[k::-1])
-            entry[1] = up_to + 1
-        return coeffs
+    def _fill_order(self, k: int, chains) -> None:
+        s = self._store
+        for row, parent, last in chains:
+            np.einsum("ij,ij->j", s[: k + 1, parent], s[k::-1, last], out=s[k, row])
+
+    def _fill(self, k: int) -> None:
+        """Make coefficients 0..k of every chain current."""
+        if k >= self._count:
+            raise ValueError(f"coefficient {k} needs order {k}, have {self._count}")
+        for j in range(self._filled, k + 1):
+            self._fill_order(j, self._chains)
+        self._filled = max(self._filled, k + 1)
+
+    def product_coefficient(self, factors: tuple[int, ...], k: int) -> np.ndarray:
+        """Coefficient k of the node-wise product of the component series
+        named by `factors`, a (N+1,) view of the store."""
+        row = self._rows.get(factors)
+        if row is None:
+            (row,) = self._register([factors])
+        if k >= self._filled:
+            self._fill(k)
+        return self._store[k, row]
 
 
 class Termination(enum.Enum):
@@ -246,13 +272,14 @@ class BlockOperator:
     boundary_rows: np.ndarray
     boundary_values: np.ndarray
     lu: tuple | None = None
-    pinv: np.ndarray | None = None
+    pinv: tuple[np.ndarray, np.ndarray] | None = None  # (V_k S_k^-1, U_k^T)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         scaled = rhs / self.row_scale
         if self.lu is not None:
             return lu_solve(self.lu, scaled)
-        return self.pinv @ scaled
+        v_scaled, u_t = self.pinv
+        return v_scaled @ (u_t @ scaled)
 
 
 def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
@@ -303,7 +330,7 @@ def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
     if s[0] / s[-1] <= COND_SWITCH:
         return BlockOperator(matrix, row_scale, brows, bvals, lu=lu_factor(equilibrated))
     keep = s > PINV_RCOND * s[0]
-    pinv = (vt[keep].T / s[keep]) @ u[:, keep].T
+    pinv = (vt[keep].T / s[keep], u[:, keep].T)
     return BlockOperator(matrix, row_scale, brows, bvals, pinv=pinv)
 
 
@@ -326,10 +353,10 @@ def initial_guess(spec: SystemSpec, rule: BasisRule, operator: BlockOperator) ->
 
 def cauchy_order_term(series: HomotopySeries, term: MonomialTerm, order: int) -> np.ndarray:
     """Coefficient of q^(order-1) in the monomial applied to the series,
-    node-wise, read from the series' cached chain of partial products."""
+    node-wise, read from the series' chain table."""
     if order < 1 or order > len(series.orders):
         raise ValueError(f"order {order} out of range for {len(series.orders)} stored orders")
-    return term.coefficient * series.product(term.factors, order - 1)[order - 1]
+    return term.coefficient * series.product_coefficient(term.factors, order - 1)
 
 
 def deformation_step(
@@ -396,7 +423,10 @@ def run_sham(spec: SystemSpec, config: SolverConfig) -> ShamResult:
     rule = build_rule(config.basis)
     operator = assemble_operator(spec, rule)
     z0 = initial_guess(spec, rule, operator)
-    series = HomotopySeries([z0], [tail_norm(rule, z0)], max_order=config.max_order)
+    products = [term.factors for terms in spec.nonlinear for term in terms]
+    series = HomotopySeries(
+        [z0], [tail_norm(rule, z0)], max_order=config.max_order, products=products
+    )
 
     termination = Termination.MAX_ORDER
     best_order = 0

@@ -240,6 +240,21 @@ class TestNonFiniteInput:
         assert single_error_line(capsys)
         assert not (out / "summary.txt").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--mesh", "20", "error: --mesh (mesh intervals) must be >= 50"),
+            ("--t-end", "nan", "error: --t-end must be finite and positive"),
+        ],
+    )
+    def test_oracle_errors_name_the_flag(self, tmp_path, capsys, flag, value, message):
+        code, _ = run_cli(
+            tmp_path, "--builtin", "tp31", "--n", "40", "--beta", "6",
+            "--orders", "40", "--compare", flag, value,
+        )
+        assert code == 1
+        assert capsys.readouterr().err.strip() == message
+
     def test_nan_deviation_fails_comparison(self, tmp_path, monkeypatch):
         # an oracle comparison that yields NaN must not pass the tolerance gate
         monkeypatch.setattr(cli, "solve_truncated", lambda spec, cfg: None)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from lahoc import (
     BasisConfig,
+    build_diff_matrix,
     build_rule,
     eval_laguerre,
     interpolate,
@@ -155,6 +157,16 @@ class TestUnweightedQuadrature:
 
 
 class TestDifferentiationMatrix:
+    @pytest.mark.parametrize("n, beta", [(1, 1.0), (4, 6.0), (31, 1.0), (100, 0.5)])
+    def test_shared_recurrence_gives_the_bits_of_separate_evaluations(self, n, beta):
+        # build_rule takes L_N and L_{N+1} from one recurrence pass
+        config = BasisConfig(beta=beta, n_order=n)
+        rule = build_rule(config)
+        assert np.array_equal(rule.diff, build_diff_matrix(rule.nodes, config))
+        t = rule.nodes[1:]
+        ln, ln1 = eval_laguerre(beta, n, t), eval_laguerre(beta, n + 1, t)
+        assert np.array_equal(rule.weights[1:], 1.0 / (beta * (n + 1) * ln * ln1))
+
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_monomial_derivatives_small_n_absolute(self, n):
         rule = build_rule(BasisConfig(beta=1.0, n_order=n))
@@ -240,17 +252,36 @@ class TestInterpolation:
 
 
 def interpolate_per_query(rule, samples, t):
-    """Reference: the second barycentric form, one query and one sample row
-    at a time. Returns the value and its rounding scale sum_j |l_j(t) f_j|,
-    which is what bounds the error of the form when its denominator cancels
+    """Reference: the Lagrange form, one query and one sample row at a time,
+    each basis polynomial l_j(t) the product of the ratios
+    (t - t_k) / (t_j - t_k). Returns the value and its rounding scale
+    sum_j |l_j(t) f_j|, which bounds the error of a sum of the basis values
     (Higham, IMA J. Numer. Anal. 24, 2004)."""
-    dt = t - rule.nodes
-    hit = np.nonzero(dt == 0)[0]
+    x = rule.nodes
+    hit = np.nonzero(t == x)[0]
     if hit.size:
         return samples[hit[0]], 0.0
-    terms = rule.bary_sign * np.exp(rule.bary_log) / dt
-    denom = terms.sum()
-    return (terms @ samples) / denom, np.abs(terms * samples).sum() / abs(denom)
+    spans = x[:, None] - x[None, :]
+    np.fill_diagonal(spans, 1.0)
+    ratios = (t - x)[None, :] / spans
+    np.fill_diagonal(ratios, 1.0)
+    basis = np.prod(ratios, axis=1)
+    return basis @ samples, np.abs(basis * samples).sum()
+
+
+def lagrange_exact(nodes, samples, t) -> float:
+    """The interpolant at t in exact rational arithmetic on the float nodes,
+    samples and query."""
+    xs = [Fraction(float(v)) for v in nodes]
+    t = Fraction(float(t))
+    total = Fraction(0)
+    for j, f in enumerate(samples):
+        basis = Fraction(float(f))
+        for k, x in enumerate(xs):
+            if k != j:
+                basis *= (t - x) / (xs[j] - x)
+        total += basis
+    return float(total)
 
 
 class TestVectorisedInterpolation:
@@ -293,6 +324,15 @@ class TestVectorisedInterpolation:
         value, scale = interpolate_per_query(rule, samples, t)
         assert isinstance(got, float)
         assert abs(got - value) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("t", [5.0, 40.0, 76.353, 100.0])
+    def test_far_grid_matches_exact_rational_evaluation(self, t):
+        # the second barycentric form's denominator cancels out here: it gave
+        # 4.19e10 at t = 76.353 (exact -4.49e8) and 4.7e8 at t = 100 (5.78e13)
+        rule = build_rule(BasisConfig(beta=1.0, n_order=31))
+        samples = np.exp(-0.7 * rule.nodes) * np.cos(rule.nodes)
+        exact = lagrange_exact(rule.nodes, samples, t)
+        assert abs(interpolate(rule, samples, t) - exact) <= 1e-8 * abs(exact)
 
     def test_rejects_samples_of_the_wrong_shape(self):
         rule = build_rule(BasisConfig(beta=1.0, n_order=8))

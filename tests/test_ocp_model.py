@@ -12,6 +12,7 @@ from lahoc import (
     SolverConfig,
     SubsystemSpec,
     Termination,
+    build_rule,
     builtin_problem_31,
     builtin_problem_32,
     derive_tpbvp,
@@ -295,6 +296,21 @@ class TestParseProblem:
             parse_problem("lahoc-problem v1\n")
 
 
+def general_weights_problem() -> OCProblem:
+    """Two linear subsystems with dense, non-diagonal B, Q and R."""
+    rng = np.random.default_rng(12)
+    subs = []
+    for ni, mi in ((3, 2), (2, 3)):
+        r = rng.normal(size=(mi, mi))
+        q = rng.normal(size=(ni, ni))
+        subs.append(SubsystemSpec(
+            a_mat=rng.normal(size=(ni, ni)), b_mat=rng.normal(size=(ni, mi)),
+            q_mat=q @ q.T, r_mat=r @ r.T + mi * np.eye(mi),
+            f_terms=((),) * ni, x0=np.zeros(ni),
+        ))
+    return OCProblem(tuple(subs))
+
+
 class TestPerOrderCosts:
     @pytest.mark.parametrize("n, max_order", [(40, 100), (20, 150)])
     def test_each_cost_is_the_cost_of_its_partial_sum(self, monkeypatch, n, max_order):
@@ -320,3 +336,21 @@ class TestPerOrderCosts:
             z = series.partial_sum(m)
             u = optimal_control(problem, z[n_states:])
             assert cost == evaluate_cost(problem, z[:n_states], u, result.rule)
+
+    @pytest.mark.parametrize(
+        "make, n",
+        [(builtin_problem_31, 30), (builtin_problem_32, 17), (general_weights_problem, 60)],
+    )
+    def test_stacked_calls_give_the_bits_of_single_calls(self, make, n):
+        problem = make()
+        rule = build_rule(BasisConfig(beta=1.0, n_order=n))
+        rng = np.random.default_rng(4)
+        stack = rng.normal(size=(7, 2 * problem.n_states, n + 1))
+        states, costates = stack[:, : problem.n_states], stack[:, problem.n_states :]
+        controls = optimal_control(problem, costates)
+        costs = evaluate_cost(problem, states, controls, rule)
+        assert controls.shape == (7, problem.n_inputs, n + 1) and costs.shape == (7,)
+        for k in range(7):
+            single = optimal_control(problem, np.ascontiguousarray(costates[k]))
+            assert np.array_equal(controls[k], single)
+            assert costs[k] == evaluate_cost(problem, states[k].copy(), single, rule)

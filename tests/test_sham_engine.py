@@ -394,6 +394,75 @@ class TestHomotopySeriesStorage:
             series.append(np.ones((1, 3)), 0.0)
 
 
+@st.composite
+def random_equations(draw):
+    """Per-equation monomial lists over 1-4 components, degrees 1-4. Few
+    components and small degrees make monomials share factor prefixes, and
+    exponents above 1 repeat factors."""
+    n = draw(st.integers(1, 4))
+    exponents = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(
+        lambda e: 1 <= sum(e) <= 4
+    )
+    term = st.builds(MonomialTerm, st.floats(-2.0, 2.0), exponents.map(tuple))
+    return n, tuple(tuple(draw(st.lists(term, max_size=4))) for _ in range(n))
+
+
+def per_order_terms(series, nonlinear, order):
+    """Every monomial's coefficient of q^(order-1), stacked in equation order."""
+    terms = [term for eq in nonlinear for term in eq]
+    got = [cauchy_order_term(series, term, order) for term in terms]
+    return np.array(got).reshape(len(terms), series.orders.shape[-1])
+
+
+def brute_force_terms(series, nonlinear, order):
+    terms = [term for eq in nonlinear for term in eq]
+    ref = [TestCauchyProducts.brute_force(series, term, order - 1) for term in terms]
+    return np.array(ref).reshape(len(terms), series.orders.shape[-1])
+
+
+def assert_rows_match(got, ref):
+    """Each monomial's row within 1e-13 of the brute-force reference, relative
+    to that row's largest value."""
+    bound = 1e-13 * (1.0 + np.abs(ref).max(axis=1))
+    assert np.all(np.abs(got - ref).max(axis=1) <= bound)
+
+
+class TestChainTable:
+    @settings(max_examples=40, deadline=None)
+    @given(eqs=random_equations(), seed=st.integers(0, 2**31), cut=st.integers(0, 5))
+    def test_per_order_terms_match_brute_force(self, eqs, seed, cut):
+        n, nonlinear = eqs
+        products = [term.factors for eq in nonlinear for term in eq]
+        rng = np.random.default_rng(seed)
+        draws = [rng.normal(size=(n, 3)) for _ in range(14)]
+        series = HomotopySeries(draws[:1], max_order=8, products=products)
+        extra = MonomialTerm(0.5, (2,) + (1,) * (n - 1))  # registered mid-run
+        for m in range(1, 8):
+            series.append(draws[m], 1.0)
+            assert_rows_match(
+                per_order_terms(series, nonlinear, m), brute_force_terms(series, nonlinear, m)
+            )
+            if m == 4:
+                got = cauchy_order_term(series, extra, 3)
+                ref = TestCauchyProducts.brute_force(series, extra, 2)
+                assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+
+        # truncating and appending other orders gives what a fresh series
+        # holding the same orders gives, bit for bit
+        series.truncate(cut)
+        fresh = HomotopySeries(draws[: cut + 1], max_order=8, products=products)
+        for m in range(cut + 1, 8):
+            series.append(draws[m + 6], 1.0)
+            fresh.append(draws[m + 6], 1.0)
+        for m in range(1, 9):
+            assert np.array_equal(
+                per_order_terms(series, nonlinear, m), per_order_terms(fresh, nonlinear, m)
+            ), f"order {m}"
+            assert np.array_equal(
+                cauchy_order_term(series, extra, m), cauchy_order_term(fresh, extra, m)
+            ), f"order {m}"
+
+
 def forced_saddle_spec() -> SystemSpec:
     """Two components with decaying forcing and cubic/quadratic terms: a
     stable initial-value component and an unstable one pinned by decay at
