@@ -232,7 +232,8 @@ def _run_sweep(args, problem: OCProblem) -> int:
             rows.append((v, "error", "", "", ""))
             continue
         try:
-            bundle = solve_ocp(problem, config)
+            # a row writes no trajectories, so it asks for none
+            bundle = solve_ocp(problem, config, report_times=())
         except (BasisConstructionError, OperatorSingularError) as exc:
             rows.append((v, f"error: {exc}", "", "", ""))
             continue

@@ -264,7 +264,7 @@ def solve_ocp(
     if report_times is None:
         report_times = result.rule.nodes
     times = np.asarray(report_times, dtype=float)
-    traj = result.at(times)
+    traj = result.at(times) if times.size else np.empty((spec.dim, 0))
     states = traj[:n]
     costates = traj[n:]
     controls = optimal_control(problem, costates)

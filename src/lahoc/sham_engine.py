@@ -265,7 +265,13 @@ class BlockOperator:
     matrix is numerically nonsingular (condition below COND_SWITCH) a plain
     LU factorization is used instead: it is backward stable and, unlike the
     truncated pseudo-inverse, keeps repeated solves against residuals of its
-    own solutions at round-off level."""
+    own solutions at round-off level.
+
+    The condition number and the truncation are those of the whole
+    equilibrated operator, computed block by block: the SVD is taken of each
+    diagonal block of components that sigma couples (see component_groups),
+    and the kept factors of every block are placed in one (V_k S_k^-1, U_k^T)
+    pair over all rows."""
 
     matrix: np.ndarray
     row_scale: np.ndarray
@@ -319,19 +325,56 @@ def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
             f"grid={rule.n_points}"
         )
     equilibrated = matrix / row_scale[:, None]
+    # sigma couples only the components of one group and a boundary row keeps
+    # only its diagonal entry, so the operator is block diagonal over the
+    # groups and its SVD is the union of the blocks' SVDs
+    blocks = [
+        (np.arange(npts) + np.array(group)[:, None] * npts).ravel()
+        for group in component_groups(spec.sigma)
+    ]
     try:
-        u, s, vt = np.linalg.svd(equilibrated)
+        svds = [np.linalg.svd(equilibrated[np.ix_(idx, idx)]) for idx in blocks]
     except np.linalg.LinAlgError as exc:
         raise OperatorSingularError(str(exc)) from exc
-    if s[-1] <= 0.0 or not np.all(np.isfinite(s)):
+    s = np.concatenate([block_s for _, block_s, _ in svds])
+    if s.min() <= 0.0 or not np.all(np.isfinite(s)):
         raise OperatorSingularError(
             f"singular operator for n={spec.dim}, grid={rule.n_points}"
         )
-    if s[0] / s[-1] <= COND_SWITCH:
+    if s.max() / s.min() <= COND_SWITCH:
         return BlockOperator(matrix, row_scale, brows, bvals, lu=lu_factor(equilibrated))
-    keep = s > PINV_RCOND * s[0]
-    pinv = (vt[keep].T / s[keep], u[:, keep].T)
-    return BlockOperator(matrix, row_scale, brows, bvals, pinv=pinv)
+    keeps = [block_s > PINV_RCOND * s.max() for _, block_s, _ in svds]
+    rank = sum(int(keep.sum()) for keep in keeps)
+    v_scaled, u_t = np.zeros((size, rank)), np.zeros((rank, size))
+    start = 0
+    for idx, (u, block_s, vt), keep in zip(blocks, svds, keeps):
+        kept = slice(start, start + int(keep.sum()))
+        v_scaled[idx, kept] = vt[keep].T / block_s[keep]
+        u_t[kept, idx] = u[:, keep].T
+        start = kept.stop
+    return BlockOperator(matrix, row_scale, brows, bvals, pinv=(v_scaled, u_t))
+
+
+def component_groups(sigma: np.ndarray) -> list[list[int]]:
+    """Connected parts of sigma's coupling graph: p and q are linked when
+    sigma[p, q] or sigma[q, p] is nonzero. Each part is sorted, and the parts
+    are ordered by their first component."""
+    linked = (sigma != 0) | (sigma != 0).T
+    groups: list[list[int]] = []
+    seen: set[int] = set()
+    for first in range(len(sigma)):
+        if first in seen:
+            continue
+        group, frontier = [first], [first]
+        seen.add(first)
+        while frontier:
+            for q in np.flatnonzero(linked[frontier.pop()]).tolist():
+                if q not in seen:
+                    seen.add(q)
+                    group.append(q)
+                    frontier.append(q)
+        groups.append(sorted(group))
+    return groups
 
 
 def _forcing_grid(spec: SystemSpec, rule: BasisRule) -> np.ndarray:

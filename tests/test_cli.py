@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lahoc import BasisConfig, BasisConstructionError, build_rule, cli
+from lahoc import BasisConfig, BasisConstructionError, build_rule, cli, ocp_model, sham_engine
 from lahoc.cli import main
 from lahoc.oracle_bvp import ComparisonResult
 from lahoc.sham_engine import OperatorSingularError
@@ -200,6 +200,34 @@ class TestSweep:
         (row,) = read_csv(out / "sweep.csv")
         assert list(row) == ["n", "termination", "orders_used", "final_tail_norm", "cost"]
         assert row["termination"] == f"error: {info.value}"
+
+    def test_rows_make_no_interpolate_call(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep row interpolated")
+
+        monkeypatch.setattr(sham_engine, "interpolate", refuse)
+        monkeypatch.setattr(ocp_model, "interpolate", refuse)
+        code, out = run_cli(
+            tmp_path, "--builtin", "tp31", "--beta", "6", "--orders", "40", "--sweep", "n=20,40"
+        )
+        assert code == 0
+        assert len(read_csv(out / "sweep.csv")) == 2
+
+    def test_rows_without_report_times_write_the_same_bytes(self, tmp_path, monkeypatch):
+        argv = (
+            "--builtin", "tp31", "--beta", "6", "--orders", "150", "--tol", "1e-13",
+            "--sweep", "n=20,30,40,50,60,70,80,90,100,110,120",
+        )
+        code, rows_only = run_cli(tmp_path / "rows_only", *argv)
+        assert code == 0
+
+        def at_the_nodes(problem, config, report_times=None):
+            return ocp_model.solve_ocp(problem, config)
+
+        monkeypatch.setattr(cli, "solve_ocp", at_the_nodes)
+        code, at_nodes = run_cli(tmp_path / "at_nodes", *argv)
+        assert code == 0
+        assert (rows_only / "sweep.csv").read_bytes() == (at_nodes / "sweep.csv").read_bytes()
 
     def test_unexpected_errors_propagate(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from lahoc import (
     BasisConfig,
@@ -17,6 +18,7 @@ from lahoc import (
     assemble_operator,
     build_rule,
     builtin_problem_31,
+    builtin_problem_32,
     cauchy_order_term,
     deformation_step,
     derive_tpbvp,
@@ -26,7 +28,7 @@ from lahoc import (
 )
 from lahoc import sham_engine
 from lahoc.oracle_bvp import TruncationConfig, solve_truncated
-from lahoc.sham_engine import COND_SWITCH, tail_norm
+from lahoc.sham_engine import COND_SWITCH, component_groups, tail_norm
 
 from conftest import coupled_linear_spec, linear_decay_spec, solver_config
 
@@ -546,3 +548,136 @@ class TestReducedDeformationStep:
         assert (result.operator.lu is not None) == (n == 16)
         assert result.termination is Termination.CONVERGED
         assert np.all(result.series.orders[1:] == 0.0)
+
+
+class TestComponentGroups:
+    def test_known_systems(self):
+        assert component_groups(derive_tpbvp(builtin_problem_31()).sigma) == [[0, 2], [1, 3]]
+        assert component_groups(derive_tpbvp(builtin_problem_32()).sigma) == [
+            [0, 3, 6, 9],
+            [1, 4, 7, 10],
+            [2, 5, 8, 11],
+        ]
+        assert component_groups(np.full((5, 5), 0.3)) == [[0, 1, 2, 3, 4]]
+
+    def test_one_directional_links_join_a_group(self):
+        # tp32's -A links rho_i to omega_i, but omega_i's row has no rho_i entry
+        sigma = derive_tpbvp(builtin_problem_32()).sigma
+        assert sigma[0, 3] != 0.0 and sigma[3, 0] == 0.0
+        lower = np.diag([1.0, 2.0, 3.0])
+        lower[2, 0] = 0.5
+        assert component_groups(lower) == [[0, 2], [1]]
+        assert component_groups(lower.T) == [[0, 2], [1]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_weakly_connected_components(self, sizes, density, seed):
+        # random sparse blocks, each link drawn per direction, then the
+        # components shuffled so that no group is contiguous
+        rng = np.random.default_rng(seed)
+        dim = sum(sizes)
+        sigma = np.zeros((dim, dim))
+        start = 0
+        for size in sizes:
+            block = slice(start, start + size)
+            links = rng.random((size, size)) < density
+            sigma[block, block] = np.where(links, rng.normal(size=(size, size)), 0.0)
+            start += size
+        perm = rng.permutation(dim)
+        sigma = sigma[np.ix_(perm, perm)]
+
+        count, labels = connected_components(sigma != 0, directed=True, connection="weak")
+        expected = sorted(np.flatnonzero(labels == c).tolist() for c in range(count))
+        assert component_groups(sigma) == expected
+
+
+def whole_matrix_pinv(op):
+    """The pseudo-inverse factors from one SVD of the whole equilibrated operator."""
+    u, s, vt = np.linalg.svd(op.matrix / op.row_scale[:, None])
+    keep = s > sham_engine.PINV_RCOND * s[0]
+    return vt[keep].T / s[keep], u[:, keep].T
+
+
+def decoupled_pair_spec() -> SystemSpec:
+    """Two uncoupled linear components; at N=8, beta=1 the largest singular
+    value of the equilibrated operator comes from the first block and the
+    smallest from the second."""
+    return SystemSpec(
+        dim=2,
+        sigma=np.diag([1.0, -0.5]),
+        nonlinear=((), ()),
+        bc=(InitialValue(1.0), DecayAtInfinity()),
+    )
+
+
+class TestBlockFactorization:
+    @pytest.mark.parametrize(
+        "problem, n, beta",
+        [(builtin_problem_31, 100, 1.0), (builtin_problem_32, 50, 0.5), (builtin_problem_31, 120, 6.0)],
+        ids=["tp31-N100-b1", "tp32-N50-b0.5", "tp31-N120-b6"],
+    )
+    def test_matches_the_whole_matrix_svd(self, problem, n, beta):
+        op = assemble_operator(derive_tpbvp(problem()), build_rule(BasisConfig(beta=beta, n_order=n)))
+        v_scaled, u_t = whole_matrix_pinv(op)
+        assert op.pinv is not None
+        assert op.pinv[0].shape == v_scaled.shape and op.pinv[1].shape == u_t.shape
+        rng = np.random.default_rng(n)
+        for rhs in rng.normal(size=(5, op.matrix.shape[0])):
+            ref = v_scaled @ (u_t @ (rhs / op.row_scale))
+            assert np.abs(op.solve(rhs) - ref).max() <= 1e-7 * np.abs(ref).max()
+
+    def test_condition_number_is_the_whole_operators(self, monkeypatch):
+        # the whole operator's condition number (2.0e4) is above either
+        # block's (5.8e3 and 1.9e4)
+        spec = decoupled_pair_spec()
+        rule = build_rule(BasisConfig(beta=1.0, n_order=8))
+        op = assemble_operator(spec, rule)
+        s = np.linalg.svd(op.matrix / op.row_scale[:, None], compute_uv=False)
+        cond = s[0] / s[-1]
+        monkeypatch.setattr(sham_engine, "COND_SWITCH", cond * 1.03)
+        assert assemble_operator(spec, rule).lu is not None
+        monkeypatch.setattr(sham_engine, "COND_SWITCH", cond / 1.03)
+        op = assemble_operator(spec, rule)
+        assert op.pinv is not None
+        v_scaled, u_t = whole_matrix_pinv(op)
+        rhs = np.random.default_rng(3).normal(size=op.matrix.shape[0])
+        ref = v_scaled @ (u_t @ (rhs / op.row_scale))
+        assert np.abs(op.solve(rhs) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_truncation_is_relative_to_the_largest_singular_value_of_all(self, monkeypatch):
+        # a cutoff that drops a middle singular value of the second block
+        # only when it is taken relative to the first block's larger s_max
+        spec = decoupled_pair_spec()
+        rule = build_rule(BasisConfig(beta=1.0, n_order=8))
+        equilibrated = assemble_operator(spec, rule)
+        equilibrated = equilibrated.matrix / equilibrated.row_scale[:, None]
+        s = np.linalg.svd(equilibrated, compute_uv=False)
+        second = rule.n_points
+        s2 = np.linalg.svd(equilibrated[second:, second:], compute_uv=False)
+        assert s2[0] < s[0]
+        rcond = s2[len(s2) // 2] / (0.5 * (s2[0] + s[0]))
+        monkeypatch.setattr(sham_engine, "COND_SWITCH", 1.0)
+        monkeypatch.setattr(sham_engine, "PINV_RCOND", rcond)
+        op = assemble_operator(spec, rule)
+        v_scaled, u_t = whole_matrix_pinv(op)
+        assert op.pinv[0].shape == v_scaled.shape == (2 * second, int(np.sum(s > rcond * s[0])))
+        rhs = np.random.default_rng(4).normal(size=2 * second)
+        ref = v_scaled @ (u_t @ (rhs / op.row_scale))
+        assert np.abs(op.solve(rhs) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_a_fully_coupled_sigma_takes_one_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        rule = build_rule(BasisConfig(beta=1.0, n_order=12))
+        assemble_operator(coupled_linear_spec(), rule)
+        assert calls == [(2 * rule.n_points, 2 * rule.n_points)]
