@@ -4,7 +4,6 @@ from .laguerre_basis import (
     BasisConfig,
     BasisConstructionError,
     BasisRule,
-    build_diff_matrix,
     build_rule,
     eval_laguerre,
     interpolate,

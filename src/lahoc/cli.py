@@ -54,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", type=int, default=2000, help="oracle mesh intervals")
     p.add_argument("--times", type=str, default=None,
                    help="comma-separated report times (default: builtin table times)")
-    p.add_argument("--num-times", type=int, default=None,
-                   help="report at this many log-spaced times instead")
     p.add_argument("--lipschitz", type=float, default=None,
                    help="Lipschitz estimate for the contraction-ratio diagnostic")
     p.add_argument("--out", type=Path, default=Path("lahoc_out"), help="output directory")
@@ -64,54 +62,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+class InputError(Exception):
+    """Bad command-line input: `main` prints the message and exits 1."""
+
+
 def _report_times(args, t_end: float) -> np.ndarray:
     if args.times:
         try:
             times = np.array([float(v) for v in args.times.split(",")])
         except ValueError:
-            raise SystemExit(_fail("bad --times value"))
+            raise InputError("bad --times value") from None
         if not np.all(np.isfinite(times)):
-            raise SystemExit(_fail("--times values must be finite"))
-    elif args.num_times:
-        times = np.geomspace(t_end / 1000.0, t_end, args.num_times)
+            raise InputError("--times values must be finite")
     elif args.builtin:
         times = np.array(BUILTIN_REPORT_TIMES[args.builtin])
     else:
         times = np.geomspace(t_end / 1000.0, t_end, 20)
     if args.compare and (times.min() < 0 or times.max() > t_end):
-        raise SystemExit(_fail(f"report times must lie in [0, {t_end}] when comparing"))
+        raise InputError(f"report times must lie in [0, {t_end}] when comparing")
     return times
 
 
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 1
-
-
-def _load(args) -> OCProblem | None:
+def _load(args) -> OCProblem:
     if args.builtin:
         return BUILTIN_PROBLEMS[args.builtin]()
     try:
         return load_problem(args.problem)
     except ProblemFormatError as exc:
-        _fail(f"{args.problem}: {exc}")
-        return None
+        raise InputError(f"{args.problem}: {exc}") from exc
     except OSError as exc:
-        _fail(str(exc))
-        return None
+        raise InputError(str(exc)) from exc
 
 
-def _solver_config(args) -> SolverConfig | None:
+def _solver_config(args) -> SolverConfig:
     if args.n < 4:
-        _fail("--n must be >= 4")
-        return None
+        raise InputError("--n must be >= 4")
     try:
         basis = BasisConfig(beta=args.beta, n_order=args.n)
         return SolverConfig(hbar=args.hbar, basis=basis, max_order=args.orders,
                             tail_tol=args.tol)
     except ValueError as exc:
-        _fail(str(exc))
-        return None
+        raise InputError(str(exc)) from exc
 
 
 def _write_trajectories(path: Path, bundle, n_states: int) -> None:
@@ -145,9 +136,9 @@ def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
     oracle_config = None
     if args.compare:
         if not 0 < args.t_end < np.inf:  # NaN fails too
-            return _fail("--t-end must be finite and positive")
+            raise InputError("--t-end must be finite and positive")
         if args.mesh < 50:
-            return _fail("--mesh (mesh intervals) must be >= 50")
+            raise InputError("--mesh (mesh intervals) must be >= 50")
         oracle_config = TruncationConfig(t_end=args.t_end, mesh_points=args.mesh)
     times = _report_times(args, args.t_end)
     out = args.out
@@ -208,13 +199,15 @@ def _run_sweep(args, problem: OCProblem) -> int:
     axis, _, values = args.sweep.partition("=")
     axis = axis.strip()
     if axis not in ("hbar", "n", "beta"):
-        return _fail(f"unknown sweep axis {axis!r} (expected hbar, n, or beta)")
+        raise InputError(f"unknown sweep axis {axis!r} (expected hbar, n, or beta)")
     try:
         vals = [float(v) for v in values.split(",") if v.strip()]
     except ValueError:
-        return _fail(f"bad sweep values {values!r}")
+        raise InputError(f"bad sweep values {values!r}") from None
     if not vals:
-        return _fail("empty sweep axis")
+        raise InputError("empty sweep axis")
+    if axis == "n" and not all(v.is_integer() for v in vals):  # NaN and inf fail too
+        raise InputError(f"sweep values of n must be integers, got {values!r}")
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -227,14 +220,11 @@ def _run_sweep(args, problem: OCProblem) -> int:
             run_args.n = int(v)
         else:
             run_args.beta = v
-        config = _solver_config(run_args)
-        if config is None:
-            rows.append((v, "error", "", "", ""))
-            continue
         try:
+            config = _solver_config(run_args)
             # a row writes no trajectories, so it asks for none
             bundle = solve_ocp(problem, config, report_times=())
-        except (BasisConstructionError, OperatorSingularError) as exc:
+        except (InputError, BasisConstructionError, OperatorSingularError) as exc:
             rows.append((v, f"error: {exc}", "", "", ""))
             continue
         rows.append(
@@ -258,20 +248,14 @@ def _run_sweep(args, problem: OCProblem) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    problem = _load(args)
-    if problem is None:
-        return 1
-    if args.sweep is not None:
-        return _run_sweep(args, problem)
-    config = _solver_config(args)
-    if config is None:
-        return 1
     try:
-        return _run_single(args, problem, config)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 1
-    except (BasisConstructionError, OperatorSingularError) as exc:
-        return _fail(str(exc))
+        problem = _load(args)
+        if args.sweep is not None:
+            return _run_sweep(args, problem)
+        return _run_single(args, problem, _solver_config(args))
+    except (InputError, BasisConstructionError, OperatorSingularError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

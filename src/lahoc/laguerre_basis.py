@@ -149,19 +149,10 @@ def build_rule(config: BasisConfig) -> BasisRule:
     return BasisRule(config, nodes, weights, diff, mant, expo)
 
 
-def build_diff_matrix(nodes: np.ndarray, config: BasisConfig) -> np.ndarray:
-    """Differentiation matrix mapping grid values of a degree-N polynomial to
-    grid values of its derivative, from the closed-form GLR entries in terms
-    of the degree-(N+1) polynomial.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    if np.any(np.diff(np.sort(nodes)) == 0):
-        raise BasisConstructionError("duplicate nodes")
-    return _diff_matrix(nodes, _genlaguerre(config.n_order + 1, 0.0, config.beta * nodes), config)
-
-
 def _diff_matrix(nodes: np.ndarray, ln1: np.ndarray, config: BasisConfig) -> np.ndarray:
-    """The GLR differentiation matrix from the degree-(N+1) values at the nodes."""
+    """The GLR differentiation matrix, mapping grid values of a degree-N
+    polynomial to grid values of its derivative, from the closed-form entries
+    in the degree-(N+1) values at the nodes."""
     beta, n = config.beta, config.n_order
     dt = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(dt, 1.0)

@@ -232,7 +232,6 @@ class SolutionBundle:
     tail_norms: list[float]
     termination: Termination
     gamma: float | None = None
-    node_times: np.ndarray | None = None
     node_states: np.ndarray | None = None
     node_costates: np.ndarray | None = None
     rule: BasisRule | None = None
@@ -283,7 +282,6 @@ def solve_ocp(
         tail_norms=list(result.tail_norms),
         termination=result.termination,
         gamma=gamma,
-        node_times=result.rule.nodes,
         node_states=node_states,
         node_costates=node_costates,
         rule=result.rule,

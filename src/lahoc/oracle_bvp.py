@@ -12,7 +12,7 @@ homotopy trajectories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
@@ -24,30 +24,27 @@ class NewtonError(RuntimeError):
     pass
 
 
+NEWTON_TOL = 1e-11  # infinity norm of the collocation residual
+MAX_NEWTON_ITERS = 30
+GRADING = 4.0  # exponential clustering strength of the mesh near t = 0
+
+
 @dataclass(frozen=True)
 class TruncationConfig:
     t_end: float = 40.0
     mesh_points: int = 800
-    newton_tol: float = 1e-11
-    max_newton_iters: int = 30
-    damping: float = 1.0
-    grading: float = 4.0  # exponential clustering strength near t = 0
 
     def __post_init__(self):
-        for name in ("t_end", "newton_tol", "grading"):
-            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and positive")
+        if not 0 < self.t_end < np.inf:  # NaN fails too
+            raise ValueError("t_end must be finite and positive")
         if self.mesh_points < 50:
             raise ValueError("mesh_points must be >= 50")
-        if not (0 < self.damping <= 1):
-            raise ValueError("damping must lie in (0, 1]")
 
 
 def graded_mesh(cfg: TruncationConfig) -> np.ndarray:
     """Mesh clustered near t=0 where the trajectories move fastest."""
     tau = np.linspace(0.0, 1.0, cfg.mesh_points + 1)
-    a = cfg.grading
-    return cfg.t_end * np.expm1(a * tau) / np.expm1(a)
+    return cfg.t_end * np.expm1(GRADING * tau) / np.expm1(GRADING)
 
 
 @dataclass
@@ -108,13 +105,13 @@ def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
 
 
-def _eval_monomials(spec: SystemSpec, z: np.ndarray, scale: float = 1.0) -> np.ndarray:
+def _eval_monomials(spec: SystemSpec, z: np.ndarray) -> np.ndarray:
     """g(z) column-wise; z has shape (n, T)."""
     n, T = z.shape
     out = np.zeros((n, T))
     for r, terms in enumerate(spec.nonlinear):
         for t in terms:
-            vals = np.full(T, scale * t.coefficient)
+            vals = np.full(T, t.coefficient)
             for c, e in enumerate(t.exponents):
                 if e:
                     vals = vals * z[c] ** e
@@ -122,7 +119,7 @@ def _eval_monomials(spec: SystemSpec, z: np.ndarray, scale: float = 1.0) -> np.n
     return out
 
 
-def _monomial_jacobian(spec: SystemSpec, z: np.ndarray, scale: float = 1.0) -> np.ndarray:
+def _monomial_jacobian(spec: SystemSpec, z: np.ndarray) -> np.ndarray:
     """dg/dz at each column of z; returns shape (T, n, n)."""
     n, T = z.shape
     jac = np.zeros((T, n, n))
@@ -131,7 +128,7 @@ def _monomial_jacobian(spec: SystemSpec, z: np.ndarray, scale: float = 1.0) -> n
             for c, e in enumerate(t.exponents):
                 if e == 0:
                     continue
-                vals = np.full(T, scale * t.coefficient * e)
+                vals = np.full(T, t.coefficient * e)
                 for c2, e2 in enumerate(t.exponents):
                     p = e2 - 1 if c2 == c else e2
                     if p:
@@ -140,9 +137,9 @@ def _monomial_jacobian(spec: SystemSpec, z: np.ndarray, scale: float = 1.0) -> n
     return jac
 
 
-def _rhs(spec: SystemSpec, z: np.ndarray, phi: np.ndarray, scale: float) -> np.ndarray:
+def _rhs(spec: SystemSpec, z: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """dz/dt = phi - sigma z - g(z)."""
-    return phi - spec.sigma @ z - _eval_monomials(spec, z, scale)
+    return phi - spec.sigma @ z - _eval_monomials(spec, z)
 
 
 def _split_bc(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -152,27 +149,20 @@ def _split_bc(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _residual(
-    spec: SystemSpec,
-    times: np.ndarray,
-    z: np.ndarray,
-    phi_mid: np.ndarray,
-    scale: float,
+    spec: SystemSpec, times: np.ndarray, z: np.ndarray, phi_mid: np.ndarray
 ) -> np.ndarray:
     """Collocation residual: initial-value rows, then n rows per mesh interval,
     then the decay rows at t_end."""
     initial, decay = _split_bc(spec)
     h = np.diff(times)
     zmid = 0.5 * (z[:, :-1] + z[:, 1:])
-    interval = (z[:, 1:] - z[:, :-1]) - h * _rhs(spec, zmid, phi_mid, scale)
+    interval = (z[:, 1:] - z[:, :-1]) - h * _rhs(spec, zmid, phi_mid)
     values = np.array([spec.bc[r].value for r in initial])
     return np.concatenate([z[initial, 0] - values, interval.T.ravel(), z[decay, -1]])
 
 
 def _banded_jacobian(
-    spec: SystemSpec,
-    times: np.ndarray,
-    z: np.ndarray,
-    scale: float,
+    spec: SystemSpec, times: np.ndarray, z: np.ndarray
 ) -> tuple[tuple[int, int], np.ndarray]:
     """Jacobian of `_residual` in LAPACK band storage, for `solve_banded`.
 
@@ -189,7 +179,7 @@ def _banded_jacobian(
     h = np.diff(times)
     zmid = 0.5 * (z[:, :-1] + z[:, 1:])
     # d(rhs)/dz at the midpoints, (m, n, n)
-    jf = -(spec.sigma[None, :, :] + _monomial_jacobian(spec, zmid, scale))
+    jf = -(spec.sigma[None, :, :] + _monomial_jacobian(spec, zmid))
     half_hjf = 0.5 * h[:, None, None] * jf
     eye = np.eye(n)
 
@@ -204,36 +194,36 @@ def _banded_jacobian(
     return (l, u), ab
 
 
-def _newton(spec, times, z0, phi_mid, cfg, scale):
+def _newton(spec, times, z0, phi_mid):
     n = spec.dim
     z = z0.copy()
-    res = _residual(spec, times, z, phi_mid, scale)
+    res = _residual(spec, times, z, phi_mid)
     rnorm = np.linalg.norm(res, ord=np.inf)
-    for it in range(cfg.max_newton_iters):
-        if rnorm < cfg.newton_tol:
+    for it in range(MAX_NEWTON_ITERS):
+        if rnorm < NEWTON_TOL:
             return z, it, rnorm
-        bands, ab = _banded_jacobian(spec, times, z, scale)
+        bands, ab = _banded_jacobian(spec, times, z)
         try:
             delta = solve_banded(bands, ab, res, overwrite_ab=True)
         except (LinAlgError, ValueError) as exc:
             raise NewtonError(f"Jacobian solve failed: {exc}") from exc
         if not np.all(np.isfinite(delta)):
             raise NewtonError("singular Jacobian (non-finite Newton step)")
-        step = cfg.damping
+        step = 1.0
         dz = delta.reshape(len(times), n).T
         while True:
             z_try = z - step * dz
-            res_try = _residual(spec, times, z_try, phi_mid, scale)
+            res_try = _residual(spec, times, z_try, phi_mid)
             rnorm_try = np.linalg.norm(res_try, ord=np.inf)
             if rnorm_try < (1 - 0.1 * step) * rnorm or step < 1e-4:
                 break
             step *= 0.5
         z, res, rnorm = z_try, res_try, rnorm_try
-    if rnorm >= cfg.newton_tol:
+    if rnorm >= NEWTON_TOL:
         raise NewtonError(
-            f"no convergence after {cfg.max_newton_iters} iterations, residual {rnorm:.3e}"
+            f"no convergence after {MAX_NEWTON_ITERS} iterations, residual {rnorm:.3e}"
         )
-    return z, cfg.max_newton_iters, rnorm
+    return z, MAX_NEWTON_ITERS, rnorm
 
 
 def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
@@ -241,7 +231,8 @@ def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
 
     Starts from zero costates with states relaxing linearly to zero; if the
     full Newton iteration fails, retries with the nonlinear terms continued
-    from zero to full strength in four steps.
+    from zero to full strength in four steps, each a Newton solve of a copy
+    of the spec whose monomial coefficients are scaled.
     """
     times = graded_mesh(cfg)
     tmid = 0.5 * (times[:-1] + times[1:])
@@ -257,10 +248,14 @@ def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
             z[r] = tag.value * ramp
 
     try:
-        z, iters, rnorm = _newton(spec, times, z, phi_mid, cfg, scale=1.0)
+        z, iters, rnorm = _newton(spec, times, z, phi_mid)
     except NewtonError:
         for scale in (0.25, 0.5, 0.75, 1.0):
-            z, iters, rnorm = _newton(spec, times, z, phi_mid, cfg, scale=scale)
+            nonlinear = tuple(
+                tuple(replace(t, coefficient=scale * t.coefficient) for t in eq)
+                for eq in spec.nonlinear
+            )
+            z, iters, rnorm = _newton(replace(spec, nonlinear=nonlinear), times, z, phi_mid)
     return MeshTrajectory(times, z, newton_iters=iters, final_residual=rnorm)
 
 

@@ -118,9 +118,6 @@ class SystemSpec:
         if not any(isinstance(tag, InitialValue) for tag in self.bc):
             raise ValueError("at least one component needs an InitialValue tag")
 
-    def is_linear(self) -> bool:
-        return all(len(eq) == 0 for eq in self.nonlinear)
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -168,7 +165,6 @@ class HomotopySeries:
         self._store = np.empty((capacity, *np.shape(orders[0])))
         self._store[: len(orders)] = orders
         self._count = len(orders)
-        self._filled = 0  # chain coefficients 0.._filled-1 are current
         self.tail_norms = list(tail_norms)
         self._rows = {(c,): c for c in range(self._dim)}  # factor sequence -> store row
         self._chains: list[tuple[int, int, int]] = []  # (row, parent, last), parents first
@@ -180,19 +176,20 @@ class HomotopySeries:
         return self._store[: self._count, : self._dim]
 
     def append(self, z: np.ndarray, norm: float) -> None:
+        """Store the next order and fill that coefficient of every chain."""
         if self._count == len(self._store):
             raise ValueError(f"series is full at {self._count} orders")
         self._store[self._count, : self._dim] = z
+        self._fill_order(self._count, self._chains)
         self._count += 1
         self.tail_norms.append(norm)
 
     def truncate(self, last_order: int) -> None:
-        """Keep orders 0..last_order; chain coefficients that read a later
-        order are recomputed when asked for again."""
+        """Keep orders 0..last_order; the orders appended after it refill
+        the chain coefficients they replace."""
         if not 0 <= last_order < self._count:
             raise ValueError(f"order {last_order} out of range for {self._count} stored orders")
         self._count = last_order + 1
-        self._filled = min(self._filled, self._count)
         del self.tail_norms[self._count :]
 
     def partial_sum(self, up_to: int | None = None) -> np.ndarray:
@@ -201,8 +198,7 @@ class HomotopySeries:
 
     def _register(self, factor_lists: Sequence[tuple[int, ...]]) -> list[int]:
         """Store rows of the chains named by `factor_lists`, adding each
-        missing chain and its missing prefixes; coefficients already filled
-        for the other chains are filled for the new ones too."""
+        missing chain and its missing prefixes, filled up to the current order."""
         new = []
         for factors in factor_lists:
             for length in range(2, len(factors) + 1):
@@ -214,7 +210,7 @@ class HomotopySeries:
             grown = np.empty((self._store.shape[0], len(new), self._store.shape[2]))
             self._store = np.concatenate((self._store, grown), axis=1)
             self._chains += new
-            for k in range(self._filled):
+            for k in range(self._count):
                 self._fill_order(k, new)
         return [self._rows[factors] for factors in factor_lists]
 
@@ -223,22 +219,14 @@ class HomotopySeries:
         for row, parent, last in chains:
             np.einsum("ij,ij->j", s[: k + 1, parent], s[k::-1, last], out=s[k, row])
 
-    def _fill(self, k: int) -> None:
-        """Make coefficients 0..k of every chain current."""
-        if k >= self._count:
-            raise ValueError(f"coefficient {k} needs order {k}, have {self._count}")
-        for j in range(self._filled, k + 1):
-            self._fill_order(j, self._chains)
-        self._filled = max(self._filled, k + 1)
-
     def product_coefficient(self, factors: tuple[int, ...], k: int) -> np.ndarray:
         """Coefficient k of the node-wise product of the component series
         named by `factors`, a (N+1,) view of the store."""
+        if k >= self._count:
+            raise ValueError(f"coefficient {k} needs order {k}, have {self._count}")
         row = self._rows.get(factors)
         if row is None:
             (row,) = self._register([factors])
-        if k >= self._filled:
-            self._fill(k)
         return self._store[k, row]
 
 

@@ -181,7 +181,14 @@ class TestSweep:
         assert code == 0
         rows = read_csv(out / "sweep.csv")
         assert rows[0]["termination"] in ("Converged", "MaxOrder")
-        assert rows[1]["termination"].startswith("error")
+        assert rows[1]["termination"] == "error: hbar = 0 freezes the homotopy"
+
+    @pytest.mark.parametrize("value", ["1e400", "nan", "4.5"])
+    def test_non_integer_n_exits_one(self, tmp_path, capsys, value):
+        code, out = run_cli(tmp_path, "--builtin", "tp31", "--sweep", f"n=20,{value}")
+        assert code == 1
+        assert single_error_line(capsys)
+        assert not (out / "sweep.csv").exists()
 
     def test_basis_error_becomes_a_row(self, tmp_path):
         code, out = run_cli(tmp_path, "--builtin", "tp31", "--sweep", "n=20,400")

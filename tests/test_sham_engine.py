@@ -83,10 +83,6 @@ class TestSystemSpecValidation:
                 bc=(DecayAtInfinity(),),
             )
 
-    def test_is_linear(self):
-        assert linear_decay_spec().is_linear()
-        assert not derive_tpbvp(builtin_problem_31()).is_linear()
-
 
 class TestSolverConfigValidation:
     def test_rejects_zero_hbar(self):
