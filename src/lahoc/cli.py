@@ -139,6 +139,8 @@ def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
             raise InputError("--t-end must be finite and positive")
         if args.mesh < 50:
             raise InputError("--mesh (mesh intervals) must be >= 50")
+        if not args.compare_tol >= 0:  # NaN fails too
+            raise InputError("--compare-tol must be non-negative")
         oracle_config = TruncationConfig(t_end=args.t_end, mesh_points=args.mesh)
     times = _report_times(args, args.t_end)
     out = args.out
@@ -217,7 +219,7 @@ def _run_sweep(args, problem: OCProblem) -> int:
         if axis == "hbar":
             run_args.hbar = v
         elif axis == "n":
-            run_args.n = int(v)
+            v = run_args.n = int(v)  # the row reads 20, not 20.0
         else:
             run_args.beta = v
         try:

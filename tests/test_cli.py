@@ -119,6 +119,44 @@ class TestBadInput:
         assert single_error_line(capsys)
         assert not (out / "summary.txt").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_compare_tolerance_exits_one_before_the_solve(
+        self, tmp_path, capsys, monkeypatch, tol
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_ocp ran before --compare-tol was checked")
+
+        monkeypatch.setattr(cli, "solve_ocp", no_solve)
+        code, out = run_cli(
+            tmp_path, "--builtin", "tp31", "--n", "20", "--beta", "6",
+            "--orders", "20", "--compare", "--compare-tol", tol,
+        )
+        assert code == 1
+        assert capsys.readouterr().err.strip() == "error: --compare-tol must be non-negative"
+        assert not (out / "summary.txt").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--builtin", "tp31", "--times", "1,abc"),
+            ("--builtin", "tp31", "--sweep", "gamma=1,2"),
+            ("--builtin", "tp31", "--sweep", "hbar="),
+            ("--problem", "missing.txt"),
+        ],
+        ids=["times", "sweep-axis", "empty-sweep", "missing-file"],
+    )
+    def test_every_input_error_prints_one_error_line(self, tmp_path, capsys, extra):
+        code, _ = run_cli(tmp_path, *extra)
+        assert code == 1
+        assert single_error_line(capsys)
+        assert capsys.readouterr().out == ""
+
+    def test_removed_num_times_flag_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, "--builtin", "tp31", "--num-times", "5")
+        assert exc.value.code == 2
+        assert "--num-times" in capsys.readouterr().err
+
 
 class TestCompareMode:
     def test_against_oracle_within_tolerance(self, tmp_path):
@@ -189,6 +227,15 @@ class TestSweep:
         assert code == 1
         assert single_error_line(capsys)
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("value", ["20", "20.0", "2e1"])
+    def test_n_rows_are_labelled_with_the_integer(self, tmp_path, capsys, value):
+        code, out = run_cli(
+            tmp_path, "--builtin", "tp31", "--beta", "6", "--orders", "5", "--sweep", f"n={value}"
+        )
+        assert code == 0
+        assert [r["n"] for r in read_csv(out / "sweep.csv")] == ["20"]
+        assert capsys.readouterr().out.startswith("20, ")
 
     def test_basis_error_becomes_a_row(self, tmp_path):
         code, out = run_cli(tmp_path, "--builtin", "tp31", "--sweep", "n=20,400")

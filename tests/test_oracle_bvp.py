@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -38,9 +38,17 @@ class TestTruncationConfig:
         with pytest.raises(ValueError, match=field):
             TruncationConfig(**{field: value})
 
+    @pytest.mark.parametrize("mesh_points", [49, 0, -1])
+    def test_rejects_fewer_than_fifty_intervals(self, mesh_points):
+        with pytest.raises(ValueError, match="mesh_points"):
+            TruncationConfig(mesh_points=mesh_points)
+
     def test_defaults_valid(self):
         cfg = TruncationConfig()
         assert cfg.t_end == 40.0 and cfg.mesh_points >= 800
+
+    def test_only_the_horizon_and_the_mesh_are_settings(self):
+        assert [f.name for f in fields(TruncationConfig)] == ["t_end", "mesh_points"]
 
 
 class TestGradedMesh:
@@ -57,6 +65,12 @@ class TestGradedMesh:
         mesh = graded_mesh(cfg)
         uniform = 25.0 / 200
         assert mesh[1] - mesh[0] < 0.2 * uniform
+
+    def test_grading_strength_is_four(self):
+        cfg = TruncationConfig(t_end=25.0, mesh_points=200)
+        mesh = graded_mesh(cfg)
+        assert oracle_bvp.GRADING == 4.0
+        assert mesh[1] == pytest.approx(25.0 * math.expm1(4.0 / 200) / math.expm1(4.0), rel=1e-14)
 
 
 class TestLinearSolutions:
@@ -228,6 +242,14 @@ class TestNewtonSolve:
         full = np.array([t.coefficient for eq in spec.nonlinear for t in eq])
         scales = [1.0, 0.25, 0.5, 0.75, 1.0]
         assert np.array_equal(coefficients, [s * full for s in scales])
+
+    def test_linear_system_takes_one_full_step(self):
+        # a full Newton step solves a linear collocation system exactly, so a
+        # line search that starts at the full step stops after one iteration
+        traj = solve_truncated(linear_decay_spec(), TruncationConfig(t_end=20.0, mesh_points=200))
+        assert traj.newton_iters == 1
+        assert traj.final_residual < oracle_bvp.NEWTON_TOL
+        assert oracle_bvp.NEWTON_TOL == 1e-11 and oracle_bvp.MAX_NEWTON_ITERS == 30
 
     @pytest.mark.parametrize(
         "problem, mesh, iters",
