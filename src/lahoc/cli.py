@@ -27,13 +27,22 @@ from .ocp_model import (
     solve_ocp,
 )
 from .oracle_bvp import NewtonError, TruncationConfig, compare, solve_truncated
-from .sham_engine import OperatorSingularError, SolverConfig, Termination
+from .sham_engine import OperatorSingularError, SolverConfig, Termination, gamma_diagnostic
 
 _FMT = "{:.8e}"  # 9 significant digits, scientific
 
 
+class InputError(Exception):
+    """Bad command-line input: `main` prints the message and exits 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="lahoc",
         description="Solve infinite-horizon optimal control problems by Laguerre "
         "spectral homotopy, optionally cross-checked against a truncated-domain "
@@ -60,10 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", type=str, default=None,
                    help="sweep axis, e.g. hbar=-1.0,-0.6,-0.2 or n=40,80,120 or beta=0.5,1")
     return p
-
-
-class InputError(Exception):
-    """Bad command-line input: `main` prints the message and exits 1."""
 
 
 def _report_times(args, t_end: float) -> np.ndarray:
@@ -106,30 +111,22 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _write_trajectories(path: Path, bundle, n_states: int) -> None:
-    n_ctrl = bundle.controls.shape[0]
     header = (
         ["time"]
         + [f"x{i + 1}" for i in range(n_states)]
         + [f"lambda{i + 1}" for i in range(n_states)]
-        + [f"u{i + 1}" for i in range(n_ctrl)]
+        + [f"u{i + 1}" for i in range(bundle.controls.shape[0])]
     )
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for j, t in enumerate(bundle.times):
-            vals = (
-                [bundle.times[j]]
-                + list(bundle.states[:, j])
-                + list(bundle.costates[:, j])
-                + list(bundle.controls[:, j])
-            )
-            fh.write(",".join(_FMT.format(v) for v in vals) + "\n")
+    rows = np.column_stack([bundle.times, bundle.states.T, bundle.costates.T, bundle.controls.T])
+    np.savetxt(path, rows, fmt="%.8e", delimiter=",", header=",".join(header), comments="")
 
 
 def _write_convergence(path: Path, bundle) -> None:
-    with open(path, "w") as fh:
-        fh.write("order,tail_norm,cost\n")
-        for m, (norm, cost) in enumerate(zip(bundle.tail_norms, bundle.per_order_costs)):
-            fh.write(f"{m},{_FMT.format(norm)},{_FMT.format(cost)}\n")
+    rows = np.column_stack(
+        [np.arange(len(bundle.tail_norms)), bundle.tail_norms, bundle.per_order_costs]
+    )
+    np.savetxt(path, rows, fmt=["%d", "%.8e", "%.8e"], delimiter=",",
+               header="order,tail_norm,cost", comments="")
 
 
 def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
@@ -142,13 +139,14 @@ def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
         if not args.compare_tol >= 0:  # NaN fails too
             raise InputError("--compare-tol must be non-negative")
         oracle_config = TruncationConfig(t_end=args.t_end, mesh_points=args.mesh)
+    if args.lipschitz is not None and not 0 <= args.lipschitz < np.inf:  # NaN fails too
+        raise InputError("--lipschitz must be finite and non-negative")
     times = _report_times(args, args.t_end)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    bundle = solve_ocp(problem, config, report_times=times,
-                       lipschitz_estimate=args.lipschitz)
+    bundle = solve_ocp(problem, config, report_times=times)
     solver_seconds = time.perf_counter() - t0
 
     _write_trajectories(out / "trajectories.csv", bundle, problem.n_states)
@@ -161,9 +159,9 @@ def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
         f"cost: {_FMT.format(bundle.cost)}",
         f"solver wall time: {solver_seconds:.3f} s",
     ]
-    if bundle.gamma is not None:
-        gamma = "undefined" if np.isnan(bundle.gamma) else _FMT.format(bundle.gamma)
-        lines.append(f"gamma diagnostic: {gamma}")
+    if args.lipschitz is not None:
+        gamma = gamma_diagnostic(derive_tpbvp(problem), config, args.lipschitz)
+        lines.append(f"gamma diagnostic: {'undefined' if np.isnan(gamma) else _FMT.format(gamma)}")
 
     status = 2 if bundle.termination is Termination.DIVERGED else 0
 
@@ -249,8 +247,8 @@ def _run_sweep(args, problem: OCProblem) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         problem = _load(args)
         if args.sweep is not None:
             return _run_sweep(args, problem)

@@ -8,7 +8,7 @@ u* = -R^{-1} B^T lambda, and `evaluate_cost` integrates the quadratic cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ from .sham_engine import (
     SolverConfig,
     SystemSpec,
     Termination,
-    gamma_diagnostic,
     run_sham,
 )
 
@@ -59,6 +58,9 @@ class SubsystemSpec:
             object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
         object.__setattr__(self, "f_terms", tuple(tuple(row) for row in self.f_terms))
+        for name in ("a_mat", "b_mat", "q_mat", "r_mat", "x0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         ni = self.a_mat.shape[0]
         if self.a_mat.shape != (ni, ni):
             raise ValueError("a_mat must be square")
@@ -231,30 +233,23 @@ class SolutionBundle:
     per_order_costs: list[float]
     tail_norms: list[float]
     termination: Termination
-    gamma: float | None = None
-    node_states: np.ndarray | None = None
-    node_costates: np.ndarray | None = None
-    rule: BasisRule | None = None
+    solution: np.ndarray  # (states; costates) at the rule's nodes, shape (2n, N+1)
+    rule: BasisRule
 
     def at(self, times) -> np.ndarray:
         """Interpolated (states; costates) stack at arbitrary times >= 0."""
-        z = np.vstack([self.node_states, self.node_costates])
-        return interpolate(self.rule, z, np.atleast_1d(times))
+        return interpolate(self.rule, self.solution, np.atleast_1d(times))
 
 
 def solve_ocp(
     problem: OCProblem,
     config: SolverConfig,
     report_times: Sequence[float] | None = None,
-    lipschitz_estimate: float | None = None,
 ) -> SolutionBundle:
     """Run the homotopy solver on the derived optimality system and package
     trajectories, controls, and cost."""
-    spec = derive_tpbvp(problem)
-    result = run_sham(spec, config)
+    result = run_sham(derive_tpbvp(problem), config)
     n = problem.n_states
-    node_states = result.solution[:n]
-    node_costates = result.solution[n:]
     # the cost of every partial sum in one stacked call; the last is the solution's
     sums = np.cumsum(result.series.orders, axis=0)
     sum_controls = optimal_control(problem, sums[:, n:])
@@ -263,14 +258,11 @@ def solve_ocp(
     if report_times is None:
         report_times = result.rule.nodes
     times = np.asarray(report_times, dtype=float)
-    traj = result.at(times) if times.size else np.empty((spec.dim, 0))
+    # no report times, no interpolation: a sweep row asks for none
+    traj = result.at(times) if times.size else result.solution[:, :0]
     states = traj[:n]
     costates = traj[n:]
     controls = optimal_control(problem, costates)
-
-    gamma = None
-    if lipschitz_estimate is not None:
-        gamma = gamma_diagnostic(spec, config, lipschitz_estimate)
 
     return SolutionBundle(
         times=times,
@@ -281,9 +273,7 @@ def solve_ocp(
         per_order_costs=per_order_costs,
         tail_norms=list(result.tail_norms),
         termination=result.termination,
-        gamma=gamma,
-        node_states=node_states,
-        node_costates=node_costates,
+        solution=result.solution,
         rule=result.rule,
     )
 
@@ -385,6 +375,8 @@ def parse_problem(text: str) -> OCProblem:
                 cur[key] = int(value)
             except ValueError as exc:
                 raise ProblemFormatError(idx, f"bad integer for {key}: {value!r}") from exc
+            if cur[key] < 1:
+                raise ProblemFormatError(idx, f"{key} must be >= 1, got {cur[key]}")
         elif key in ("A", "B", "Q", "R", "x0"):
             cur[key] = (_parse_matrix(value, idx), idx)
         elif key == "f":

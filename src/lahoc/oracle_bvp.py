@@ -137,9 +137,9 @@ def _monomial_jacobian(spec: SystemSpec, z: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _rhs(spec: SystemSpec, z: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """dz/dt = phi - sigma z - g(z)."""
-    return phi - spec.sigma @ z - _eval_monomials(spec, z)
+def _rhs(spec: SystemSpec, z: np.ndarray) -> np.ndarray:
+    """dz/dt = -sigma z - g(z)."""
+    return -spec.sigma @ z - _eval_monomials(spec, z)
 
 
 def _split_bc(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -148,15 +148,13 @@ def _split_bc(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(is_initial), np.flatnonzero(~is_initial)
 
 
-def _residual(
-    spec: SystemSpec, times: np.ndarray, z: np.ndarray, phi_mid: np.ndarray
-) -> np.ndarray:
+def _residual(spec: SystemSpec, times: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Collocation residual: initial-value rows, then n rows per mesh interval,
     then the decay rows at t_end."""
     initial, decay = _split_bc(spec)
     h = np.diff(times)
     zmid = 0.5 * (z[:, :-1] + z[:, 1:])
-    interval = (z[:, 1:] - z[:, :-1]) - h * _rhs(spec, zmid, phi_mid)
+    interval = (z[:, 1:] - z[:, :-1]) - h * _rhs(spec, zmid)
     values = np.array([spec.bc[r].value for r in initial])
     return np.concatenate([z[initial, 0] - values, interval.T.ravel(), z[decay, -1]])
 
@@ -194,10 +192,10 @@ def _banded_jacobian(
     return (l, u), ab
 
 
-def _newton(spec, times, z0, phi_mid):
+def _newton(spec, times, z0):
     n = spec.dim
     z = z0.copy()
-    res = _residual(spec, times, z, phi_mid)
+    res = _residual(spec, times, z)
     rnorm = np.linalg.norm(res, ord=np.inf)
     for it in range(MAX_NEWTON_ITERS):
         if rnorm < NEWTON_TOL:
@@ -213,7 +211,7 @@ def _newton(spec, times, z0, phi_mid):
         dz = delta.reshape(len(times), n).T
         while True:
             z_try = z - step * dz
-            res_try = _residual(spec, times, z_try, phi_mid)
+            res_try = _residual(spec, times, z_try)
             rnorm_try = np.linalg.norm(res_try, ord=np.inf)
             if rnorm_try < (1 - 0.1 * step) * rnorm or step < 1e-4:
                 break
@@ -235,12 +233,6 @@ def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
     of the spec whose monomial coefficients are scaled.
     """
     times = graded_mesh(cfg)
-    tmid = 0.5 * (times[:-1] + times[1:])
-    if spec.forcing is not None:
-        phi_mid = np.asarray(spec.forcing(tmid), dtype=float)
-    else:
-        phi_mid = np.zeros((spec.dim, len(tmid)))
-
     z = np.zeros((spec.dim, len(times)))
     ramp = 1.0 - times / cfg.t_end
     for r, tag in enumerate(spec.bc):
@@ -248,14 +240,14 @@ def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
             z[r] = tag.value * ramp
 
     try:
-        z, iters, rnorm = _newton(spec, times, z, phi_mid)
+        z, iters, rnorm = _newton(spec, times, z)
     except NewtonError:
         for scale in (0.25, 0.5, 0.75, 1.0):
             nonlinear = tuple(
                 tuple(replace(t, coefficient=scale * t.coefficient) for t in eq)
                 for eq in spec.nonlinear
             )
-            z, iters, rnorm = _newton(replace(spec, nonlinear=nonlinear), times, z, phi_mid)
+            z, iters, rnorm = _newton(replace(spec, nonlinear=nonlinear), times, z)
     return MeshTrajectory(times, z, newton_iters=iters, final_residual=rnorm)
 
 

@@ -2,7 +2,7 @@
 
 Discretizes n-component systems of the form
 
-    dz_r/dt + sum_k sigma_{r,k} z_k + g_r(z) = phi_r(t)
+    dz_r/dt + sum_k sigma_{r,k} z_k + g_r(z) = 0
 
 on a Laguerre-Radau grid and solves them by the homotopy deformation
 recurrence: a single block collocation operator is factorized once, the order-0
@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -54,12 +54,14 @@ class OperatorSingularError(RuntimeError):
 
 @dataclass(frozen=True)
 class MonomialTerm:
-    """coefficient * prod_c z_c^exponents[c]; degree-0 terms belong to the forcing."""
+    """coefficient * prod_c z_c^exponents[c]; degree-0 terms are rejected."""
 
     coefficient: float
     exponents: tuple[int, ...]
 
     def __post_init__(self):
+        if not math.isfinite(self.coefficient):
+            raise ValueError(f"monomial coefficient must be finite, got {self.coefficient}")
         object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
         if any(e < 0 for e in self.exponents):
             raise ValueError(f"negative exponent in {self.exponents}")
@@ -91,14 +93,13 @@ BoundaryTag = InitialValue | DecayAtInfinity
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Linear coupling sigma, per-equation monomial lists, optional forcing,
-    and one boundary tag per component."""
+    """Linear coupling sigma, per-equation monomial lists, and one boundary
+    tag per component."""
 
     dim: int
     sigma: np.ndarray
     nonlinear: tuple[tuple[MonomialTerm, ...], ...]
     bc: tuple[BoundaryTag, ...]
-    forcing: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
@@ -365,19 +366,9 @@ def component_groups(sigma: np.ndarray) -> list[list[int]]:
     return groups
 
 
-def _forcing_grid(spec: SystemSpec, rule: BasisRule) -> np.ndarray:
-    if spec.forcing is None:
-        return np.zeros((spec.dim, rule.n_points))
-    phi = np.asarray(spec.forcing(rule.nodes), dtype=float)
-    if phi.shape != (spec.dim, rule.n_points):
-        raise ValueError(f"forcing must return shape {(spec.dim, rule.n_points)}")
-    return phi
-
-
 def initial_guess(spec: SystemSpec, rule: BasisRule, operator: BlockOperator) -> np.ndarray:
-    """Order-0 term: solve the linear part against the forcing with
-    inhomogeneous boundary rows."""
-    rhs = _forcing_grid(spec, rule).ravel()
+    """Order-0 term: solve the linear part against the boundary values alone."""
+    rhs = np.zeros(spec.dim * rule.n_points)
     rhs[operator.boundary_rows] = operator.boundary_values
     return operator.solve(rhs).reshape(spec.dim, rule.n_points)
 
@@ -401,12 +392,12 @@ def deformation_step(
     """One order of the deformation recurrence.
 
     With the linear operator L taken as the whole linear part and homogeneous
-    boundary rows, L[z_m - chi_m z_{m-1}] = hbar (L[z_{m-1}] + Q_{m-1} -
-    (1-chi_m) phi) reduces to z_m = chi_m (1 + hbar) z_{m-1} + hbar A^{-1}
-    Q_{m-1}, A being L with the boundary rows replaced. At m = 1 the carried
-    L[z_0] cancels the forcing because z_0 solved the linear part exactly on
-    this grid; for m >= 2, z_{m-1} vanishes at the boundary nodes, so A z_{m-1}
-    is L z_{m-1} on the interior rows and zero on the boundary rows, and A^{-1}
+    boundary rows, L[z_m - chi_m z_{m-1}] = hbar (L[z_{m-1}] + Q_{m-1})
+    reduces to z_m = chi_m (1 + hbar) z_{m-1} + hbar A^{-1} Q_{m-1}, A being L
+    with the boundary rows replaced. At m = 1 the carried L[z_0] vanishes on
+    the interior rows because z_0 solved the linear part exactly on this
+    grid; for m >= 2, z_{m-1} vanishes at the boundary nodes, so A z_{m-1} is
+    L z_{m-1} on the interior rows and zero on the boundary rows, and A^{-1}
     maps it back to z_{m-1}.
     """
     if order < 1:

@@ -142,20 +142,94 @@ class TestBadInput:
             ("--builtin", "tp31", "--sweep", "gamma=1,2"),
             ("--builtin", "tp31", "--sweep", "hbar="),
             ("--problem", "missing.txt"),
+            ("--builtin", "tp31", "--n", "abc"),
+            ("--builtin", "tp31", "--problem", "x"),
+            ("--n", "20"),
+            ("--builtin", "tp99"),
         ],
-        ids=["times", "sweep-axis", "empty-sweep", "missing-file"],
+        ids=[
+            "times", "sweep-axis", "empty-sweep", "missing-file",
+            "bad-int", "two-sources", "no-source", "unknown-builtin",
+        ],
     )
     def test_every_input_error_prints_one_error_line(self, tmp_path, capsys, extra):
         code, _ = run_cli(tmp_path, *extra)
         assert code == 1
         assert single_error_line(capsys)
-        assert capsys.readouterr().out == ""
 
     def test_removed_num_times_flag_is_rejected(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "--builtin", "tp31", "--num-times", "5")
+        assert code == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --num-times 5\n"
+
+    def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run_cli(tmp_path, "--builtin", "tp31", "--num-times", "5")
-        assert exc.value.code == 2
-        assert "--num-times" in capsys.readouterr().err
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: lahoc")
+
+
+ONE_SUBSYSTEM = """lahoc-problem v1
+subsystem
+dim 1
+inputs 1
+A 1
+B 1
+Q 1
+R 1
+x0 0.5
+f 0 -1 : 3
+"""
+
+
+class TestBadProblemData:
+    @pytest.mark.parametrize(
+        "line, bad, message",
+        [
+            ("x0 0.5", "x0 nan", "line 2: x0 must be finite"),
+            ("f 0 -1 : 3", "f 0 nan : 3", "line 10: monomial coefficient must be finite, got nan"),
+            ("dim 1", "dim -1", "line 3: dim must be >= 1, got -1"),
+            ("dim 1", "dim 0", "line 3: dim must be >= 1, got 0"),
+            ("inputs 1", "inputs 0", "line 4: inputs must be >= 1, got 0"),
+            ("Q 1", "Q nan", "line 2: q_mat must be finite"),
+            ("A 1", "A inf", "line 2: a_mat must be finite"),
+        ],
+        ids=["x0-nan", "f-nan", "dim-minus-1", "dim-0", "inputs-0", "Q-nan", "A-inf"],
+    )
+    def test_exits_one_with_one_error_line_and_no_output(
+        self, tmp_path, capsys, line, bad, message
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text(ONE_SUBSYSTEM.replace(line, bad))
+        code, out = run_cli(tmp_path, "--problem", str(path), "--n", "20", "--beta", "2")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+class TestLipschitz:
+    @pytest.mark.parametrize("value", ["nan", "-3", "inf"])
+    def test_bad_value_exits_one_before_the_solve(self, tmp_path, capsys, monkeypatch, value):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_ocp ran before --lipschitz was checked")
+
+        monkeypatch.setattr(cli, "solve_ocp", no_solve)
+        code, out = run_cli(tmp_path, "--builtin", "tp31", "--n", "20", "--lipschitz", value)
+        assert code == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: --lipschitz must be finite and non-negative"
+        )
+        assert not (out / "summary.txt").exists()
+
+    def test_zero_is_accepted(self, tmp_path):
+        code, out = run_cli(
+            tmp_path, "--builtin", "tp31", "--n", "30", "--beta", "6",
+            "--orders", "40", "--lipschitz", "0",
+        )
+        assert code == 0
+        assert "gamma diagnostic: " in (out / "summary.txt").read_text()
 
 
 class TestCompareMode:
@@ -293,8 +367,10 @@ class TestSweep:
 
 
 def single_error_line(capsys):
-    err = capsys.readouterr().err.strip().splitlines()
-    return len(err) == 1 and err[0].startswith("error:")
+    """One `error:` line on stderr and nothing on stdout."""
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    return captured.out == "" and len(err) == 1 and err[0].startswith("error:")
 
 
 class TestNonFiniteInput:
@@ -395,5 +471,5 @@ def test_readme_cli_examples_parse():
     for line in commands:
         try:
             parser.parse_args(shlex.split(line, comments=True)[1:])
-        except SystemExit:
+        except (SystemExit, cli.InputError):
             pytest.fail(f"README example does not parse: {line}")

@@ -31,8 +31,8 @@ pytestmark = pytest.mark.filterwarnings(
 
 
 def eval_system_rhs(spec, z):
-    """The stored convention is z' + sigma z + nonlinear = forcing, so the
-    autonomous right-hand side is -(sigma z + nonlinear)."""
+    """The stored convention is z' + sigma z + nonlinear = 0, so the
+    right-hand side is -(sigma z + nonlinear)."""
     out = spec.sigma @ z
     for r, eq in enumerate(spec.nonlinear):
         for term in eq:
@@ -162,18 +162,6 @@ class TestSolutionBundle:
         assert np.allclose(stacked[:2], bundle.states, atol=1e-13)
         assert np.allclose(stacked[2:], bundle.costates, atol=1e-13)
 
-    def test_gamma_included_when_requested(self):
-        cfg = SolverConfig(
-            hbar=-0.6, basis=BasisConfig(beta=6.0, n_order=20),
-            max_order=30, tail_tol=1e-10,
-        )
-        bundle = solve_ocp(
-            builtin_problem_31(), cfg, report_times=[1.0], lipschitz_estimate=1.0
-        )
-        assert bundle.gamma is not None and math.isfinite(bundle.gamma)
-        no_gamma = solve_ocp(builtin_problem_31(), cfg, report_times=[1.0])
-        assert no_gamma.gamma is None
-
     def test_per_order_costs_track_series_length(self):
         cfg = SolverConfig(
             hbar=-0.6, basis=BasisConfig(beta=6.0, n_order=20),
@@ -197,6 +185,14 @@ class TestValidation:
                 a_mat=[[1.0, 0.0]], b_mat=[[1.0]], q_mat=[[1.0]], r_mat=[[1.0]],
                 f_terms=((),), x0=[0.0],
             )
+
+    @pytest.mark.parametrize("name", ["a_mat", "b_mat", "q_mat", "r_mat", "x0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_data(self, name, bad):
+        data = dict(a_mat=[[1.0]], b_mat=[[1.0]], q_mat=[[1.0]], r_mat=[[1.0]], x0=[0.5])
+        data[name] = np.full(np.shape(data[name]), bad)
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            SubsystemSpec(f_terms=((),), **data)
 
     def test_builtin_registry(self):
         assert set(BUILTIN_PROBLEMS) == {"tp31", "tp32"}

@@ -176,7 +176,6 @@ class TestBandedJacobian:
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.6, size=7))])
         m = len(times) - 1
         z = 0.5 * rng.standard_normal((n, m + 1))
-        phi_mid = rng.standard_normal((n, m))
         # a continuation step's spec: every monomial coefficient scaled
         nonlinear = tuple(
             tuple(replace(t, coefficient=0.7 * t.coefficient) for t in eq) for eq in spec.nonlinear
@@ -184,7 +183,7 @@ class TestBandedJacobian:
         spec = replace(spec, nonlinear=nonlinear)
 
         def residual(x):
-            return _residual(spec, times, x.reshape(m + 1, n).T, phi_mid)
+            return _residual(spec, times, x.reshape(m + 1, n).T)
 
         x = z.T.ravel()  # unknown (t, r) is entry t*n + r
         eps = 1e-6

@@ -45,6 +45,11 @@ class TestMonomialTerm:
         with pytest.raises(ValueError):
             MonomialTerm(1.0, (0, 0))
 
+    @pytest.mark.parametrize("coefficient", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coefficients(self, coefficient):
+        with pytest.raises(ValueError, match="coefficient must be finite"):
+            MonomialTerm(coefficient, (1, 0))
+
 
 class TestSystemSpecValidation:
     def test_requires_square_sigma(self):
@@ -461,10 +466,10 @@ class TestChainTable:
             ), f"order {m}"
 
 
-def forced_saddle_spec() -> SystemSpec:
-    """Two components with decaying forcing and cubic/quadratic terms: a
-    stable initial-value component and an unstable one pinned by decay at
-    infinity, the shape of a state/costate pair."""
+def saddle_spec() -> SystemSpec:
+    """Two components with cubic/quadratic terms: a stable initial-value
+    component and an unstable one pinned by decay at infinity, the shape of a
+    state/costate pair."""
     return SystemSpec(
         dim=2,
         sigma=np.array([[1.5, -0.25], [0.5, -2.0]]),
@@ -473,30 +478,15 @@ def forced_saddle_spec() -> SystemSpec:
             (MonomialTerm(-0.1, (2, 0)),),
         ),
         bc=(InitialValue(0.6), DecayAtInfinity()),
-        forcing=lambda t: np.vstack([0.4 * np.exp(-t), 0.2 * np.exp(-2.0 * t)]),
     )
 
 
-class TestForcing:
-    def test_scalar_forced_decay_matches_closed_form(self):
-        # z' + z = e^{-2t}, z(0) = 1  =>  z = 2 e^{-t} - e^{-2t}
-        spec = SystemSpec(
-            dim=1,
-            sigma=np.array([[1.0]]),
-            nonlinear=((),),
-            bc=(InitialValue(1.0),),
-            forcing=lambda t: np.exp(-2.0 * t)[None, :],
-        )
-        result = run_sham(spec, solver_config(beta=2.0, n=40))
-        assert result.termination is Termination.CONVERGED
-        assert all(norm <= 1e-12 for norm in result.tail_norms[1:])
-        t = np.linspace(0.0, 8.0, 50)
-        exact = 2.0 * np.exp(-t) - np.exp(-2.0 * t)
-        assert np.abs(result.at(t)[0] - exact).max() < 1e-9
-
-    def test_forced_cubic_system_matches_the_oracle(self):
-        spec = forced_saddle_spec()
-        result = run_sham(spec, solver_config(beta=2.0, n=40, hbar=-1.0, max_order=60))
+class TestSaddleSystem:
+    def test_cubic_system_matches_the_oracle(self):
+        # at N=40 the deviation is 1.6e-5 against oracles at mesh 2000, 4000
+        # and 8000 alike: the error is the N=40 grid's; at N=60 it is 2.6e-7
+        spec = saddle_spec()
+        result = run_sham(spec, solver_config(beta=2.0, n=60, hbar=-1.0, max_order=60))
         assert result.termination is Termination.CONVERGED
         oracle = solve_truncated(spec, TruncationConfig(t_end=40.0, mesh_points=2000))
         t = np.linspace(0.0, 10.0, 41)
@@ -508,13 +498,13 @@ class TestReducedDeformationStep:
         "spec, beta, n, hbar",
         [
             (derive_tpbvp(builtin_problem_31()), 6.0, 10, -0.6),
-            (forced_saddle_spec(), 2.0, 16, -1.0),
+            (saddle_spec(), 2.0, 16, -1.0),
         ],
-        ids=["tp31", "forced"],
+        ids=["tp31", "saddle"],
     )
     def test_equals_the_full_recurrence_on_the_lu_path(self, spec, beta, n, hbar):
         # z_m = chi (1+hbar) z_{m-1} + hbar A^{-1} Q_{m-1} against the full form
-        # A^{-1}(chi L z_{m-1} + hbar (L z_{m-1} + Q_{m-1} - (1-chi) phi)), with
+        # A^{-1}(chi L z_{m-1} + hbar (L z_{m-1} + Q_{m-1})), with
         # L's interior rows read from the assembled operator.  The two differ
         # by the round-off of A^{-1} A (equilibrated condition about 1e8 for
         # tp31 at N=10), seen at 4.4e-12.
@@ -523,7 +513,6 @@ class TestReducedDeformationStep:
         op = assemble_operator(spec, rule)
         assert op.lu is not None
         series = HomotopySeries([initial_guess(spec, rule, op)], max_order=cfg.max_order)
-        phi = spec.forcing(rule.nodes).ravel() if spec.forcing else 0.0
         for m in range(1, cfg.max_order + 1):
             got = deformation_step(spec, rule, op, series, cfg, m)
             q = np.zeros((spec.dim, rule.n_points))
@@ -532,7 +521,7 @@ class TestReducedDeformationStep:
                     q[r] += cauchy_order_term(series, term, m)
             chi = 0.0 if m == 1 else 1.0
             lz = op.matrix @ series.orders[m - 1].ravel()
-            rhs = chi * lz + hbar * (lz + q.ravel() - (1.0 - chi) * phi)
+            rhs = chi * lz + hbar * (lz + q.ravel())
             rhs[op.boundary_rows] = 0.0
             full = op.solve(rhs).reshape(got.shape)
             assert np.abs(got - full).max() <= 1e-11 * np.abs(full).max(), f"order {m}"
