@@ -71,7 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _report_times(args, t_end: float) -> np.ndarray:
+def _report_times(args) -> np.ndarray:
+    # --t-end sets a problem file's default report times as well as the oracle's horizon
+    t_end = args.t_end
+    if not 0 < t_end < np.inf:  # NaN fails too
+        raise InputError("--t-end must be finite and positive")
     if args.times:
         try:
             times = np.array([float(v) for v in args.times.split(",")])
@@ -79,11 +83,13 @@ def _report_times(args, t_end: float) -> np.ndarray:
             raise InputError("bad --times value") from None
         if not np.all(np.isfinite(times)):
             raise InputError("--times values must be finite")
+        if times.min() < 0:
+            raise InputError("--times values must be non-negative")
     elif args.builtin:
         times = np.array(BUILTIN_REPORT_TIMES[args.builtin])
     else:
         times = np.geomspace(t_end / 1000.0, t_end, 20)
-    if args.compare and (times.min() < 0 or times.max() > t_end):
+    if args.compare and times.max() > t_end:
         raise InputError(f"report times must lie in [0, {t_end}] when comparing")
     return times
 
@@ -130,10 +136,9 @@ def _write_convergence(path: Path, bundle) -> None:
 
 
 def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
+    times = _report_times(args)
     oracle_config = None
     if args.compare:
-        if not 0 < args.t_end < np.inf:  # NaN fails too
-            raise InputError("--t-end must be finite and positive")
         if args.mesh < 50:
             raise InputError("--mesh (mesh intervals) must be >= 50")
         if not args.compare_tol >= 0:  # NaN fails too
@@ -141,7 +146,6 @@ def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
         oracle_config = TruncationConfig(t_end=args.t_end, mesh_points=args.mesh)
     if args.lipschitz is not None and not 0 <= args.lipschitz < np.inf:  # NaN fails too
         raise InputError("--lipschitz must be finite and non-negative")
-    times = _report_times(args, args.t_end)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 

@@ -5,17 +5,20 @@ a damped Newton iteration. The decay condition on costate components is
 imposed at t_end. The unknowns are ordered time-major and the residual rows
 run initial values, then one block of n rows per mesh interval, then the decay
 rows, so the analytic Jacobian is a band matrix 3n diagonals wide that each
-Newton step factors with band LU. Trajectories are read between mesh points
-through a not-a-knot cubic spline. Used to cross-validate the spectral
-homotopy trajectories.
+Newton step factors in place with LAPACK's band LU. Trajectories are read
+between mesh points through a not-a-knot cubic spline. Used to cross-validate
+the spectral homotopy trajectories.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .sham_engine import InitialValue, SystemSpec
 
@@ -105,41 +108,24 @@ def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
 
 
-def _eval_monomials(spec: SystemSpec, z: np.ndarray) -> np.ndarray:
-    """g(z) column-wise; z has shape (n, T)."""
-    n, T = z.shape
-    out = np.zeros((n, T))
+def _rhs(spec: SystemSpec, z: np.ndarray) -> np.ndarray:
+    """dz/dt = -sigma z - g(z), column-wise; z has shape (n, T)."""
+    g = np.zeros(z.shape)
     for r, terms in enumerate(spec.nonlinear):
         for t in terms:
-            vals = np.full(T, t.coefficient)
-            for c, e in enumerate(t.exponents):
-                if e:
-                    vals = vals * z[c] ** e
-            out[r] += vals
-    return out
+            g[r] += math.prod((z[c] for c in t.factors), start=t.coefficient)
+    return -spec.sigma @ z - g
 
 
 def _monomial_jacobian(spec: SystemSpec, z: np.ndarray) -> np.ndarray:
     """dg/dz at each column of z; returns shape (T, n, n)."""
-    n, T = z.shape
-    jac = np.zeros((T, n, n))
+    jac = np.zeros((len(z), *z.shape))
     for r, terms in enumerate(spec.nonlinear):
         for t in terms:
-            for c, e in enumerate(t.exponents):
-                if e == 0:
-                    continue
-                vals = np.full(T, t.coefficient * e)
-                for c2, e2 in enumerate(t.exponents):
-                    p = e2 - 1 if c2 == c else e2
-                    if p:
-                        vals = vals * z[c2] ** p
-                jac[:, r, c] += vals
-    return jac
-
-
-def _rhs(spec: SystemSpec, z: np.ndarray) -> np.ndarray:
-    """dz/dt = -sigma z - g(z)."""
-    return -spec.sigma @ z - _eval_monomials(spec, z)
+            f = t.factors
+            for k, c in enumerate(f):  # a factor repeated e times adds e equal terms
+                jac[r, c] += math.prod((z[c2] for c2 in f[:k] + f[k + 1 :]), start=t.coefficient)
+    return jac.transpose(2, 0, 1)
 
 
 def _split_bc(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -162,12 +148,14 @@ def _residual(spec: SystemSpec, times: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _banded_jacobian(
     spec: SystemSpec, times: np.ndarray, z: np.ndarray
 ) -> tuple[tuple[int, int], np.ndarray]:
-    """Jacobian of `_residual` in LAPACK band storage, for `solve_banded`.
+    """Jacobian of `_residual` in the band storage LAPACK's `gbsv` factors in place.
 
     Unknown (t, r) is column t*n + r. Interval i's rows k0 + i*n + (0..n-1),
     with k0 initial-value rows before them, touch columns i*n .. (i+2)*n - 1,
-    so the matrix has l = n - 1 + k0 sub- and u = 2n - 1 - k0 superdiagonals,
-    and entry (R, C) is stored at ab[u + R - C, C].
+    so the matrix has l = n - 1 + k0 sub- and u = 2n - 1 - k0 superdiagonals.
+    Entry (R, C) is stored at ab[l + u + R - C, C] below l rows of room for
+    the pivoted factor, column-major, so that the left and the right n x n
+    blocks of all intervals are each one strided view of the storage.
     """
     n = spec.dim
     m = len(times) - 1
@@ -176,19 +164,22 @@ def _banded_jacobian(
     l, u = n - 1 + k0, 2 * n - 1 - k0
     h = np.diff(times)
     zmid = 0.5 * (z[:, :-1] + z[:, 1:])
-    # d(rhs)/dz at the midpoints, (m, n, n)
-    jf = -(spec.sigma[None, :, :] + _monomial_jacobian(spec, zmid))
-    half_hjf = 0.5 * h[:, None, None] * jf
-    eye = np.eye(n)
+    # -h/2 d(rhs)/dz at the midpoints, (m, n, n): interval i's left block is
+    # g[i] - I and its right block g[i] + I
+    g = 0.5 * h[:, None, None] * (spec.sigma + _monomial_jacobian(spec, zmid))
 
-    ab = np.zeros((l + u + 1, (m + 1) * n))
-    r = np.arange(n)[:, None]
-    c = np.arange(n)[None, :]
-    col_left = np.arange(m)[:, None, None] * n + c  # (m, 1, n)
-    ab[u + k0 + r - c, col_left] = -eye - half_hjf
-    ab[u + k0 - n + r - c, col_left + n] = eye - half_hjf
-    ab[u + np.arange(k0) - initial, initial] = 1.0
-    ab[u + k0 + np.arange(len(decay)) - decay, m * n + decay] = 1.0
+    ab = np.zeros((2 * l + u + 1, (m + 1) * n), order="F")
+    diag = l + u + k0  # band row of the left blocks' diagonals, R - C = k0
+    # the left blocks start at (diag, 0), the right ones at (diag - n, n); the
+    # view [i, r, c] of a start (row, col) is ab[row + r - c, col + i*n + c]
+    s0, s1 = ab.strides
+    blocks = dict(shape=(m, n, n), strides=(n * s1, s0, s1 - s0))
+    as_strided(ab[diag:], **blocks)[...] = g
+    as_strided(ab[diag - n :, n:], **blocks)[...] = g
+    ab[diag, : m * n] -= 1.0
+    ab[diag - n, n:] += 1.0
+    ab[l + u + np.arange(k0) - initial, initial] = 1.0
+    ab[diag + np.arange(len(decay)) - decay, m * n + decay] = 1.0
     return (l, u), ab
 
 
@@ -200,11 +191,10 @@ def _newton(spec, times, z0):
     for it in range(MAX_NEWTON_ITERS):
         if rnorm < NEWTON_TOL:
             return z, it, rnorm
-        bands, ab = _banded_jacobian(spec, times, z)
-        try:
-            delta = solve_banded(bands, ab, res, overwrite_ab=True)
-        except (LinAlgError, ValueError) as exc:
-            raise NewtonError(f"Jacobian solve failed: {exc}") from exc
+        (l, u), ab = _banded_jacobian(spec, times, z)
+        *_, delta, info = dgbsv(l, u, ab, res, overwrite_ab=True, overwrite_b=True)
+        if info:  # info > 0: a zero pivot
+            raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}")
         if not np.all(np.isfinite(delta)):
             raise NewtonError("singular Jacobian (non-finite Newton step)")
         step = 1.0

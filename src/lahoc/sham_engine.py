@@ -169,6 +169,7 @@ class HomotopySeries:
         self.tail_norms = list(tail_norms)
         self._rows = {(c,): c for c in range(self._dim)}  # factor sequence -> store row
         self._chains: list[tuple[int, int, int]] = []  # (row, parent, last), parents first
+        self._weights_for = None  # the equations `_weights` was built for
         self._register(products)
 
     @property
@@ -220,6 +221,21 @@ class HomotopySeries:
         for row, parent, last in chains:
             np.einsum("ij,ij->j", s[: k + 1, parent], s[k::-1, last], out=s[k, row])
 
+    def nonlinear_term(self, nonlinear: Sequence[Sequence[MonomialTerm]], k: int) -> np.ndarray:
+        """Coefficient k of every equation's monomial sum, (len(nonlinear), N+1):
+        one product of a (equations x store rows) coefficient matrix, built at
+        the first call for these equations, with the store's order k."""
+        if k >= self._count:
+            raise ValueError(f"coefficient {k} needs order {k}, have {self._count}")
+        if self._weights_for is not nonlinear:
+            terms = [(r, term) for r, eq in enumerate(nonlinear) for term in eq]
+            rows = self._register([term.factors for _, term in terms])
+            weights = np.zeros((len(nonlinear), self._store.shape[1]))
+            for (r, term), row in zip(terms, rows):
+                weights[r, row] += term.coefficient
+            self._weights, self._weights_for = weights, nonlinear
+        return self._weights @ self._store[k, : self._weights.shape[1]]
+
     def product_coefficient(self, factors: tuple[int, ...], k: int) -> np.ndarray:
         """Coefficient k of the node-wise product of the component series
         named by `factors`, a (N+1,) view of the store."""
@@ -258,23 +274,26 @@ class BlockOperator:
 
     The condition number and the truncation are those of the whole
     equilibrated operator, computed block by block: the SVD is taken of each
-    diagonal block of components that sigma couples (see component_groups),
-    and the kept factors of every block are placed in one (V_k S_k^-1, U_k^T)
-    pair over all rows."""
+    diagonal block of components that sigma couples (see component_groups).
+    Each block keeps its own (V_k S_k^-1, U_k^T) pair, with the rows it owns,
+    and a solve applies them block by block: the operator is block diagonal
+    over the groups, so no factor holds a zero block."""
 
     matrix: np.ndarray
     row_scale: np.ndarray
     boundary_rows: np.ndarray
     boundary_values: np.ndarray
     lu: tuple | None = None
-    pinv: tuple[np.ndarray, np.ndarray] | None = None  # (V_k S_k^-1, U_k^T)
+    pinv: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None  # (rows, V_k S_k^-1, U_k^T)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         scaled = rhs / self.row_scale
         if self.lu is not None:
             return lu_solve(self.lu, scaled)
-        v_scaled, u_t = self.pinv
-        return v_scaled @ (u_t @ scaled)
+        out = np.empty_like(scaled)
+        for rows, v_scaled, u_t in self.pinv:
+            out[rows] = v_scaled @ (u_t @ scaled[rows])
+        return out
 
 
 def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
@@ -333,15 +352,9 @@ def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
     if s.max() / s.min() <= COND_SWITCH:
         return BlockOperator(matrix, row_scale, brows, bvals, lu=lu_factor(equilibrated))
     keeps = [block_s > PINV_RCOND * s.max() for _, block_s, _ in svds]
-    rank = sum(int(keep.sum()) for keep in keeps)
-    v_scaled, u_t = np.zeros((size, rank)), np.zeros((rank, size))
-    start = 0
-    for idx, (u, block_s, vt), keep in zip(blocks, svds, keeps):
-        kept = slice(start, start + int(keep.sum()))
-        v_scaled[idx, kept] = vt[keep].T / block_s[keep]
-        u_t[kept, idx] = u[:, keep].T
-        start = kept.stop
-    return BlockOperator(matrix, row_scale, brows, bvals, pinv=(v_scaled, u_t))
+    pinv = [(idx, vt[keep].T / block_s[keep], u[:, keep].T)
+            for idx, (u, block_s, vt), keep in zip(blocks, svds, keeps)]
+    return BlockOperator(matrix, row_scale, brows, bvals, pinv=pinv)
 
 
 def component_groups(sigma: np.ndarray) -> list[list[int]]:
@@ -402,10 +415,7 @@ def deformation_step(
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    q = np.zeros((spec.dim, rule.n_points))
-    for r, terms in enumerate(spec.nonlinear):
-        for term in terms:
-            q[r] += cauchy_order_term(series, term, order)
+    q = series.nonlinear_term(spec.nonlinear, order - 1)
     if not np.all(np.isfinite(q)):
         raise DivergenceError(order, float(np.nanmax(np.abs(q))))
 

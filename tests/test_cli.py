@@ -232,6 +232,55 @@ class TestLipschitz:
         assert "gamma diagnostic: " in (out / "summary.txt").read_text()
 
 
+class TestReportTimes:
+    """Report times and --t-end are checked whether or not --compare is given:
+    a Laguerre interpolant read at a negative time is an extrapolation, not a
+    solution value."""
+
+    @staticmethod
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_ocp ran before the report times were checked")
+
+    @pytest.mark.parametrize("compare", [(), ("--compare",)], ids=["alone", "compare"])
+    @pytest.mark.parametrize("times", ["-1,0.5", "0.5,-1e-9"])
+    def test_negative_times_exit_one_before_the_solve(
+        self, tmp_path, capsys, monkeypatch, times, compare
+    ):
+        monkeypatch.setattr(cli, "solve_ocp", self.no_solve)
+        code, out = run_cli(
+            tmp_path, "--builtin", "tp31", "--n", "20", "--beta", "6", f"--times={times}", *compare
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --times values must be non-negative\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("compare", [(), ("--compare",)], ids=["alone", "compare"])
+    @pytest.mark.parametrize("t_end", ["nan", "-5", "0", "inf"])
+    def test_bad_horizon_exits_one_before_the_solve(
+        self, tmp_path, capsys, monkeypatch, t_end, compare
+    ):
+        # a problem file's default report times are spread over [0, t_end]
+        monkeypatch.setattr(cli, "solve_ocp", self.no_solve)
+        path = tmp_path / "one.txt"
+        path.write_text(ONE_SUBSYSTEM)
+        code, out = run_cli(tmp_path, "--problem", str(path), "--n", "20", "--t-end", t_end, *compare)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --t-end must be finite and positive\n")
+        assert not out.exists()
+
+    def test_zero_is_a_report_time(self, tmp_path):
+        code, out = run_cli(
+            tmp_path, "--builtin", "tp31", "--n", "20", "--beta", "6", "--orders", "20",
+            "--times=0,0.5",
+        )
+        assert code == 0
+        rows = read_csv(out / "trajectories.csv")
+        assert [float(r["time"]) for r in rows] == [0.0, 0.5]
+        assert float(rows[0]["x2"]) == pytest.approx(0.8, abs=1e-12)
+
+
 class TestCompareMode:
     def test_against_oracle_within_tolerance(self, tmp_path):
         code, out = run_cli(

@@ -4,7 +4,6 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
-from scipy.linalg import LinAlgError
 
 from lahoc import (
     DecayAtInfinity,
@@ -148,13 +147,32 @@ def decay_first_spec() -> SystemSpec:
     )
 
 
+def interleaved_spec() -> SystemSpec:
+    """Cubic 4-component system whose initial-value and decay components
+    alternate, so the boundary rows of both kinds sit between the others."""
+    return SystemSpec(
+        dim=4,
+        sigma=np.array(
+            [[1.0, 0.3, 0.0, -0.2], [0.1, -2.0, 0.4, 0.0], [0.0, 0.2, 1.5, 0.3], [-0.5, 0.0, 0.1, -1.2]]
+        ),
+        nonlinear=(
+            (MonomialTerm(0.4, (1, 1, 1, 0)), MonomialTerm(-0.2, (0, 0, 0, 2))),
+            (MonomialTerm(-0.3, (2, 0, 1, 0)),),
+            (MonomialTerm(0.2, (0, 3, 0, 0)), MonomialTerm(0.1, (1, 0, 0, 1))),
+            (MonomialTerm(0.5, (0, 1, 2, 0)),),
+        ),
+        bc=(InitialValue(0.6), DecayAtInfinity(), InitialValue(-0.3), DecayAtInfinity()),
+    )
+
+
 def dense_from_band(bands, ab):
-    """The full matrix whose LAPACK band storage is `ab`."""
+    """The full matrix whose LAPACK `gbsv` band storage is `ab`: entry (R, C)
+    at ab[l + u + R - C, C], below l rows of room for the pivoted factor."""
     l, u = bands
     size = ab.shape[1]
     rows, cols = np.indices((size, size))
-    diag = u + rows - cols
-    inside = (diag >= 0) & (diag <= l + u)
+    diag = l + u + rows - cols
+    inside = (diag >= l) & (diag <= 2 * l + u)
     dense = np.zeros((size, size))
     dense[inside] = ab[diag[inside], cols[inside]]
     return dense
@@ -167,8 +185,9 @@ class TestBandedJacobian:
             derive_tpbvp(builtin_problem_31()),
             derive_tpbvp(builtin_problem_32()),
             decay_first_spec(),
+            interleaved_spec(),
         ],
-        ids=["tp31", "tp32", "decay_first"],
+        ids=["tp31", "tp32", "decay_first", "interleaved"],
     )
     def test_matches_central_differences_of_the_residual(self, spec):
         rng = np.random.default_rng(3)
@@ -194,35 +213,75 @@ class TestBandedJacobian:
             fd[:, k] = (residual(x + dx) - residual(x - dx)) / (2 * eps)
 
         bands, ab = _banded_jacobian(spec, times, z)
-        assert ab.shape == (sum(bands) + 1, x.size)
+        l, u = bands
+        assert ab.shape == (2 * l + u + 1, x.size) and ab.flags.f_contiguous
         jac = dense_from_band(bands, ab)
         assert np.abs(jac - fd).max() < 1e-7 * max(1.0, np.abs(fd).max())
+
+    def test_is_bit_identical_to_a_dense_reference(self):
+        # every entry written one at a time from the residual's definition:
+        # the boundary rows, then per interval i the rows k0 + i*n + r with
+        # -I - h/2 J_f in the columns of t_i and I - h/2 J_f in those of t_{i+1}
+        spec = interleaved_spec()
+        n = spec.dim
+        rng = np.random.default_rng(5)
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.6, size=9))])
+        m = len(times) - 1
+        z = 0.5 * rng.standard_normal((n, m + 1))
+        initial = [r for r, tag in enumerate(spec.bc) if isinstance(tag, InitialValue)]
+        decay = [r for r in range(n) if r not in initial]
+        k0 = len(initial)
+        zmid = 0.5 * (z[:, :-1] + z[:, 1:])
+        jf = -(spec.sigma + oracle_bvp._monomial_jacobian(spec, zmid))  # (m, n, n)
+
+        dense = np.zeros(((m + 1) * n, (m + 1) * n))
+        for j, r in enumerate(initial):
+            dense[j, r] = 1.0
+        for i in range(m):
+            half_h = 0.5 * (times[i + 1] - times[i])
+            for r in range(n):
+                for c in range(n):
+                    unit = 1.0 if r == c else 0.0
+                    dense[k0 + i * n + r, i * n + c] = -unit - half_h * jf[i, r, c]
+                    dense[k0 + i * n + r, (i + 1) * n + c] = unit - half_h * jf[i, r, c]
+        for j, r in enumerate(decay):
+            dense[k0 + m * n + j, m * n + r] = 1.0
+
+        bands, ab = _banded_jacobian(spec, times, z)
+        assert bands == (n - 1 + k0, 2 * n - 1 - k0)
+        assert np.array_equal(dense_from_band(bands, ab), dense)
+        assert not ab[: bands[0]].any()  # the room gbsv fills stays empty
 
 
 class TestNewtonSolve:
     @pytest.mark.parametrize(
-        "error",
-        [LinAlgError("singular matrix"), ValueError("array must not contain infs or NaNs")],
-        ids=["LinAlgError", "ValueError"],
+        "broken, value, message",
+        [((slice(None), 7), 0.0, "gbsv info 8"), ((-1, 3), np.nan, "non-finite Newton step")],
+        ids=["zero-column", "non-finite"],
     )
-    def test_failed_band_solve_raises_newton_error(self, monkeypatch, error):
-        def broken(*args, **kwargs):
-            raise error
+    def test_failed_band_solve_raises_newton_error(self, monkeypatch, broken, value, message):
+        # a Jacobian with an empty column has a zero pivot, which gbsv reports
+        # as info = that column (1-based); a NaN entry ends in a non-finite step
+        jacobian = oracle_bvp._banded_jacobian
 
-        monkeypatch.setattr(oracle_bvp, "solve_banded", broken)
-        with pytest.raises(NewtonError) as info:
+        def spoiled(*args):
+            bands, ab = jacobian(*args)
+            ab[broken] = value
+            return bands, ab
+
+        monkeypatch.setattr(oracle_bvp, "_banded_jacobian", spoiled)
+        with pytest.raises(NewtonError, match=message):
             solve_truncated(coupled_linear_spec(), TruncationConfig(t_end=30.0, mesh_points=100))
-        assert info.value.__cause__ is error
 
     def test_failed_first_solve_falls_back_to_continuation(self, monkeypatch):
-        real = oracle_bvp.solve_banded
+        real = oracle_bvp.dgbsv
         calls = []
 
-        def fails_once(*args, **kwargs):
+        def fails_once(l, u, ab, b, **kwargs):
             calls.append(1)
             if len(calls) == 1:
-                raise LinAlgError("singular matrix")
-            return real(*args, **kwargs)
+                return ab, np.zeros(len(b), dtype=np.int32), b, 1  # gbsv's zero pivot
+            return real(l, u, ab, b, **kwargs)
 
         newton = oracle_bvp._newton
         coefficients = []
@@ -231,7 +290,7 @@ class TestNewtonSolve:
             coefficients.append([t.coefficient for eq in spec.nonlinear for t in eq])
             return newton(spec, *args)
 
-        monkeypatch.setattr(oracle_bvp, "solve_banded", fails_once)
+        monkeypatch.setattr(oracle_bvp, "dgbsv", fails_once)
         monkeypatch.setattr(oracle_bvp, "_newton", recording)
         spec = derive_tpbvp(builtin_problem_31())
         traj = solve_truncated(spec, TruncationConfig(t_end=40.0, mesh_points=400))
@@ -241,6 +300,18 @@ class TestNewtonSolve:
         full = np.array([t.coefficient for eq in spec.nonlinear for t in eq])
         scales = [1.0, 0.25, 0.5, 0.75, 1.0]
         assert np.array_equal(coefficients, [s * full for s in scales])
+
+    def test_band_solve_matches_a_dense_solve(self):
+        # the Newton step's in-place gbsv against numpy on the dense Jacobian
+        spec = interleaved_spec()
+        times = graded_mesh(TruncationConfig(t_end=20.0, mesh_points=60))
+        z = 0.1 * np.random.default_rng(8).standard_normal((spec.dim, len(times)))
+        res = _residual(spec, times, z)
+        bands, ab = _banded_jacobian(spec, times, z)
+        ref = np.linalg.solve(dense_from_band(bands, ab), res)
+        *_, delta, info = oracle_bvp.dgbsv(*bands, ab, res.copy(), overwrite_ab=True, overwrite_b=True)
+        assert info == 0
+        assert np.abs(delta - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_linear_system_takes_one_full_step(self):
         # a full Newton step solves a linear collocation system exactly, so a

@@ -334,35 +334,35 @@ def random_cubic_spec(seed: int) -> SystemSpec:
 
 
 class TestIncrementalProductsInsideRunSham:
-    """Every nonlinear term a run computes, checked against explicit
-    polynomial multiplication of the orders the run had stored."""
+    """Every order's whole nonlinear term a run computes, checked against
+    explicit polynomial multiplication of the orders the run had stored."""
 
     @staticmethod
     def checked_run(monkeypatch, spec, cfg):
         calls = []
-        inner = sham_engine.cauchy_order_term
+        inner = HomotopySeries.nonlinear_term
 
-        def recording(series, term, order):
-            got = inner(series, term, order)
-            calls.append((series.orders[:order].copy(), term, order, got))
+        def recording(series, nonlinear, k):
+            got = inner(series, nonlinear, k)
+            calls.append((series.orders[: k + 1].copy(), k, got.copy()))
             return got
 
-        monkeypatch.setattr(sham_engine, "cauchy_order_term", recording)
+        monkeypatch.setattr(HomotopySeries, "nonlinear_term", recording)
         result = run_sham(spec, cfg)
-        for orders, term, order, got in calls:
+        for orders, k, got in calls:
             prefix = HomotopySeries(orders=list(orders))
-            ref = TestCauchyProducts.brute_force(prefix, term, order - 1)
-            assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max()), (
-                f"{term} at order {order}"
-            )
+            ref = np.zeros_like(got)
+            for r, terms in enumerate(spec.nonlinear):
+                for term in terms:
+                    ref[r] += TestCauchyProducts.brute_force(prefix, term, k)
+            assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max()), f"order {k + 1}"
         return result, calls
 
     def test_tp31_every_order(self, monkeypatch):
         spec = derive_tpbvp(builtin_problem_31())
         cfg = solver_config(beta=6.0, n=20, hbar=-0.6, max_order=150, tail_tol=1e-13)
         result, calls = self.checked_run(monkeypatch, spec, cfg)
-        n_terms = sum(len(eq) for eq in spec.nonlinear)
-        assert len(calls) >= 10 * n_terms
+        assert len(calls) >= 10
         # N=20 diverges: the series keeps only the best partial sum
         assert result.termination is Termination.DIVERGED
         assert len(result.series.orders) == len(result.tail_norms)
@@ -372,7 +372,52 @@ class TestIncrementalProductsInsideRunSham:
         cfg = solver_config(beta=6.0, n=16, hbar=-0.6, max_order=25, tail_tol=1e-300)
         result, calls = self.checked_run(monkeypatch, spec, cfg)
         assert result.termination is Termination.MAX_ORDER
-        assert max(order for _, _, order, _ in calls) == 25
+        assert max(k + 1 for _, k, _ in calls) == 25
+
+
+class TestNonlinearTermOfTheDeformationStep:
+    def test_tp32_equals_the_per_term_sum_of_cauchy_order_terms(self, monkeypatch):
+        # 42 monomials over 12 components, 57 chains: the one matmul
+        # deformation_step forms its right-hand side with, against the sum of
+        # every monomial's own term, read where the step hands it to the solve
+        spec = derive_tpbvp(builtin_problem_32())
+        cfg = solver_config(beta=0.5, n=50, hbar=-1.0, max_order=6)
+        rule = build_rule(cfg.basis)
+        op = assemble_operator(spec, rule)
+        products = [term.factors for eq in spec.nonlinear for term in eq]
+        series = HomotopySeries(
+            [initial_guess(spec, rule, op)], max_order=cfg.max_order, products=products
+        )
+        rhs = []
+        solve = op.solve
+        monkeypatch.setattr(op, "solve", lambda b: rhs.append(b.copy()) or solve(b))
+        assert len(products) == 42 and len(series._chains) == 57
+        for m in range(1, cfg.max_order + 1):
+            got = deformation_step(spec, rule, op, series, cfg, m)
+            ref = np.zeros((spec.dim, rule.n_points))
+            for r, terms in enumerate(spec.nonlinear):
+                for term in terms:
+                    ref[r] += cauchy_order_term(series, term, m)
+            ref = ref.ravel()
+            ref[op.boundary_rows] = 0.0
+            assert np.abs(rhs[-1] - ref).max() <= 1e-13 * np.abs(ref).max(), f"order {m}"
+            series.append(got, tail_norm(rule, got))
+        assert len(rhs) == cfg.max_order
+
+    def test_rows_registered_after_the_weights_are_ignored(self):
+        # a chain another caller registers mid-run widens the store, not the
+        # term: the weights keep reading the rows they were built for
+        rng = np.random.default_rng(2)
+        nonlinear = ((MonomialTerm(0.5, (1, 1)),), (MonomialTerm(-1.0, (0, 2)),))
+        series = HomotopySeries([rng.normal(size=(2, 5))], max_order=4)
+        before = series.nonlinear_term(nonlinear, 0)
+        cauchy_order_term(series, MonomialTerm(1.0, (3, 0)), 1)
+        assert np.array_equal(series.nonlinear_term(nonlinear, 0), before)
+        for m in range(1, 4):
+            series.append(rng.normal(size=(2, 5)), 1.0)
+            ref = np.array([TestCauchyProducts.brute_force(series, eq[0], m) for eq in nonlinear])
+            got = series.nonlinear_term(nonlinear, m)
+            assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
 
 
 class TestHomotopySeriesStorage:
@@ -599,6 +644,10 @@ def decoupled_pair_spec() -> SystemSpec:
     )
 
 
+def block_ranks(op):
+    return [v_scaled.shape[1] for _, v_scaled, _ in op.pinv]
+
+
 class TestBlockFactorization:
     @pytest.mark.parametrize(
         "problem, n, beta",
@@ -606,14 +655,26 @@ class TestBlockFactorization:
         ids=["tp31-N100-b1", "tp32-N50-b0.5", "tp31-N120-b6"],
     )
     def test_matches_the_whole_matrix_svd(self, problem, n, beta):
-        op = assemble_operator(derive_tpbvp(problem()), build_rule(BasisConfig(beta=beta, n_order=n)))
+        spec = derive_tpbvp(problem())
+        op = assemble_operator(spec, build_rule(BasisConfig(beta=beta, n_order=n)))
         v_scaled, u_t = whole_matrix_pinv(op)
         assert op.pinv is not None
-        assert op.pinv[0].shape == v_scaled.shape and op.pinv[1].shape == u_t.shape
+        assert len(op.pinv) == len(component_groups(spec.sigma))
+        assert sum(block_ranks(op)) == v_scaled.shape[1]
         rng = np.random.default_rng(n)
         for rhs in rng.normal(size=(5, op.matrix.shape[0])):
             ref = v_scaled @ (u_t @ (rhs / op.row_scale))
             assert np.abs(op.solve(rhs) - ref).max() <= 1e-7 * np.abs(ref).max()
+
+    def test_each_block_keeps_only_its_own_rows(self):
+        # the factors of a block are (rows of the block) x (its rank): tp32's
+        # three 204-row blocks, not one (612 x rank) pair mostly of zeros
+        spec = derive_tpbvp(builtin_problem_32())
+        rule = build_rule(BasisConfig(beta=0.5, n_order=50))
+        op = assemble_operator(spec, rule)
+        for (rows, v_scaled, u_t), group in zip(op.pinv, component_groups(spec.sigma)):
+            assert sorted(rows // rule.n_points) == sorted(group * rule.n_points)
+            assert v_scaled.shape == u_t.T.shape == (len(rows), v_scaled.shape[1])
 
     def test_condition_number_is_the_whole_operators(self, monkeypatch):
         # the whole operator's condition number (2.0e4) is above either
@@ -629,6 +690,7 @@ class TestBlockFactorization:
         op = assemble_operator(spec, rule)
         assert op.pinv is not None
         v_scaled, u_t = whole_matrix_pinv(op)
+        assert sum(block_ranks(op)) == v_scaled.shape[1]
         rhs = np.random.default_rng(3).normal(size=op.matrix.shape[0])
         ref = v_scaled @ (u_t @ (rhs / op.row_scale))
         assert np.abs(op.solve(rhs) - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -649,7 +711,8 @@ class TestBlockFactorization:
         monkeypatch.setattr(sham_engine, "PINV_RCOND", rcond)
         op = assemble_operator(spec, rule)
         v_scaled, u_t = whole_matrix_pinv(op)
-        assert op.pinv[0].shape == v_scaled.shape == (2 * second, int(np.sum(s > rcond * s[0])))
+        assert v_scaled.shape[0] == 2 * second
+        assert sum(block_ranks(op)) == v_scaled.shape[1] == int(np.sum(s > rcond * s[0]))
         rhs = np.random.default_rng(4).normal(size=2 * second)
         ref = v_scaled @ (u_t @ (rhs / op.row_scale))
         assert np.abs(op.solve(rhs) - ref).max() <= 1e-10 * np.abs(ref).max()
