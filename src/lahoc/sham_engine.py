@@ -169,7 +169,6 @@ class HomotopySeries:
         self.tail_norms = list(tail_norms)
         self._rows = {(c,): c for c in range(self._dim)}  # factor sequence -> store row
         self._chains: list[tuple[int, int, int]] = []  # (row, parent, last), parents first
-        self._weights_for = None  # the equations `_weights` was built for
         self._register(products)
 
     @property
@@ -220,21 +219,6 @@ class HomotopySeries:
         s = self._store
         for row, parent, last in chains:
             np.einsum("ij,ij->j", s[: k + 1, parent], s[k::-1, last], out=s[k, row])
-
-    def nonlinear_term(self, nonlinear: Sequence[Sequence[MonomialTerm]], k: int) -> np.ndarray:
-        """Coefficient k of every equation's monomial sum, (len(nonlinear), N+1):
-        one product of a (equations x store rows) coefficient matrix, built at
-        the first call for these equations, with the store's order k."""
-        if k >= self._count:
-            raise ValueError(f"coefficient {k} needs order {k}, have {self._count}")
-        if self._weights_for is not nonlinear:
-            terms = [(r, term) for r, eq in enumerate(nonlinear) for term in eq]
-            rows = self._register([term.factors for _, term in terms])
-            weights = np.zeros((len(nonlinear), self._store.shape[1]))
-            for (r, term), row in zip(terms, rows):
-                weights[r, row] += term.coefficient
-            self._weights, self._weights_for = weights, nonlinear
-        return self._weights @ self._store[k, : self._weights.shape[1]]
 
     def product_coefficient(self, factors: tuple[int, ...], k: int) -> np.ndarray:
         """Coefficient k of the node-wise product of the component series
@@ -415,7 +399,10 @@ def deformation_step(
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    q = series.nonlinear_term(spec.nonlinear, order - 1)
+    q = np.zeros((spec.dim, rule.n_points))
+    for r, terms in enumerate(spec.nonlinear):
+        for term in terms:
+            q[r] += cauchy_order_term(series, term, order)
     if not np.all(np.isfinite(q)):
         raise DivergenceError(order, float(np.nanmax(np.abs(q))))
 

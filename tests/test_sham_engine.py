@@ -334,35 +334,35 @@ def random_cubic_spec(seed: int) -> SystemSpec:
 
 
 class TestIncrementalProductsInsideRunSham:
-    """Every order's whole nonlinear term a run computes, checked against
-    explicit polynomial multiplication of the orders the run had stored."""
+    """Every nonlinear term a run computes, checked against explicit
+    polynomial multiplication of the orders the run had stored."""
 
     @staticmethod
     def checked_run(monkeypatch, spec, cfg):
         calls = []
-        inner = HomotopySeries.nonlinear_term
+        inner = sham_engine.cauchy_order_term
 
-        def recording(series, nonlinear, k):
-            got = inner(series, nonlinear, k)
-            calls.append((series.orders[: k + 1].copy(), k, got.copy()))
+        def recording(series, term, order):
+            got = inner(series, term, order)
+            calls.append((series.orders[:order].copy(), term, order, got))
             return got
 
-        monkeypatch.setattr(HomotopySeries, "nonlinear_term", recording)
+        monkeypatch.setattr(sham_engine, "cauchy_order_term", recording)
         result = run_sham(spec, cfg)
-        for orders, k, got in calls:
+        for orders, term, order, got in calls:
             prefix = HomotopySeries(orders=list(orders))
-            ref = np.zeros_like(got)
-            for r, terms in enumerate(spec.nonlinear):
-                for term in terms:
-                    ref[r] += TestCauchyProducts.brute_force(prefix, term, k)
-            assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max()), f"order {k + 1}"
+            ref = TestCauchyProducts.brute_force(prefix, term, order - 1)
+            assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max()), (
+                f"{term} at order {order}"
+            )
         return result, calls
 
     def test_tp31_every_order(self, monkeypatch):
         spec = derive_tpbvp(builtin_problem_31())
         cfg = solver_config(beta=6.0, n=20, hbar=-0.6, max_order=150, tail_tol=1e-13)
         result, calls = self.checked_run(monkeypatch, spec, cfg)
-        assert len(calls) >= 10
+        n_terms = sum(len(eq) for eq in spec.nonlinear)
+        assert len(calls) >= 10 * n_terms
         # N=20 diverges: the series keeps only the best partial sum
         assert result.termination is Termination.DIVERGED
         assert len(result.series.orders) == len(result.tail_norms)
@@ -372,14 +372,14 @@ class TestIncrementalProductsInsideRunSham:
         cfg = solver_config(beta=6.0, n=16, hbar=-0.6, max_order=25, tail_tol=1e-300)
         result, calls = self.checked_run(monkeypatch, spec, cfg)
         assert result.termination is Termination.MAX_ORDER
-        assert max(k + 1 for _, k, _ in calls) == 25
+        assert max(order for _, _, order, _ in calls) == 25
 
 
 class TestNonlinearTermOfTheDeformationStep:
     def test_tp32_equals_the_per_term_sum_of_cauchy_order_terms(self, monkeypatch):
-        # 42 monomials over 12 components, 57 chains: the one matmul
-        # deformation_step forms its right-hand side with, against the sum of
-        # every monomial's own term, read where the step hands it to the solve
+        # 42 monomials over 12 components, 57 chains: the right-hand side
+        # deformation_step hands to the solve, against the sum of every
+        # monomial's own term with the boundary rows zeroed
         spec = derive_tpbvp(builtin_problem_32())
         cfg = solver_config(beta=0.5, n=50, hbar=-1.0, max_order=6)
         rule = build_rule(cfg.basis)
@@ -403,21 +403,6 @@ class TestNonlinearTermOfTheDeformationStep:
             assert np.abs(rhs[-1] - ref).max() <= 1e-13 * np.abs(ref).max(), f"order {m}"
             series.append(got, tail_norm(rule, got))
         assert len(rhs) == cfg.max_order
-
-    def test_rows_registered_after_the_weights_are_ignored(self):
-        # a chain another caller registers mid-run widens the store, not the
-        # term: the weights keep reading the rows they were built for
-        rng = np.random.default_rng(2)
-        nonlinear = ((MonomialTerm(0.5, (1, 1)),), (MonomialTerm(-1.0, (0, 2)),))
-        series = HomotopySeries([rng.normal(size=(2, 5))], max_order=4)
-        before = series.nonlinear_term(nonlinear, 0)
-        cauchy_order_term(series, MonomialTerm(1.0, (3, 0)), 1)
-        assert np.array_equal(series.nonlinear_term(nonlinear, 0), before)
-        for m in range(1, 4):
-            series.append(rng.normal(size=(2, 5)), 1.0)
-            ref = np.array([TestCauchyProducts.brute_force(series, eq[0], m) for eq in nonlinear])
-            got = series.nonlinear_term(nonlinear, m)
-            assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
 
 
 class TestHomotopySeriesStorage:
