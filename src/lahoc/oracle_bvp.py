@@ -1,13 +1,14 @@
 """Independent truncated-domain solver for the state/costate boundary value problem.
 
 Midpoint-rule collocation on a geometrically graded mesh over [0, t_end] with
-a damped Newton iteration. The decay condition on costate components is
-imposed at t_end. The unknowns are ordered time-major and the residual rows
-run initial values, then one block of n rows per mesh interval, then the decay
-rows, so the analytic Jacobian is a band matrix 3n diagonals wide that each
-Newton step factors in place with LAPACK's band LU. Trajectories are read
-between mesh points through a not-a-knot cubic spline. Used to cross-validate
-the spectral homotopy trajectories.
+a damped Newton iteration, first on a mesh of half as many intervals and then,
+from the spline of that solution, on the full mesh. The decay condition on
+costate components is imposed at t_end. The unknowns are ordered time-major
+and the residual rows run initial values, then one block of n rows per mesh
+interval, then the decay rows, so the analytic Jacobian is a band matrix 3n
+diagonals wide that each Newton step factors in place with LAPACK's band LU.
+Trajectories are read between mesh points through a not-a-knot cubic spline.
+Used to cross-validate the spectral homotopy trajectories.
 """
 
 from __future__ import annotations
@@ -46,13 +47,21 @@ class TruncationConfig:
 
 def graded_mesh(cfg: TruncationConfig) -> np.ndarray:
     """Mesh clustered near t=0 where the trajectories move fastest."""
-    tau = np.linspace(0.0, 1.0, cfg.mesh_points + 1)
-    return cfg.t_end * np.expm1(GRADING * tau) / np.expm1(GRADING)
+    return _graded(cfg.t_end, cfg.mesh_points)
+
+
+def _graded(t_end: float, intervals: int) -> np.ndarray:
+    tau = np.linspace(0.0, 1.0, intervals + 1)
+    return t_end * np.expm1(GRADING * tau) / np.expm1(GRADING)
 
 
 @dataclass
 class MeshTrajectory:
-    """Trajectories on a truncated mesh, interpolable inside [0, t_end]."""
+    """Trajectories on a truncated mesh, interpolable inside [0, t_end].
+
+    From `solve_truncated`, `newton_iters` is the Newton steps taken on the
+    half mesh plus those on the full mesh (of a continuation, only its
+    full-strength stage counts), and `final_residual` the full mesh's."""
 
     times: np.ndarray
     values: np.ndarray  # shape (n, len(times))
@@ -146,7 +155,7 @@ def _residual(spec: SystemSpec, times: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _banded_jacobian(
-    spec: SystemSpec, times: np.ndarray, z: np.ndarray
+    spec: SystemSpec, times: np.ndarray, z: np.ndarray, ab: np.ndarray | None = None
 ) -> tuple[tuple[int, int], np.ndarray]:
     """Jacobian of `_residual` in the band storage LAPACK's `gbsv` factors in place.
 
@@ -156,6 +165,8 @@ def _banded_jacobian(
     Entry (R, C) is stored at ab[l + u + R - C, C] below l rows of room for
     the pivoted factor, column-major, so that the left and the right n x n
     blocks of all intervals are each one strided view of the storage.
+    A given `ab` of that shape is cleared and filled in place: `gbsv` leaves
+    its factors in every row of it.
     """
     n = spec.dim
     m = len(times) - 1
@@ -168,7 +179,10 @@ def _banded_jacobian(
     # g[i] - I and its right block g[i] + I
     g = 0.5 * h[:, None, None] * (spec.sigma + _monomial_jacobian(spec, zmid))
 
-    ab = np.zeros((2 * l + u + 1, (m + 1) * n), order="F")
+    if ab is None:
+        ab = np.zeros((2 * l + u + 1, (m + 1) * n), order="F")
+    else:
+        ab.fill(0.0)
     diag = l + u + k0  # band row of the left blocks' diagonals, R - C = k0
     # the left blocks start at (diag, 0), the right ones at (diag - n, n); the
     # view [i, r, c] of a start (row, col) is ab[row + r - c, col + i*n + c]
@@ -188,10 +202,11 @@ def _newton(spec, times, z0):
     z = z0.copy()
     res = _residual(spec, times, z)
     rnorm = np.linalg.norm(res, ord=np.inf)
+    ab = None  # the band buffer, allocated by the first step and reused
     for it in range(MAX_NEWTON_ITERS):
         if rnorm < NEWTON_TOL:
             return z, it, rnorm
-        (l, u), ab = _banded_jacobian(spec, times, z)
+        (l, u), ab = _banded_jacobian(spec, times, z, ab)
         *_, delta, info = dgbsv(l, u, ab, res, overwrite_ab=True, overwrite_b=True)
         if info:  # info > 0: a zero pivot
             raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}")
@@ -214,23 +229,20 @@ def _newton(spec, times, z0):
     return z, MAX_NEWTON_ITERS, rnorm
 
 
-def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
-    """Solve the boundary value problem on [0, t_end].
-
-    Starts from zero costates with states relaxing linearly to zero; if the
-    full Newton iteration fails, retries with the nonlinear terms continued
-    from zero to full strength in four steps, each a Newton solve of a copy
-    of the spec whose monomial coefficients are scaled.
-    """
-    times = graded_mesh(cfg)
+def _solve_direct(spec: SystemSpec, times: np.ndarray):
+    """Newton on `times` from zero costates with states relaxing linearly to
+    zero; if it fails, the nonlinear terms are continued from zero to full
+    strength in four steps, each a Newton solve of a copy of the spec whose
+    monomial coefficients are scaled. Returns `_newton`'s (z, steps, residual)
+    of the last solve."""
     z = np.zeros((spec.dim, len(times)))
-    ramp = 1.0 - times / cfg.t_end
+    ramp = 1.0 - times / times[-1]
     for r, tag in enumerate(spec.bc):
         if isinstance(tag, InitialValue):
             z[r] = tag.value * ramp
 
     try:
-        z, iters, rnorm = _newton(spec, times, z)
+        return _newton(spec, times, z)
     except NewtonError:
         for scale in (0.25, 0.5, 0.75, 1.0):
             nonlinear = tuple(
@@ -238,7 +250,33 @@ def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
                 for eq in spec.nonlinear
             )
             z, iters, rnorm = _newton(replace(spec, nonlinear=nonlinear), times, z)
-    return MeshTrajectory(times, z, newton_iters=iters, final_residual=rnorm)
+        return z, iters, rnorm
+
+
+def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
+    """Solve the boundary value problem on [0, t_end], by nested iteration.
+
+    The direct solve (`_solve_direct`) runs on the graded mesh of
+    `mesh_points // 2` intervals; Newton on the full `graded_mesh(cfg)` then
+    starts from the spline of that coarse solution, to the same tolerance
+    (usually one step). The meshes need not be nested. If either stage fails,
+    the direct solve runs on the full mesh, so the result is always the
+    full-mesh Newton solution. `newton_iters` is the coarse solve's Newton
+    steps plus the full-mesh solve's; of a continuation, only its
+    full-strength stage counts.
+    """
+    times = graded_mesh(cfg)
+    coarse_times = _graded(cfg.t_end, cfg.mesh_points // 2)
+    coarse_iters = 0
+    try:
+        coarse, coarse_iters, _ = _solve_direct(spec, coarse_times)
+        start = MeshTrajectory(coarse_times, coarse).at(times)
+        z, iters, rnorm = _newton(spec, times, start)
+    except NewtonError:
+        z, iters, rnorm = _solve_direct(spec, times)
+    return MeshTrajectory(
+        times, z, newton_iters=coarse_iters + iters, final_residual=rnorm
+    )
 
 
 @dataclass

@@ -252,6 +252,37 @@ class TestBandedJacobian:
         assert np.array_equal(dense_from_band(bands, ab), dense)
         assert not ab[: bands[0]].any()  # the room gbsv fills stays empty
 
+    def test_refills_a_used_buffer_bit_identically(self):
+        # gbsv leaves its factors in the whole buffer, so a rebuild into a
+        # spoiled buffer must clear every entry, the factor room included
+        spec = interleaved_spec()
+        times = graded_mesh(TruncationConfig(t_end=20.0, mesh_points=60))
+        z = 0.1 * np.random.default_rng(9).standard_normal((spec.dim, len(times)))
+        bands, fresh = _banded_jacobian(spec, times, z)
+        used = np.full_like(fresh, np.nan, order="F")
+        rebuilt_bands, rebuilt = _banded_jacobian(spec, times, z, used)
+        assert rebuilt is used and rebuilt_bands == bands
+        assert np.array_equal(rebuilt, fresh)
+
+    def test_newton_allocates_one_band_per_solve(self, monkeypatch):
+        jacobian = oracle_bvp._banded_jacobian
+        buffers = []
+
+        def recording(spec, times, z, ab=None):
+            buffers.append(ab)
+            return jacobian(spec, times, z, ab)
+
+        monkeypatch.setattr(oracle_bvp, "_banded_jacobian", recording)
+        spec = derive_tpbvp(builtin_problem_31())
+        times = graded_mesh(TruncationConfig(t_end=40.0, mesh_points=200))
+        z0 = np.zeros((spec.dim, len(times)))
+        z0[1] = 0.8 * (1.0 - times / times[-1])
+        _, iters, _ = oracle_bvp._newton(spec, times, z0)
+        assert iters == len(buffers) > 2
+        # the first step allocates, the others reuse that band
+        assert buffers[0] is None and isinstance(buffers[1], np.ndarray)
+        assert all(b is buffers[1] for b in buffers[1:])
+
 
 class TestNewtonSolve:
     @pytest.mark.parametrize(
@@ -285,10 +316,12 @@ class TestNewtonSolve:
 
         newton = oracle_bvp._newton
         coefficients = []
+        meshes = []
 
-        def recording(spec, *args):
+        def recording(spec, times, z0):
             coefficients.append([t.coefficient for eq in spec.nonlinear for t in eq])
-            return newton(spec, *args)
+            meshes.append(len(times) - 1)
+            return newton(spec, times, z0)
 
         monkeypatch.setattr(oracle_bvp, "dgbsv", fails_once)
         monkeypatch.setattr(oracle_bvp, "_newton", recording)
@@ -296,10 +329,12 @@ class TestNewtonSolve:
         traj = solve_truncated(spec, TruncationConfig(t_end=40.0, mesh_points=400))
         assert len(calls) > 1
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
-        # the full attempt, then four solves with every coefficient scaled
+        # on the coarse mesh the full attempt, then four solves with every
+        # coefficient scaled; then one solve at full strength on the fine mesh
         full = np.array([t.coefficient for eq in spec.nonlinear for t in eq])
-        scales = [1.0, 0.25, 0.5, 0.75, 1.0]
+        scales = [1.0, 0.25, 0.5, 0.75, 1.0, 1.0]
         assert np.array_equal(coefficients, [s * full for s in scales])
+        assert meshes == [200] * 5 + [400]
 
     def test_band_solve_matches_a_dense_solve(self):
         # the Newton step's in-place gbsv against numpy on the dense Jacobian
@@ -313,17 +348,28 @@ class TestNewtonSolve:
         assert info == 0
         assert np.abs(delta - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_linear_system_takes_one_full_step(self):
+    def test_linear_system_takes_one_full_step(self, monkeypatch):
         # a full Newton step solves a linear collocation system exactly, so a
-        # line search that starts at the full step stops after one iteration
+        # line search that starts at the full step stops after one iteration,
+        # on the coarse mesh and again on the fine one
+        newton = oracle_bvp._newton
+        steps = []
+
+        def recording(spec, times, z0):
+            result = newton(spec, times, z0)
+            steps.append((len(times) - 1, result[1]))
+            return result
+
+        monkeypatch.setattr(oracle_bvp, "_newton", recording)
         traj = solve_truncated(linear_decay_spec(), TruncationConfig(t_end=20.0, mesh_points=200))
-        assert traj.newton_iters == 1
+        assert steps == [(100, 1), (200, 1)]
+        assert traj.newton_iters == 2
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
         assert oracle_bvp.NEWTON_TOL == 1e-11 and oracle_bvp.MAX_NEWTON_ITERS == 30
 
     @pytest.mark.parametrize(
         "problem, mesh, iters",
-        [(builtin_problem_31, 2000, 6), (builtin_problem_32, 1200, 4)],
+        [(builtin_problem_31, 2000, 6 + 1), (builtin_problem_32, 1200, 4 + 1)],
         ids=["tp31", "tp32"],
     )
     def test_newton_iteration_counts(self, problem, mesh, iters):
@@ -331,6 +377,84 @@ class TestNewtonSolve:
         traj = solve_truncated(derive_tpbvp(problem()), cfg)
         assert traj.newton_iters == iters
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
+
+
+class TestCoarseToFine:
+    """`solve_truncated` solves on half the intervals, then takes Newton on
+    the full mesh from the spline of that solution."""
+
+    @pytest.mark.parametrize(
+        "problem, mesh",
+        [
+            (builtin_problem_31, 2000),
+            (builtin_problem_32, 1200),
+            (builtin_problem_31, 50),
+            (builtin_problem_31, 51),  # odd: the coarse mesh is not nested
+        ],
+        ids=["tp31-2000", "tp32-1200", "tp31-50", "tp31-51"],
+    )
+    def test_matches_the_direct_fine_solve(self, problem, mesh):
+        spec = derive_tpbvp(problem())
+        cfg = TruncationConfig(t_end=40.0, mesh_points=mesh)
+        traj = solve_truncated(spec, cfg)
+        direct, _, _ = oracle_bvp._solve_direct(spec, graded_mesh(cfg))
+        assert np.array_equal(traj.times, graded_mesh(cfg))
+        assert traj.final_residual < oracle_bvp.NEWTON_TOL
+        assert np.abs(traj.values - direct).max() < 1e-9
+
+    @pytest.mark.parametrize("failing", ["coarse", "fine"])
+    def test_a_failed_stage_falls_back_to_the_direct_fine_solve(self, monkeypatch, failing):
+        # every coarse solve fails, or the warm-started fine one does
+        newton = oracle_bvp._newton
+        cfg = TruncationConfig(t_end=40.0, mesh_points=400)
+        calls = []
+
+        def failing_stage(spec, times, z0):
+            mesh = len(times) - 1
+            calls.append(mesh)
+            if (failing == "coarse" and mesh == 200) or (failing == "fine" and calls.count(400) == 1):
+                raise NewtonError("spoiled")
+            return newton(spec, times, z0)
+
+        spec = derive_tpbvp(builtin_problem_31())
+        direct, iters, rnorm = oracle_bvp._solve_direct(spec, graded_mesh(cfg))
+        monkeypatch.setattr(oracle_bvp, "_newton", failing_stage)
+        traj = solve_truncated(spec, cfg)
+        assert np.array_equal(traj.values, direct)
+        assert traj.final_residual == rnorm
+        if failing == "coarse":  # the first attempt, then the first continuation stage
+            assert calls == [200, 200, 400]
+            assert traj.newton_iters == iters
+        else:
+            assert calls == [200, 400, 400]
+            assert traj.newton_iters > iters
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_enters_solve_truncated_once_per_call(self, monkeypatch, fallback):
+        # a benchmark or a caller that wraps the module attribute sees one
+        # call, and `newton_iters` once, on the fallback path too
+        solve = oracle_bvp.solve_truncated
+        entered = []
+
+        def counting(*args):
+            entered.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(oracle_bvp, "solve_truncated", counting)
+        newton = oracle_bvp._newton
+        fine_solves = []
+
+        def fails_warm_start(spec, times, z0):
+            if len(times) == 401:
+                fine_solves.append(1)
+                if fallback and len(fine_solves) == 1:
+                    raise NewtonError("spoiled")
+            return newton(spec, times, z0)
+
+        monkeypatch.setattr(oracle_bvp, "_newton", fails_warm_start)
+        oracle_bvp.solve_truncated(linear_decay_spec(), TruncationConfig(t_end=20.0, mesh_points=400))
+        assert len(entered) == 1
+        assert len(fine_solves) == (2 if fallback else 1)
 
 
 def spline_mesh(kind: str, points: int, rng) -> np.ndarray:
