@@ -155,7 +155,7 @@ def _residual(spec: SystemSpec, times: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _banded_jacobian(
-    spec: SystemSpec, times: np.ndarray, z: np.ndarray, ab: np.ndarray | None = None
+    spec: SystemSpec, times: np.ndarray, z: np.ndarray
 ) -> tuple[tuple[int, int], np.ndarray]:
     """Jacobian of `_residual` in the band storage LAPACK's `gbsv` factors in place.
 
@@ -165,8 +165,6 @@ def _banded_jacobian(
     Entry (R, C) is stored at ab[l + u + R - C, C] below l rows of room for
     the pivoted factor, column-major, so that the left and the right n x n
     blocks of all intervals are each one strided view of the storage.
-    A given `ab` of that shape is cleared and filled in place: `gbsv` leaves
-    its factors in every row of it.
     """
     n = spec.dim
     m = len(times) - 1
@@ -179,10 +177,7 @@ def _banded_jacobian(
     # g[i] - I and its right block g[i] + I
     g = 0.5 * h[:, None, None] * (spec.sigma + _monomial_jacobian(spec, zmid))
 
-    if ab is None:
-        ab = np.zeros((2 * l + u + 1, (m + 1) * n), order="F")
-    else:
-        ab.fill(0.0)
+    ab = np.zeros((2 * l + u + 1, (m + 1) * n), order="F")
     diag = l + u + k0  # band row of the left blocks' diagonals, R - C = k0
     # the left blocks start at (diag, 0), the right ones at (diag - n, n); the
     # view [i, r, c] of a start (row, col) is ab[row + r - c, col + i*n + c]
@@ -202,11 +197,10 @@ def _newton(spec, times, z0):
     z = z0.copy()
     res = _residual(spec, times, z)
     rnorm = np.linalg.norm(res, ord=np.inf)
-    ab = None  # the band buffer, allocated by the first step and reused
     for it in range(MAX_NEWTON_ITERS):
         if rnorm < NEWTON_TOL:
             return z, it, rnorm
-        (l, u), ab = _banded_jacobian(spec, times, z, ab)
+        (l, u), ab = _banded_jacobian(spec, times, z)
         *_, delta, info = dgbsv(l, u, ab, res, overwrite_ab=True, overwrite_b=True)
         if info:  # info > 0: a zero pivot
             raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}")

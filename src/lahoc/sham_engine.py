@@ -68,10 +68,6 @@ class MonomialTerm:
         if sum(self.exponents) < 1:
             raise ValueError("monomial total degree must be >= 1")
 
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
     @cached_property
     def factors(self) -> tuple[int, ...]:
         """Component index of every factor, each repeated by its exponent."""
@@ -149,8 +145,8 @@ class HomotopySeries:
     chain of (c_1, ..., c_{L-1}). Coefficient k of a chain is
     P[k] = sum_{i<=k} P_parent[i] * Z_{c_L}[k-i], which reads orders 0..k only,
     so each order adds one coefficient per chain, parents before children.
-    The chains of `products` are registered at construction; any other is
-    registered, and filled up to the current order, when first asked for."""
+    The chains of `products` and their prefixes are registered at
+    construction, and the table holds no other."""
 
     def __init__(
         self,
@@ -162,14 +158,22 @@ class HomotopySeries:
         if len(orders) == 0:
             raise ValueError("a homotopy series needs its order-0 term")
         capacity = len(orders) if max_order is None else max(len(orders), max_order + 1)
-        self._dim = np.shape(orders[0])[0]
-        self._store = np.empty((capacity, *np.shape(orders[0])))
-        self._store[: len(orders)] = orders
+        n, n_points = np.shape(orders[0])
+        self._dim = n
+        self._rows = {(c,): c for c in range(n)}  # factor sequence -> store row
+        self._chains: list[tuple[int, int, int]] = []  # (row, parent, last), parents first
+        for factors in products:
+            for length in range(2, len(factors) + 1):
+                key = factors[:length]
+                if key not in self._rows:
+                    self._rows[key] = n + len(self._chains)
+                    self._chains.append((self._rows[key], self._rows[key[:-1]], key[-1]))
+        self._store = np.empty((capacity, n + len(self._chains), n_points))
+        self._store[: len(orders), :n] = orders
+        for k in range(len(orders)):
+            self._fill_order(k)
         self._count = len(orders)
         self.tail_norms = list(tail_norms)
-        self._rows = {(c,): c for c in range(self._dim)}  # factor sequence -> store row
-        self._chains: list[tuple[int, int, int]] = []  # (row, parent, last), parents first
-        self._register(products)
 
     @property
     def orders(self) -> np.ndarray:
@@ -181,7 +185,7 @@ class HomotopySeries:
         if self._count == len(self._store):
             raise ValueError(f"series is full at {self._count} orders")
         self._store[self._count, : self._dim] = z
-        self._fill_order(self._count, self._chains)
+        self._fill_order(self._count)
         self._count += 1
         self.tail_norms.append(norm)
 
@@ -197,37 +201,19 @@ class HomotopySeries:
         take = self.orders if up_to is None else self.orders[: up_to + 1]
         return np.sum(take, axis=0)
 
-    def _register(self, factor_lists: Sequence[tuple[int, ...]]) -> list[int]:
-        """Store rows of the chains named by `factor_lists`, adding each
-        missing chain and its missing prefixes, filled up to the current order."""
-        new = []
-        for factors in factor_lists:
-            for length in range(2, len(factors) + 1):
-                key = factors[:length]
-                if key not in self._rows:
-                    self._rows[key] = self._store.shape[1] + len(new)
-                    new.append((self._rows[key], self._rows[key[:-1]], key[-1]))
-        if new:
-            grown = np.empty((self._store.shape[0], len(new), self._store.shape[2]))
-            self._store = np.concatenate((self._store, grown), axis=1)
-            self._chains += new
-            for k in range(self._count):
-                self._fill_order(k, new)
-        return [self._rows[factors] for factors in factor_lists]
-
-    def _fill_order(self, k: int, chains) -> None:
+    def _fill_order(self, k: int) -> None:
         s = self._store
-        for row, parent, last in chains:
+        for row, parent, last in self._chains:
             np.einsum("ij,ij->j", s[: k + 1, parent], s[k::-1, last], out=s[k, row])
 
     def product_coefficient(self, factors: tuple[int, ...], k: int) -> np.ndarray:
         """Coefficient k of the node-wise product of the component series
         named by `factors`, a (N+1,) view of the store."""
-        if k >= self._count:
-            raise ValueError(f"coefficient {k} needs order {k}, have {self._count}")
+        if not 0 <= k < self._count:
+            raise ValueError(f"coefficient {k} out of range for {self._count} stored orders")
         row = self._rows.get(factors)
         if row is None:
-            (row,) = self._register([factors])
+            raise ValueError(f"chain {factors} was not registered at construction")
         return self._store[k, row]
 
 
@@ -328,14 +314,15 @@ def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
         svds = [np.linalg.svd(equilibrated[np.ix_(idx, idx)]) for idx in blocks]
     except np.linalg.LinAlgError as exc:
         raise OperatorSingularError(str(exc)) from exc
-    s = np.concatenate([block_s for _, block_s, _ in svds])
-    if s.min() <= 0.0 or not np.all(np.isfinite(s)):
+    s_max = max(block_s.max() for _, block_s, _ in svds)
+    s_min = min(block_s.min() for _, block_s, _ in svds)
+    if s_min <= 0.0 or not all(np.isfinite(block_s).all() for _, block_s, _ in svds):
         raise OperatorSingularError(
             f"singular operator for n={spec.dim}, grid={rule.n_points}"
         )
-    if s.max() / s.min() <= COND_SWITCH:
+    if s_max / s_min <= COND_SWITCH:
         return BlockOperator(matrix, row_scale, brows, bvals, lu=lu_factor(equilibrated))
-    keeps = [block_s > PINV_RCOND * s.max() for _, block_s, _ in svds]
+    keeps = [block_s > PINV_RCOND * s_max for _, block_s, _ in svds]
     pinv = [(idx, vt[keep].T / block_s[keep], u[:, keep].T)
             for idx, (u, block_s, vt), keep in zip(blocks, svds, keeps)]
     return BlockOperator(matrix, row_scale, brows, bvals, pinv=pinv)
@@ -373,8 +360,6 @@ def initial_guess(spec: SystemSpec, rule: BasisRule, operator: BlockOperator) ->
 def cauchy_order_term(series: HomotopySeries, term: MonomialTerm, order: int) -> np.ndarray:
     """Coefficient of q^(order-1) in the monomial applied to the series,
     node-wise, read from the series' chain table."""
-    if order < 1 or order > len(series.orders):
-        raise ValueError(f"order {order} out of range for {len(series.orders)} stored orders")
     return term.coefficient * series.product_coefficient(term.factors, order - 1)
 
 

@@ -273,14 +273,13 @@ class TestCriterion9CauchyProductOracle:
             dim = int(rng.integers(1, 4))
             n_orders = int(rng.integers(1, 7))
             n_pts = int(rng.integers(2, 6))
-            series = HomotopySeries(
-                orders=[rng.normal(size=(dim, n_pts)) for _ in range(n_orders)]
-            )
+            orders = [rng.normal(size=(dim, n_pts)) for _ in range(n_orders)]
             exps = tuple(int(e) for e in rng.integers(0, 4, size=dim))
             if sum(exps) < 1:
                 exps = (1,) + exps[1:]
             term = MonomialTerm(float(rng.normal()), exps)
             order = int(rng.integers(1, n_orders + 1))
+            series = HomotopySeries(orders, products=[term.factors])
 
             got = cauchy_order_term(series, term, order)
             ref = brute_force_coefficient(series, term, order - 1)

@@ -252,37 +252,6 @@ class TestBandedJacobian:
         assert np.array_equal(dense_from_band(bands, ab), dense)
         assert not ab[: bands[0]].any()  # the room gbsv fills stays empty
 
-    def test_refills_a_used_buffer_bit_identically(self):
-        # gbsv leaves its factors in the whole buffer, so a rebuild into a
-        # spoiled buffer must clear every entry, the factor room included
-        spec = interleaved_spec()
-        times = graded_mesh(TruncationConfig(t_end=20.0, mesh_points=60))
-        z = 0.1 * np.random.default_rng(9).standard_normal((spec.dim, len(times)))
-        bands, fresh = _banded_jacobian(spec, times, z)
-        used = np.full_like(fresh, np.nan, order="F")
-        rebuilt_bands, rebuilt = _banded_jacobian(spec, times, z, used)
-        assert rebuilt is used and rebuilt_bands == bands
-        assert np.array_equal(rebuilt, fresh)
-
-    def test_newton_allocates_one_band_per_solve(self, monkeypatch):
-        jacobian = oracle_bvp._banded_jacobian
-        buffers = []
-
-        def recording(spec, times, z, ab=None):
-            buffers.append(ab)
-            return jacobian(spec, times, z, ab)
-
-        monkeypatch.setattr(oracle_bvp, "_banded_jacobian", recording)
-        spec = derive_tpbvp(builtin_problem_31())
-        times = graded_mesh(TruncationConfig(t_end=40.0, mesh_points=200))
-        z0 = np.zeros((spec.dim, len(times)))
-        z0[1] = 0.8 * (1.0 - times / times[-1])
-        _, iters, _ = oracle_bvp._newton(spec, times, z0)
-        assert iters == len(buffers) > 2
-        # the first step allocates, the others reuse that band
-        assert buffers[0] is None and isinstance(buffers[1], np.ndarray)
-        assert all(b is buffers[1] for b in buffers[1:])
-
 
 class TestNewtonSolve:
     @pytest.mark.parametrize(

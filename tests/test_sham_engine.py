@@ -34,9 +34,6 @@ from conftest import coupled_linear_spec, linear_decay_spec, solver_config
 
 
 class TestMonomialTerm:
-    def test_degree_is_exponent_sum(self):
-        assert MonomialTerm(2.0, (1, 2, 0)).degree == 3
-
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             MonomialTerm(1.0, (1, -1))
@@ -177,8 +174,10 @@ class TestCauchyProducts:
     def test_matches_brute_force_small_case(self):
         # deformation order m consumes the q^(m-1) coefficient
         rng = np.random.default_rng(3)
-        series = HomotopySeries(orders=[rng.normal(size=(2, 5)) for _ in range(4)])
         term = MonomialTerm(1.7, (2, 1))
+        series = HomotopySeries(
+            orders=[rng.normal(size=(2, 5)) for _ in range(4)], products=[term.factors]
+        )
         for order in range(1, 5):
             got = cauchy_order_term(series, term, order)
             ref = self.brute_force(series, term, order - 1)
@@ -209,8 +208,9 @@ class TestCauchyProducts:
     )
     def test_property_matches_brute_force(self, seed, exps, order):
         rng = np.random.default_rng(seed)
-        series = HomotopySeries(orders=[rng.normal(size=(2, 3)) for _ in range(6)])
+        orders = [rng.normal(size=(2, 3)) for _ in range(6)]
         term = MonomialTerm(float(rng.normal()), exps)
+        series = HomotopySeries(orders, products=[term.factors])
         got = cauchy_order_term(series, term, order)
         ref = self.brute_force(series, term, order - 1)
         assert np.abs(got - ref).max() <= 1e-13 * (1 + np.abs(ref).max())
@@ -408,10 +408,12 @@ class TestNonlinearTermOfTheDeformationStep:
 class TestHomotopySeriesStorage:
     def test_truncation_drops_products_that_read_later_orders(self):
         rng = np.random.default_rng(9)
-        series = HomotopySeries(
-            orders=[rng.normal(size=(2, 4)) for _ in range(3)], max_order=5
-        )
         term = MonomialTerm(1.0, (2, 1))
+        series = HomotopySeries(
+            orders=[rng.normal(size=(2, 4)) for _ in range(3)],
+            max_order=5,
+            products=[term.factors],
+        )
         cauchy_order_term(series, term, 3)
         series.truncate(0)
         for order in range(1, 6):
@@ -419,6 +421,37 @@ class TestHomotopySeriesStorage:
             got = cauchy_order_term(series, term, order + 1)
             ref = TestCauchyProducts.brute_force(series, term, order)
             assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+
+    def test_reading_an_unregistered_chain_raises(self):
+        series = HomotopySeries(
+            orders=[np.ones((2, 3)), np.ones((2, 3))], products=[(0, 0, 1)]
+        )
+        assert np.array_equal(series.product_coefficient((0, 0), 1), np.full(3, 2.0))
+        with pytest.raises(ValueError, match=r"chain \(0, 1\) was not registered"):
+            series.product_coefficient((0, 1), 1)
+        with pytest.raises(ValueError, match="not registered"):
+            cauchy_order_term(series, MonomialTerm(1.0, (1, 1)), 1)
+
+    def test_negative_coefficient_index_raises(self):
+        series = HomotopySeries(orders=[np.ones((2, 3))], max_order=4, products=[(0, 1)])
+        for factors in [(0,), (0, 1)]:
+            with pytest.raises(ValueError, match="out of range"):
+                series.product_coefficient(factors, -1)
+            with pytest.raises(ValueError, match="out of range"):
+                series.product_coefficient(factors, 1)
+
+    def test_store_is_allocated_once_at_its_final_width(self):
+        # chains (0, 0), (0, 0, 1) and (1, 1): shared prefixes are stored once
+        rng = np.random.default_rng(4)
+        series = HomotopySeries(
+            [rng.normal(size=(2, 3))], max_order=3, products=[(0, 0, 1), (0, 0), (1, 1), (1,)]
+        )
+        store = series._store
+        assert store.shape == (4, 2 + 3, 3)
+        for _ in range(3):
+            series.append(rng.normal(size=(2, 3)), 1.0)
+            series.product_coefficient((0, 0, 1), len(series.orders) - 1)
+        assert series._store is store
 
     def test_preallocated_capacity_is_enforced(self):
         series = HomotopySeries(orders=[np.ones((1, 3))], max_order=1)
@@ -465,11 +498,11 @@ class TestChainTable:
     @given(eqs=random_equations(), seed=st.integers(0, 2**31), cut=st.integers(0, 5))
     def test_per_order_terms_match_brute_force(self, eqs, seed, cut):
         n, nonlinear = eqs
-        products = [term.factors for eq in nonlinear for term in eq]
+        extra = MonomialTerm(0.5, (2,) + (1,) * (n - 1))  # a chain no equation reads
+        products = [term.factors for eq in nonlinear for term in eq] + [extra.factors]
         rng = np.random.default_rng(seed)
         draws = [rng.normal(size=(n, 3)) for _ in range(14)]
         series = HomotopySeries(draws[:1], max_order=8, products=products)
-        extra = MonomialTerm(0.5, (2,) + (1,) * (n - 1))  # registered mid-run
         for m in range(1, 8):
             series.append(draws[m], 1.0)
             assert_rows_match(
@@ -542,7 +575,10 @@ class TestReducedDeformationStep:
         rule = build_rule(cfg.basis)
         op = assemble_operator(spec, rule)
         assert op.lu is not None
-        series = HomotopySeries([initial_guess(spec, rule, op)], max_order=cfg.max_order)
+        products = [term.factors for eq in spec.nonlinear for term in eq]
+        series = HomotopySeries(
+            [initial_guess(spec, rule, op)], max_order=cfg.max_order, products=products
+        )
         for m in range(1, cfg.max_order + 1):
             got = deformation_step(spec, rule, op, series, cfg, m)
             q = np.zeros((spec.dim, rule.n_points))
