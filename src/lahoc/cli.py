@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import openblas
 from .laguerre_basis import BasisConfig, BasisConstructionError
 from .ocp_model import (
     BUILTIN_PROBLEMS,
@@ -251,15 +252,21 @@ def _run_sweep(args, problem: OCProblem) -> int:
 
 
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-        problem = _load(args)
-        if args.sweep is not None:
-            return _run_sweep(args, problem)
-        return _run_single(args, problem, _solver_config(args))
-    except (InputError, BasisConstructionError, OperatorSingularError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    """Run the command. Unless one of `openblas.THREAD_VARIABLES` is set,
+    NumPy's and SciPy's OpenBLAS run on one thread until it returns: more
+    threads than free cores made a tp32 solve 16 times slower on a shared
+    host (see README), and one thread lets the coupled blocks be factored
+    at the same time."""
+    with openblas.one_thread_unless_set():
+        try:
+            args = _build_parser().parse_args(argv)
+            problem = _load(args)
+            if args.sweep is not None:
+                return _run_sweep(args, problem)
+            return _run_single(args, problem, _solver_config(args))
+        except (InputError, BasisConstructionError, OperatorSingularError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -25,7 +25,11 @@ from .sham_engine import InitialValue, SystemSpec
 
 
 class NewtonError(RuntimeError):
-    pass
+    """A Newton solve that failed, with the band solves it made (`solves`)."""
+
+    def __init__(self, message: str, solves: int = 0):
+        super().__init__(message)
+        self.solves = solves
 
 
 NEWTON_TOL = 1e-11  # infinity norm of the collocation residual
@@ -59,9 +63,9 @@ def _graded(t_end: float, intervals: int) -> np.ndarray:
 class MeshTrajectory:
     """Trajectories on a truncated mesh, interpolable inside [0, t_end].
 
-    From `solve_truncated`, `newton_iters` is the Newton steps taken on the
-    half mesh plus those on the full mesh (of a continuation, only its
-    full-strength stage counts), and `final_residual` the full mesh's."""
+    From `solve_truncated`, `newton_iters` is every band solve the solve
+    made: on both meshes, in every continuation stage, and in the attempts
+    that failed. `final_residual` is the full mesh's."""
 
     times: np.ndarray
     values: np.ndarray  # shape (n, len(times))
@@ -203,9 +207,9 @@ def _newton(spec, times, z0):
         (l, u), ab = _banded_jacobian(spec, times, z)
         *_, delta, info = dgbsv(l, u, ab, res, overwrite_ab=True, overwrite_b=True)
         if info:  # info > 0: a zero pivot
-            raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}")
+            raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}", it + 1)
         if not np.all(np.isfinite(delta)):
-            raise NewtonError("singular Jacobian (non-finite Newton step)")
+            raise NewtonError("singular Jacobian (non-finite Newton step)", it + 1)
         step = 1.0
         dz = delta.reshape(len(times), n).T
         while True:
@@ -218,7 +222,8 @@ def _newton(spec, times, z0):
         z, res, rnorm = z_try, res_try, rnorm_try
     if rnorm >= NEWTON_TOL:
         raise NewtonError(
-            f"no convergence after {MAX_NEWTON_ITERS} iterations, residual {rnorm:.3e}"
+            f"no convergence after {MAX_NEWTON_ITERS} iterations, residual {rnorm:.3e}",
+            MAX_NEWTON_ITERS,
         )
     return z, MAX_NEWTON_ITERS, rnorm
 
@@ -227,8 +232,9 @@ def _solve_direct(spec: SystemSpec, times: np.ndarray):
     """Newton on `times` from zero costates with states relaxing linearly to
     zero; if it fails, the nonlinear terms are continued from zero to full
     strength in four steps, each a Newton solve of a copy of the spec whose
-    monomial coefficients are scaled. Returns `_newton`'s (z, steps, residual)
-    of the last solve."""
+    monomial coefficients are scaled. Returns the last solve's z and residual
+    with the band solves of every attempt, (z, solves, residual); a
+    NewtonError raised here also counts them all."""
     z = np.zeros((spec.dim, len(times)))
     ramp = 1.0 - times / times[-1]
     for r, tag in enumerate(spec.bc):
@@ -237,14 +243,20 @@ def _solve_direct(spec: SystemSpec, times: np.ndarray):
 
     try:
         return _newton(spec, times, z)
-    except NewtonError:
-        for scale in (0.25, 0.5, 0.75, 1.0):
-            nonlinear = tuple(
-                tuple(replace(t, coefficient=scale * t.coefficient) for t in eq)
-                for eq in spec.nonlinear
-            )
+    except NewtonError as exc:
+        solves = exc.solves
+    for scale in (0.25, 0.5, 0.75, 1.0):
+        nonlinear = tuple(
+            tuple(replace(t, coefficient=scale * t.coefficient) for t in eq)
+            for eq in spec.nonlinear
+        )
+        try:
             z, iters, rnorm = _newton(replace(spec, nonlinear=nonlinear), times, z)
-        return z, iters, rnorm
+        except NewtonError as exc:
+            exc.solves += solves
+            raise
+        solves += iters
+    return z, solves, rnorm
 
 
 def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
@@ -255,22 +267,20 @@ def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
     starts from the spline of that coarse solution, to the same tolerance
     (usually one step). The meshes need not be nested. If either stage fails,
     the direct solve runs on the full mesh, so the result is always the
-    full-mesh Newton solution. `newton_iters` is the coarse solve's Newton
-    steps plus the full-mesh solve's; of a continuation, only its
-    full-strength stage counts.
+    full-mesh Newton solution. `newton_iters` counts every band solve made,
+    the failed attempts' and every continuation stage's included.
     """
     times = graded_mesh(cfg)
     coarse_times = _graded(cfg.t_end, cfg.mesh_points // 2)
-    coarse_iters = 0
+    solves = 0
     try:
-        coarse, coarse_iters, _ = _solve_direct(spec, coarse_times)
+        coarse, solves, _ = _solve_direct(spec, coarse_times)
         start = MeshTrajectory(coarse_times, coarse).at(times)
         z, iters, rnorm = _newton(spec, times, start)
-    except NewtonError:
+    except NewtonError as exc:
+        solves += exc.solves
         z, iters, rnorm = _solve_direct(spec, times)
-    return MeshTrajectory(
-        times, z, newton_iters=coarse_iters + iters, final_residual=rnorm
-    )
+    return MeshTrajectory(times, z, newton_iters=solves + iters, final_residual=rnorm)
 
 
 @dataclass

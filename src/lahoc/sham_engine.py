@@ -14,7 +14,9 @@ each extended by one coefficient per order.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -36,6 +38,7 @@ PINV_RCOND = 1e-8
 # nodes with noise that the nonlinear terms then amplify.
 COND_SWITCH = 1e15
 
+from . import openblas
 from .laguerre_basis import BasisConfig, BasisRule, build_rule, interpolate
 
 
@@ -141,12 +144,18 @@ class HomotopySeries:
 
     Rows 0..n-1 of order k hold Z_k. Every further row is a chain: the
     node-wise product of the component series named by a factor sequence
-    (c_1, ..., c_L), kept as (parent row, last component) with the parent the
-    chain of (c_1, ..., c_{L-1}). Coefficient k of a chain is
+    (c_1, ..., c_L), whose parent is the chain of (c_1, ..., c_{L-1}) (for
+    L = 2, the component row of c_1). Coefficient k of a chain is
     P[k] = sum_{i<=k} P_parent[i] * Z_{c_L}[k-i], which reads orders 0..k only,
     so each order adds one coefficient per chain, parents before children.
     The chains of `products` and their prefixes are registered at
-    construction, and the table holds no other."""
+    construction, and the table holds no other.
+
+    The chain rows run one depth (chain length) after another. Each depth
+    keeps two (capacity, chains at that depth, N+1) histories: its parents'
+    coefficients and its last factors' orders. Each order appends one
+    gathered slice to each, and one einsum over the two then fills that
+    coefficient of the whole depth."""
 
     def __init__(
         self,
@@ -160,15 +169,20 @@ class HomotopySeries:
         capacity = len(orders) if max_order is None else max(len(orders), max_order + 1)
         n, n_points = np.shape(orders[0])
         self._dim = n
-        self._rows = {(c,): c for c in range(n)}  # factor sequence -> store row
-        self._chains: list[tuple[int, int, int]] = []  # (row, parent, last), parents first
-        for factors in products:
-            for length in range(2, len(factors) + 1):
-                key = factors[:length]
-                if key not in self._rows:
-                    self._rows[key] = n + len(self._chains)
-                    self._chains.append((self._rows[key], self._rows[key[:-1]], key[-1]))
-        self._store = np.empty((capacity, n + len(self._chains), n_points))
+        chains = {f[:length]: None for f in products for length in range(2, len(f) + 1)}
+        # factor sequence -> store row: the components, then the chains by depth
+        self._rows = {(c,): c for c in range(n)}
+        self._depths = []  # (store rows, parent rows, last components, histories)
+        for _, group in itertools.groupby(sorted(chains, key=len), key=len):
+            keys = list(group)
+            start = len(self._rows)
+            self._rows.update((key, start + i) for i, key in enumerate(keys))
+            parents = np.array([self._rows[key[:-1]] for key in keys])
+            lasts = np.array([key[-1] for key in keys])
+            shape = (capacity, len(keys), n_points)
+            rows = slice(start, start + len(keys))
+            self._depths.append((rows, parents, lasts, np.empty(shape), np.empty(shape)))
+        self._store = np.empty((capacity, len(self._rows), n_points))
         self._store[: len(orders), :n] = orders
         for k in range(len(orders)):
             self._fill_order(k)
@@ -202,9 +216,12 @@ class HomotopySeries:
         return np.sum(take, axis=0)
 
     def _fill_order(self, k: int) -> None:
-        s = self._store
-        for row, parent, last in self._chains:
-            np.einsum("ij,ij->j", s[: k + 1, parent], s[k::-1, last], out=s[k, row])
+        s = self._store[k]
+        for rows, parents, lasts, parent_history, last_history in self._depths:
+            # mode="clip" gathers straight into the history (every row is in range)
+            np.take(s, parents, axis=0, out=parent_history[k], mode="clip")
+            np.take(s, lasts, axis=0, out=last_history[k], mode="clip")
+            np.einsum("icj,icj->cj", parent_history[: k + 1], last_history[k::-1], out=s[rows])
 
     def product_coefficient(self, factors: tuple[int, ...], k: int) -> np.ndarray:
         """Coefficient k of the node-wise product of the component series
@@ -247,7 +264,9 @@ class BlockOperator:
     diagonal block of components that sigma couples (see component_groups).
     Each block keeps its own (V_k S_k^-1, U_k^T) pair, with the rows it owns,
     and a solve applies them block by block: the operator is block diagonal
-    over the groups, so no factor holds a zero block."""
+    over the groups, so no factor holds a zero block. The blocks' SVDs may be
+    taken at the same time on worker threads (see assemble_operator); the
+    factors are the same floats either way."""
 
     matrix: np.ndarray
     row_scale: np.ndarray
@@ -270,7 +289,16 @@ def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
     """Build the n(N+1) square operator with blocks D + sigma_pp I on the
     diagonal and sigma_pq I off it, then overwrite one row per component with
     the boundary condition: the t_0 row for initial values, the t_N row for
-    decay at infinity."""
+    decay at infinity.
+
+    The equilibrated operator is block diagonal over component_groups, and
+    each block gets its own SVD. With more than one block, more than one
+    usable CPU and NumPy's OpenBLAS on one thread, the calling thread and a
+    process-wide pool of worker threads take those SVDs at the same time
+    (`_block_svds`); otherwise they run one after another. The condition
+    number, the LU / pseudo-inverse choice and the factors are formed on the
+    calling thread once every block's spectrum is known, since the cutoff is
+    relative to the largest singular value of all blocks."""
     n, npts = spec.dim, rule.n_points
     size = n * npts
     matrix = np.zeros((size, size))
@@ -311,7 +339,7 @@ def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
         for group in component_groups(spec.sigma)
     ]
     try:
-        svds = [np.linalg.svd(equilibrated[np.ix_(idx, idx)]) for idx in blocks]
+        svds = _block_svds(equilibrated, blocks)
     except np.linalg.LinAlgError as exc:
         raise OperatorSingularError(str(exc)) from exc
     s_max = max(block_s.max() for _, block_s, _ in svds)
@@ -326,6 +354,68 @@ def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
     pinv = [(idx, vt[keep].T / block_s[keep], u[:, keep].T)
             for idx, (u, block_s, vt), keep in zip(blocks, svds, keeps)]
     return BlockOperator(matrix, row_scale, brows, bvals, pinv=pinv)
+
+
+def _block_svds(equilibrated: np.ndarray, blocks: list[np.ndarray]) -> list[tuple]:
+    """The SVD of each diagonal block `equilibrated[idx, idx]`, in block order.
+
+    With an overlap pool (`_overlap_pool`) the blocks are factored at the
+    same time: the calling thread takes the first block, the pool the others,
+    and the calling thread then also takes, last first, every block no worker
+    has started. A worker runs only the gather and the SVD, which call NumPy
+    alone (LAPACK releases the GIL), so no lahoc function runs off the calling
+    thread. An error raised in a worker is raised here; if the calling
+    thread's own block raises, that error is raised and the workers' results
+    are dropped."""
+
+    def svd(idx):
+        return np.linalg.svd(equilibrated[np.ix_(idx, idx)])
+
+    pool = _overlap_pool(len(blocks))
+    if pool is None:
+        return [svd(idx) for idx in blocks]
+    futures = {i: pool.submit(svd, blocks[i]) for i in range(1, len(blocks))}
+    svds = {0: svd(blocks[0])}
+    for i in reversed(futures):
+        if futures[i].cancel():
+            svds[i] = svd(blocks[i])
+    return [svds[i] if i in svds else futures[i].result() for i in range(len(blocks))]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool = None  # ((process id, threads), ThreadPoolExecutor) of this process
+
+
+def _overlap_pool(blocks: int):
+    """The worker pool that factors coupled blocks beside the calling thread,
+    or None, for one block after another, when there is one block, one usable
+    CPU, or NumPy's OpenBLAS does not report exactly one thread: the workers'
+    SVDs would then compete with OpenBLAS's own threads for the cores.
+
+    The pool is process-wide, created on first use with usable CPUs - 1
+    threads, and a call hands it blocks - 1 factorizations, so min(blocks,
+    usable CPUs) - 1 workers take part. A pool inherited across fork has no
+    threads, so each process id makes its own. A pool of another size is
+    replaced, not shut down: a thread still submitting to it is unaffected,
+    and its workers exit once it is garbage-collected."""
+    global _pool
+    if blocks < 2:
+        return None
+    cpus = _usable_cpus()
+    if cpus < 2 or openblas.numpy_threads() != 1:
+        return None
+    key = (os.getpid(), cpus - 1)
+    if _pool is None or _pool[0] != key:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = (key, ThreadPoolExecutor(cpus - 1, thread_name_prefix="lahoc-block"))
+    return _pool[1]
 
 
 def component_groups(sigma: np.ndarray) -> list[list[int]]:

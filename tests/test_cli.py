@@ -1,11 +1,15 @@
 import csv
+import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lahoc import BasisConfig, BasisConstructionError, build_rule, cli, ocp_model, sham_engine
+from lahoc import BasisConfig, BasisConstructionError, build_rule, cli, ocp_model, openblas, sham_engine
 from lahoc.cli import main
 from lahoc.oracle_bvp import ComparisonResult
 from lahoc.sham_engine import OperatorSingularError
@@ -491,6 +495,39 @@ class TestSolverErrors:
         code, _ = run_cli(tmp_path, "--builtin", "tp31", "--n", "20")
         assert code == 1
         assert single_error_line(capsys)
+
+
+# Runs `main` in a fresh interpreter and prints, as JSON, its exit code and
+# the bundled OpenBLAS thread counts before `main`, inside `solve_ocp` and after.
+BLAS_THREADS_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from lahoc import cli, openblas
+before, inside = openblas.thread_counts(), []
+solve = cli.solve_ocp
+cli.solve_ocp = lambda *a, **k: inside.append(openblas.thread_counts()) or solve(*a, **k)
+code = cli.main(["--builtin", "tp31", "--n", "20", "--beta", "6", "--orders", "10",
+                 "--out", sys.argv[2]])
+print(json.dumps([code, before, inside, openblas.thread_counts()]))
+"""
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("variable", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                          "MKL_NUM_THREADS"])
+    def test_main_runs_one_thread_unless_a_variable_sets_the_count(self, tmp_path, variable):
+        env = {k: v for k, v in os.environ.items() if k not in openblas.THREAD_VARIABLES}
+        if variable is not None:
+            env[variable] = "2"
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE, str(src), str(tmp_path)],
+                             env=env, capture_output=True, text=True, check=True, timeout=120)
+        code, before, inside, after = json.loads(run.stdout.splitlines()[-1])
+        if not before:
+            pytest.skip("NumPy and SciPy bundle no OpenBLAS whose thread count can be read")
+        assert code == 0
+        assert inside == [[1] * len(before) if variable is None else before]
+        assert after == before
 
 
 def readme_cli_lines() -> list[str]:

@@ -304,6 +304,8 @@ class TestNewtonSolve:
         scales = [1.0, 0.25, 0.5, 0.75, 1.0, 1.0]
         assert np.array_equal(coefficients, [s * full for s in scales])
         assert meshes == [200] * 5 + [400]
+        # every band solve counts: the failed one and each stage's, 16 in all
+        assert traj.newton_iters == len(calls) == 16
 
     def test_band_solve_matches_a_dense_solve(self):
         # the Newton step's in-place gbsv against numpy on the dense Jacobian
@@ -387,10 +389,14 @@ class TestCoarseToFine:
 
         spec = derive_tpbvp(builtin_problem_31())
         direct, iters, rnorm = oracle_bvp._solve_direct(spec, graded_mesh(cfg))
+        dgbsv = oracle_bvp.dgbsv
+        band_solves = []
         monkeypatch.setattr(oracle_bvp, "_newton", failing_stage)
+        monkeypatch.setattr(oracle_bvp, "dgbsv", lambda *a, **k: band_solves.append(1) or dgbsv(*a, **k))
         traj = solve_truncated(spec, cfg)
         assert np.array_equal(traj.values, direct)
         assert traj.final_residual == rnorm
+        assert traj.newton_iters == len(band_solves)
         if failing == "coarse":  # the first attempt, then the first continuation stage
             assert calls == [200, 200, 400]
             assert traj.newton_iters == iters

@@ -1,4 +1,9 @@
 import math
+import multiprocessing
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,9 +31,9 @@ from lahoc import (
     initial_guess,
     run_sham,
 )
-from lahoc import sham_engine
+from lahoc import openblas, sham_engine
 from lahoc.oracle_bvp import TruncationConfig, solve_truncated
-from lahoc.sham_engine import COND_SWITCH, component_groups, tail_norm
+from lahoc.sham_engine import COND_SWITCH, OperatorSingularError, component_groups, tail_norm
 
 from conftest import coupled_linear_spec, linear_decay_spec, solver_config
 
@@ -391,7 +396,7 @@ class TestNonlinearTermOfTheDeformationStep:
         rhs = []
         solve = op.solve
         monkeypatch.setattr(op, "solve", lambda b: rhs.append(b.copy()) or solve(b))
-        assert len(products) == 42 and len(series._chains) == 57
+        assert len(products) == 42 and len(series._rows) == spec.dim + 57
         for m in range(1, cfg.max_order + 1):
             got = deformation_step(spec, rule, op, series, cfg, m)
             ref = np.zeros((spec.dim, rule.n_points))
@@ -493,7 +498,32 @@ def assert_rows_match(got, ref):
     assert np.all(np.abs(got - ref).max(axis=1) <= bound)
 
 
+def assert_equals_per_chain_einsum(series, chains):
+    """Every stored coefficient of every chain equals one einsum over its
+    parent's coefficients and its last factor's orders, one chain at a time."""
+    for chain in chains:
+        last = series.orders[:, chain[-1]]
+        for k in range(len(series.orders)):
+            parent = np.array([series.product_coefficient(chain[:-1], i) for i in range(k + 1)])
+            ref = np.einsum("ij,ij->j", parent, last[k::-1])
+            assert np.array_equal(series.product_coefficient(chain, k), ref), f"{chain} at {k}"
+
+
 class TestChainTable:
+    def test_each_depth_equals_the_per_chain_einsum_on_tp32(self):
+        # 57 chains of depths 2 and 3 over 12 components: every coefficient, bit
+        # for bit, also after a truncation and other orders appended
+        spec = derive_tpbvp(builtin_problem_32())
+        series = run_sham(spec, solver_config(beta=0.5, n=50, hbar=-1.0, max_order=20)).series
+        chains = [key for key in series._rows if len(key) > 1]
+        assert len(chains) == 57 and {len(key) for key in chains} == {2, 3}
+        assert_equals_per_chain_einsum(series, chains)
+        orders = series.orders.copy()
+        series.truncate(7)
+        for z in orders[8:]:
+            series.append(0.5 * z, 1.0)
+        assert_equals_per_chain_einsum(series, chains)
+
     @settings(max_examples=40, deadline=None)
     @given(eqs=random_equations(), seed=st.integers(0, 2**31), cut=st.integers(0, 5))
     def test_per_order_terms_match_brute_force(self, eqs, seed, cut):
@@ -750,3 +780,152 @@ class TestBlockFactorization:
         rule = build_rule(BasisConfig(beta=1.0, n_order=12))
         assemble_operator(coupled_linear_spec(), rule)
         assert calls == [(2 * rule.n_points, 2 * rule.n_points)]
+
+
+USABLE_CPUS = sham_engine._usable_cpus
+
+
+@pytest.fixture
+def overlap(monkeypatch):
+    """The conditions under which assembly factors the coupled blocks at the
+    same time: two usable CPUs and NumPy's OpenBLAS on one thread. The worker
+    pool starts empty and is shut down after the test."""
+    if openblas.numpy_threads() is None:
+        pytest.skip("NumPy bundles no OpenBLAS whose thread count can be read")
+    monkeypatch.setattr(sham_engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sham_engine, "_pool", None)
+    with openblas.one_thread():
+        yield
+    if sham_engine._pool is not None:
+        sham_engine._pool[1].shutdown()
+
+
+def gate_on_a_worker(svd, fail_in_worker=False, timeout=30.0):
+    """An np.linalg.svd whose calls on the main thread wait (up to `timeout`)
+    until a worker thread has entered it, so that a worker factors a block
+    however the threads are scheduled. It records the thread of every call."""
+    entered = threading.Event()
+
+    def gated(a, *args, **kwargs):
+        gated.threads.append(threading.current_thread())
+        if threading.current_thread() is threading.main_thread():
+            entered.wait(timeout)
+        else:
+            entered.set()
+            if fail_in_worker:
+                raise np.linalg.LinAlgError("spoiled in a worker")
+        return svd(a, *args, **kwargs)
+
+    gated.threads = []
+    return gated
+
+
+def tp31_operator_inputs():
+    return derive_tpbvp(builtin_problem_31()), build_rule(BasisConfig(beta=1.0, n_order=100))
+
+
+class TestOverlappedBlockFactorization:
+    @pytest.mark.parametrize(
+        "make_spec, n, beta, blocks",
+        [
+            (lambda: derive_tpbvp(builtin_problem_31()), 100, 1.0, 2),
+            (lambda: derive_tpbvp(builtin_problem_32()), 50, 0.5, 3),
+            (coupled_linear_spec, 60, 1.0, 1),
+        ],
+        ids=["tp31", "tp32", "coupled-one-block"],
+    )
+    def test_is_bit_identical_to_one_block_after_another(
+        self, overlap, monkeypatch, make_spec, n, beta, blocks
+    ):
+        spec = make_spec()
+        rule = build_rule(BasisConfig(beta=beta, n_order=n))
+        svd = np.linalg.svd
+        gated = gate_on_a_worker(svd)
+        if blocks > 1:
+            monkeypatch.setattr(np.linalg, "svd", gated)
+        overlapped = assemble_operator(spec, rule)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(sham_engine, "_overlap_pool", lambda blocks: None)
+        serial = assemble_operator(spec, rule)
+        assert overlapped.pinv is not None and len(overlapped.pinv) == len(serial.pinv) == blocks
+        for got, ref in zip(overlapped.pinv, serial.pinv):  # (rows, V S^-1, U^T)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        if blocks > 1:
+            assert any(t is not threading.main_thread() for t in gated.threads)
+        else:
+            assert sham_engine._pool is None
+
+    def test_starts_one_worker_thread_on_two_cpus(self, overlap, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", gate_on_a_worker(np.linalg.svd))
+        before = threading.active_count()
+        assemble_operator(*tp31_operator_inputs())
+        assemble_operator(*tp31_operator_inputs())
+        assert threading.active_count() == before + 1
+
+    @pytest.mark.parametrize(
+        "case", ["one-block", "one-usable-cpu", "openblas-on-two-threads", "no-openblas-found"]
+    )
+    def test_falls_back_without_starting_a_thread(self, overlap, monkeypatch, case):
+        spec, rule = tp31_operator_inputs()
+        if case == "one-block":
+            spec = coupled_linear_spec()
+        elif case == "one-usable-cpu":
+            monkeypatch.setattr(sham_engine, "_usable_cpus", USABLE_CPUS)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        elif case == "openblas-on-two-threads":
+            monkeypatch.setattr(openblas, "numpy_threads", lambda: 2)
+        else:
+            monkeypatch.setattr(openblas, "_bundled", lambda package: ())
+        before = threading.active_count()
+        assert assemble_operator(spec, rule).pinv is not None
+        assert threading.active_count() == before
+        assert sham_engine._pool is None
+
+    def test_concurrent_callers_get_the_serial_factors(self, overlap, monkeypatch):
+        # more calling threads and workers than cores share the pool, with a
+        # short switch interval; every caller's factors match the serial ones
+        monkeypatch.setattr(sham_engine, "_usable_cpus", lambda: 4)
+        spec = derive_tpbvp(builtin_problem_32())
+        rule = build_rule(BasisConfig(beta=0.5, n_order=50))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                futures = [callers.submit(assemble_operator, spec, rule) for _ in range(8)]
+                ops = [f.result(timeout=120.0) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(sham_engine, "_overlap_pool", lambda blocks: None)
+        serial = assemble_operator(spec, rule)
+        for op in ops:
+            for got, ref in zip(op.pinv, serial.pinv, strict=True):
+                assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_an_error_in_a_worker_reaches_the_caller(self, overlap, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", gate_on_a_worker(np.linalg.svd, fail_in_worker=True))
+        with pytest.raises(OperatorSingularError, match="spoiled in a worker"):
+            assemble_operator(*tp31_operator_inputs())
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+    )
+    def test_a_forked_child_factors_on_its_own_workers(self, overlap, monkeypatch):
+        # the parent's pool has a thread when the child forks; the child's
+        # copy of it has none, so the child must start its own worker
+        spec, rule = tp31_operator_inputs()
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", gate_on_a_worker(svd))
+        assemble_operator(spec, rule)
+
+        def child():
+            np.linalg.svd = gated = gate_on_a_worker(svd, timeout=20.0)
+            assert assemble_operator(spec, rule).pinv is not None
+            assert any(t is not threading.main_thread() for t in gated.threads)
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(timeout=60.0)
+        if process.is_alive():
+            process.kill()
+            process.join()
+        assert process.exitcode == 0
