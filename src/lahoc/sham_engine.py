@@ -5,10 +5,11 @@ Discretizes n-component systems of the form
     dz_r/dt + sum_k sigma_{r,k} z_k + g_r(z) = 0
 
 on a Laguerre-Radau grid and solves them by the homotopy deformation
-recurrence: a single block collocation operator is factorized once, the order-0
-term solves the linear part, and each higher order is one linear solve against
-a right-hand side built from truncated Cauchy products of the previous orders,
-each extended by one coefficient per order.
+recurrence: the collocation operator is built and factorized once, one coupled
+block at a time, the order-0 term solves the linear part, and each higher
+order is one linear solve against a right-hand side built from truncated
+Cauchy products of the previous orders, each extended by one coefficient per
+order.
 """
 
 from __future__ import annotations
@@ -242,8 +243,8 @@ class Termination(enum.Enum):
 
 @dataclass
 class BlockOperator:
-    """Dense block collocation matrix with boundary rows replaced, plus a
-    cached factorization reused for every deformation order.
+    """Block collocation operator with boundary rows replaced, factored once
+    per coupled block and reused for every deformation order.
 
     The differentiation-matrix entries grow like the Laguerre-polynomial
     extrema (roughly e^{beta t / 2} at the largest nodes), so the assembled
@@ -254,92 +255,56 @@ class BlockOperator:
     equilibration followed by a truncated-SVD pseudo-inverse keeps the
     solution in the numerically determined subspace and restores the tiny
     tail values of the true collocation solution.  When the equilibrated
-    matrix is numerically nonsingular (condition below COND_SWITCH) a plain
+    operator is numerically nonsingular (condition below COND_SWITCH) a plain
     LU factorization is used instead: it is backward stable and, unlike the
     truncated pseudo-inverse, keeps repeated solves against residuals of its
     own solutions at round-off level.
 
-    The condition number and the truncation are those of the whole
-    equilibrated operator, computed block by block: the SVD is taken of each
-    diagonal block of components that sigma couples (see component_groups).
-    Each block keeps its own (V_k S_k^-1, U_k^T) pair, with the rows it owns,
-    and a solve applies them block by block: the operator is block diagonal
-    over the groups, so no factor holds a zero block. The blocks' SVDs may be
-    taken at the same time on worker threads (see assemble_operator); the
-    factors are the same floats either way."""
+    The operator is block diagonal over the groups of components that sigma
+    couples (see component_groups), and each block is its own unit: one
+    entry per block, holding the global rows it owns and its row scales, then
+    either its LU factors (`lu`) or its (V_k S_k^-1, U_k^T) pair (`pinv`).
+    The condition number and the truncation are still those of the whole
+    equilibrated operator, whose SVD is the union of the blocks' SVDs."""
 
-    matrix: np.ndarray
-    row_scale: np.ndarray
     boundary_rows: np.ndarray
     boundary_values: np.ndarray
-    lu: tuple | None = None
-    pinv: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None  # (rows, V_k S_k^-1, U_k^T)
+    lu: list[tuple] | None = None  # (rows, scale, LU factors) per block
+    pinv: list[tuple] | None = None  # (rows, scale, V_k S_k^-1, U_k^T) per block
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        scaled = rhs / self.row_scale
+        out = np.empty_like(rhs, dtype=float)
         if self.lu is not None:
-            return lu_solve(self.lu, scaled)
-        out = np.empty_like(scaled)
-        for rows, v_scaled, u_t in self.pinv:
-            out[rows] = v_scaled @ (u_t @ scaled[rows])
+            for rows, scale, lu in self.lu:
+                out[rows] = lu_solve(lu, rhs[rows] / scale)
+        else:
+            for rows, scale, v_scaled, u_t in self.pinv:
+                out[rows] = v_scaled @ (u_t @ (rhs[rows] / scale))
         return out
 
 
 def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
-    """Build the n(N+1) square operator with blocks D + sigma_pp I on the
-    diagonal and sigma_pq I off it, then overwrite one row per component with
+    """Build and factor the operator with blocks D + sigma_pp I on the
+    diagonal and sigma_pq I off it, one row per component overwritten with
     the boundary condition: the t_0 row for initial values, the t_N row for
     decay at infinity.
 
-    The equilibrated operator is block diagonal over component_groups, and
-    each block gets its own SVD. With more than one block, more than one
-    usable CPU and NumPy's OpenBLAS on one thread, the calling thread and a
-    process-wide pool of worker threads take those SVDs at the same time
-    (`_block_svds`); otherwise they run one after another. The condition
+    Each coupled block is built, equilibrated and factored alone
+    (`_equilibrated_blocks`). With more than one block, more than one usable
+    CPU and NumPy's OpenBLAS on one thread, the calling thread and a
+    process-wide pool of worker threads take the blocks' SVDs at the same
+    time (`_block_svds`); otherwise they run one after another. The condition
     number, the LU / pseudo-inverse choice and the factors are formed on the
     calling thread once every block's spectrum is known, since the cutoff is
     relative to the largest singular value of all blocks."""
-    n, npts = spec.dim, rule.n_points
-    size = n * npts
-    matrix = np.zeros((size, size))
-    for p in range(n):
-        rows = slice(p * npts, (p + 1) * npts)
-        for q in range(n):
-            cols = slice(q * npts, (q + 1) * npts)
-            if p == q:
-                matrix[rows, cols] = rule.diff + spec.sigma[p, q] * np.eye(npts)
-            elif spec.sigma[p, q] != 0.0:
-                matrix[rows, cols] = spec.sigma[p, q] * np.eye(npts)
-
-    brows = np.empty(n, dtype=int)
-    bvals = np.empty(n)
-    for r, tag in enumerate(spec.bc):
-        if isinstance(tag, InitialValue):
-            row = r * npts
-            bvals[r] = tag.value
-        else:
-            row = r * npts + (npts - 1)
-            bvals[r] = 0.0
-        matrix[row, :] = 0.0
-        matrix[row, row] = 1.0
-        brows[r] = row
-
-    row_scale = np.abs(matrix).max(axis=1)
-    if row_scale.min() == 0.0 or not np.all(np.isfinite(row_scale)):
-        raise OperatorSingularError(
-            f"operator has a zero or non-finite row for n={spec.dim}, "
-            f"grid={rule.n_points}"
-        )
-    equilibrated = matrix / row_scale[:, None]
-    # sigma couples only the components of one group and a boundary row keeps
-    # only its diagonal entry, so the operator is block diagonal over the
-    # groups and its SVD is the union of the blocks' SVDs
-    blocks = [
-        (np.arange(npts) + np.array(group)[:, None] * npts).ravel()
-        for group in component_groups(spec.sigma)
-    ]
+    npts = rule.n_points
+    brows = np.array([r * npts + (0 if isinstance(tag, InitialValue) else npts - 1)
+                      for r, tag in enumerate(spec.bc)])
+    bvals = np.array([tag.value if isinstance(tag, InitialValue) else 0.0 for tag in spec.bc],
+                     dtype=float)
+    blocks = _equilibrated_blocks(spec, rule, brows)
     try:
-        svds = _block_svds(equilibrated, blocks)
+        svds = _block_svds([block for _, _, block in blocks])
     except np.linalg.LinAlgError as exc:
         raise OperatorSingularError(str(exc)) from exc
     s_max = max(block_s.max() for _, block_s, _ in svds)
@@ -349,31 +314,59 @@ def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
             f"singular operator for n={spec.dim}, grid={rule.n_points}"
         )
     if s_max / s_min <= COND_SWITCH:
-        return BlockOperator(matrix, row_scale, brows, bvals, lu=lu_factor(equilibrated))
-    keeps = [block_s > PINV_RCOND * s_max for _, block_s, _ in svds]
-    pinv = [(idx, vt[keep].T / block_s[keep], u[:, keep].T)
-            for idx, (u, block_s, vt), keep in zip(blocks, svds, keeps)]
-    return BlockOperator(matrix, row_scale, brows, bvals, pinv=pinv)
+        lu = [(rows, scale, lu_factor(block)) for rows, scale, block in blocks]
+        return BlockOperator(brows, bvals, lu=lu)
+    pinv = []
+    for (rows, scale, _), (u, block_s, vt) in zip(blocks, svds):
+        keep = block_s > PINV_RCOND * s_max
+        pinv.append((rows, scale, vt[keep].T / block_s[keep], u[:, keep].T))
+    return BlockOperator(brows, bvals, pinv=pinv)
 
 
-def _block_svds(equilibrated: np.ndarray, blocks: list[np.ndarray]) -> list[tuple]:
-    """The SVD of each diagonal block `equilibrated[idx, idx]`, in block order.
+def _equilibrated_blocks(
+    spec: SystemSpec, rule: BasisRule, boundary_rows: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(global rows, row scales, equilibrated block) of each component group.
+
+    sigma couples only the components of one group and a boundary row keeps
+    only its diagonal entry, so the operator is block diagonal over the
+    groups: a group's block is I (x) D + sigma_group (x) I, with its
+    boundary rows replaced by unit rows, then divided row by row by each
+    row's largest magnitude."""
+    npts = rule.n_points
+    blocks = []
+    for group in component_groups(spec.sigma):
+        rows = (np.arange(npts) + np.array(group)[:, None] * npts).ravel()
+        block = np.kron(np.eye(len(group)), rule.diff)
+        block += np.kron(spec.sigma[group][:, group], np.eye(npts))
+        local = np.flatnonzero(np.isin(rows, boundary_rows))
+        block[local] = 0.0
+        block[local, local] = 1.0
+        scale = np.abs(block).max(axis=1)
+        if scale.min() == 0.0 or not np.all(np.isfinite(scale)):
+            raise OperatorSingularError(
+                f"operator has a zero or non-finite row for n={spec.dim}, "
+                f"grid={rule.n_points}"
+            )
+        block /= scale[:, None]
+        blocks.append((rows, scale, block))
+    return blocks
+
+
+def _block_svds(blocks: list[np.ndarray]) -> list[tuple]:
+    """The SVD of each block matrix, in block order.
 
     With an overlap pool (`_overlap_pool`) the blocks are factored at the
     same time: the calling thread takes the first block, the pool the others,
     and the calling thread then also takes, last first, every block no worker
-    has started. A worker runs only the gather and the SVD, which call NumPy
-    alone (LAPACK releases the GIL), so no lahoc function runs off the calling
-    thread. An error raised in a worker is raised here; if the calling
-    thread's own block raises, that error is raised and the workers' results
-    are dropped."""
-
-    def svd(idx):
-        return np.linalg.svd(equilibrated[np.ix_(idx, idx)])
-
+    has started. A worker runs only np.linalg.svd (LAPACK releases the GIL),
+    so no lahoc function runs off the calling thread. An error raised in a
+    worker is raised here; if the calling thread's own block raises, that
+    error is raised and the workers' results are dropped."""
+    svd = np.linalg.svd
     pool = _overlap_pool(len(blocks))
     if pool is None:
-        return [svd(idx) for idx in blocks]
+        return [svd(block) for block in blocks]
     futures = {i: pool.submit(svd, blocks[i]) for i in range(1, len(blocks))}
     svds = {0: svd(blocks[0])}
     for i in reversed(futures):

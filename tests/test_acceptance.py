@@ -33,9 +33,6 @@ from lahoc import (
 
 from conftest import coupled_linear_spec, linear_decay_spec
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::lahoc.laguerre_basis.QuadratureOverflowWarning"
-)
 
 # Published benchmark table for the coupled-scalar problem: (x1, x2, l1, l2)
 # at six report times. The printed times are rounded to three decimals, so

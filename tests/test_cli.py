@@ -14,10 +14,6 @@ from lahoc.cli import main
 from lahoc.oracle_bvp import ComparisonResult
 from lahoc.sham_engine import OperatorSingularError
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::lahoc.laguerre_basis.QuadratureOverflowWarning"
-)
-
 
 def run_cli(tmp_path, *extra):
     out = tmp_path / "out"

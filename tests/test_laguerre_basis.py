@@ -15,7 +15,6 @@ from lahoc import (
     quadrature_unweighted,
     quadrature_weighted,
 )
-from lahoc.laguerre_basis import QuadratureOverflowWarning
 
 
 class TestEvalLaguerre:
@@ -132,22 +131,24 @@ class TestWeightedQuadrature:
 
 
 class TestUnweightedQuadrature:
-    @pytest.mark.filterwarnings("ignore::lahoc.laguerre_basis.QuadratureOverflowWarning")
     def test_decaying_exponential(self):
         # integral of e^{-2t} over [0, inf) = 1/2
         rule = build_rule(BasisConfig(beta=2.0, n_order=30))
         got = quadrature_unweighted(rule, np.exp(-2.0 * rule.nodes))
         assert got == pytest.approx(0.5, rel=1e-10)
 
-    def test_warns_when_exponential_factors_overflow_prone(self):
-        rule = build_rule(BasisConfig(beta=1.0, n_order=60))
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 6.0])
+    def test_large_rules_are_accurate_and_do_not_warn(self, beta):
+        # e^(beta t_N) = e^376.9 at N=100 whatever beta, and the integral of
+        # e^{-beta t} still comes out at round-off
+        rule = build_rule(BasisConfig(beta=beta, n_order=100))
         assert rule.config.beta * rule.nodes[-1] > math.log(1e15)
-        with pytest.warns(QuadratureOverflowWarning):
-            quadrature_unweighted(rule, np.exp(-rule.nodes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quadrature_unweighted(rule, np.exp(-beta * rule.nodes))
+        assert got == pytest.approx(1.0 / beta, rel=1e-12)
 
     def test_no_warning_for_small_grids(self):
-        # beta * t_N depends only on N, so only small rules stay below the
-        # overflow threshold
         rule = build_rule(BasisConfig(beta=1.0, n_order=6))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

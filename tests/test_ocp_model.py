@@ -25,10 +25,6 @@ from lahoc import (
 from lahoc import ocp_model
 from lahoc.ocp_model import ProblemFormatError
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::lahoc.laguerre_basis.QuadratureOverflowWarning"
-)
-
 
 def eval_system_rhs(spec, z):
     """The stored convention is z' + sigma z + nonlinear = 0, so the

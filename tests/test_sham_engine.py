@@ -109,6 +109,49 @@ class TestSolverConfigValidation:
             )
 
 
+def dense_reference(spec, rule):
+    """The textbook assembly: the whole n(N+1)-square operator with blocks
+    D + sigma_pp I on the diagonal and sigma_pq I off it, one row per
+    component replaced by its boundary condition (the t_0 row for an initial
+    value, the t_N row for decay), and its row scales (each row's largest
+    magnitude)."""
+    n, npts = spec.dim, rule.n_points
+    matrix = np.zeros((n * npts, n * npts))
+    for p in range(n):
+        for q in range(n):
+            block = matrix[p * npts : (p + 1) * npts, q * npts : (q + 1) * npts]
+            if p == q:
+                block[:] = rule.diff + spec.sigma[p, q] * np.eye(npts)
+            elif spec.sigma[p, q] != 0.0:
+                block[:] = spec.sigma[p, q] * np.eye(npts)
+    for r, tag in enumerate(spec.bc):
+        row = r * npts + (0 if isinstance(tag, InitialValue) else npts - 1)
+        matrix[row] = 0.0
+        matrix[row, row] = 1.0
+    return matrix, np.abs(matrix).max(axis=1)
+
+
+def fully_coupled_spec() -> SystemSpec:
+    return SystemSpec(
+        dim=3,
+        sigma=np.full((3, 3), 0.3) + np.diag([1.0, -1.5, 2.0]),
+        nonlinear=((), (), ()),
+        bc=(InitialValue(1.0), DecayAtInfinity(), InitialValue(-0.5)),
+    )
+
+
+def one_directional_spec() -> SystemSpec:
+    """sigma links component 2 to component 0 one way only (groups [0, 2], [1])."""
+    sigma = np.diag([1.0, 2.0, 3.0])
+    sigma[2, 0] = 0.5
+    return SystemSpec(
+        dim=3,
+        sigma=sigma,
+        nonlinear=((), (), ()),
+        bc=(InitialValue(1.0), InitialValue(0.5), DecayAtInfinity()),
+    )
+
+
 class TestOperatorAssembly:
     def test_small_systems_factor_with_lu(self):
         rule = build_rule(BasisConfig(beta=1.0, n_order=12))
@@ -122,10 +165,12 @@ class TestOperatorAssembly:
 
     def test_solve_inverts_the_equilibrated_operator(self):
         rule = build_rule(BasisConfig(beta=1.0, n_order=12))
-        op = assemble_operator(coupled_linear_spec(), rule)
+        spec = coupled_linear_spec()
+        op = assemble_operator(spec, rule)
+        matrix, _ = dense_reference(spec, rule)
         rng = np.random.default_rng(7)
-        x = rng.normal(size=op.matrix.shape[0])
-        rhs = op.matrix @ x
+        x = rng.normal(size=matrix.shape[0])
+        rhs = matrix @ x
         got = op.solve(rhs)
         assert np.abs(got - x).max() < 1e-9 * np.abs(x).max() + 1e-12
 
@@ -133,11 +178,74 @@ class TestOperatorAssembly:
         rule = build_rule(BasisConfig(beta=1.0, n_order=10))
         spec = coupled_linear_spec()
         op = assemble_operator(spec, rule)
+        matrix, _ = dense_reference(spec, rule)
         assert len(op.boundary_rows) == spec.dim
         for row in op.boundary_rows:
-            unit = np.zeros(op.matrix.shape[1])
+            unit = np.zeros(matrix.shape[1])
             unit[row] = 1.0
-            assert np.array_equal(op.matrix[row], unit)
+            assert np.array_equal(matrix[row], unit)
+        for rows, scale, block in sham_engine._equilibrated_blocks(spec, rule, op.boundary_rows):
+            for local in np.flatnonzero(np.isin(rows, op.boundary_rows)):
+                assert scale[local] == 1.0
+                assert np.array_equal(block[local], np.eye(len(rows))[local])
+
+    @pytest.mark.parametrize(
+        "make_spec, n, beta",
+        [
+            (lambda: derive_tpbvp(builtin_problem_31()), 100, 1.0),
+            (lambda: derive_tpbvp(builtin_problem_32()), 50, 0.5),
+            (fully_coupled_spec, 12, 1.0),
+            (one_directional_spec, 12, 1.0),
+        ],
+        ids=["tp31-N100", "tp32-N50", "fully-coupled", "one-directional"],
+    )
+    def test_blocks_equal_the_dense_reference(self, make_spec, n, beta):
+        # each group's block and row scales are the reference's rows and
+        # columns of that group, bit for bit, and the reference has nothing
+        # outside the blocks
+        spec = make_spec()
+        rule = build_rule(BasisConfig(beta=beta, n_order=n))
+        matrix, row_scale = dense_reference(spec, rule)
+        equilibrated = matrix / row_scale[:, None]
+        brows = assemble_operator(spec, rule).boundary_rows
+        blocks = sham_engine._equilibrated_blocks(spec, rule, brows)
+        assert len(blocks) == len(component_groups(spec.sigma))
+        owned = np.zeros(len(matrix), dtype=int)
+        for rows, scale, block in blocks:
+            assert np.array_equal(scale, row_scale[rows])
+            assert np.array_equal(block, equilibrated[np.ix_(rows, rows)])
+            outside = np.ones(len(matrix), dtype=bool)
+            outside[rows] = False
+            assert not matrix[np.ix_(rows, outside)].any()
+            owned[rows] += 1
+        assert np.all(owned == 1)
+
+    @pytest.mark.parametrize(
+        "make_spec, where, value",
+        [
+            (coupled_linear_spec, (0, 1), math.inf),
+            (coupled_linear_spec, (1, 1), math.inf),
+            (coupled_linear_spec, (0, 0), math.nan),
+            (lambda: decoupled_pair_spec(), (1, 1), -math.inf),
+        ],
+        ids=["inf-coupling", "inf-diagonal", "nan-diagonal", "second-block"],
+    )
+    def test_non_finite_sigma_is_a_zero_or_non_finite_row(self, monkeypatch, make_spec, where, value):
+        # the row check of the block raises before any factorization is tried
+        spec = make_spec()
+        sigma = spec.sigma.copy()
+        sigma[where] = value
+        spec = SystemSpec(dim=spec.dim, sigma=sigma, nonlinear=spec.nonlinear, bc=spec.bc)
+
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("factorization reached")
+
+        monkeypatch.setattr(np.linalg, "svd", no_factorization)
+        rule = build_rule(BasisConfig(beta=1.0, n_order=12))
+        # an infinite sigma_pq times the zeros of I is NaN
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(OperatorSingularError, match="zero or non-finite row"):
+                assemble_operator(spec, rule)
 
 
 class TestInitialGuess:
@@ -598,13 +706,14 @@ class TestReducedDeformationStep:
     def test_equals_the_full_recurrence_on_the_lu_path(self, spec, beta, n, hbar):
         # z_m = chi (1+hbar) z_{m-1} + hbar A^{-1} Q_{m-1} against the full form
         # A^{-1}(chi L z_{m-1} + hbar (L z_{m-1} + Q_{m-1})), with
-        # L's interior rows read from the assembled operator.  The two differ
+        # L's interior rows read from the dense reference operator.  The two differ
         # by the round-off of A^{-1} A (equilibrated condition about 1e8 for
         # tp31 at N=10), seen at 4.4e-12.
         cfg = solver_config(beta=beta, n=n, hbar=hbar, max_order=12)
         rule = build_rule(cfg.basis)
         op = assemble_operator(spec, rule)
         assert op.lu is not None
+        matrix, _ = dense_reference(spec, rule)
         products = [term.factors for eq in spec.nonlinear for term in eq]
         series = HomotopySeries(
             [initial_guess(spec, rule, op)], max_order=cfg.max_order, products=products
@@ -616,7 +725,7 @@ class TestReducedDeformationStep:
                 for term in terms:
                     q[r] += cauchy_order_term(series, term, m)
             chi = 0.0 if m == 1 else 1.0
-            lz = op.matrix @ series.orders[m - 1].ravel()
+            lz = matrix @ series.orders[m - 1].ravel()
             rhs = chi * lz + hbar * (lz + q.ravel())
             rhs[op.boundary_rows] = 0.0
             full = op.solve(rhs).reshape(got.shape)
@@ -676,11 +785,13 @@ class TestComponentGroups:
         assert component_groups(sigma) == expected
 
 
-def whole_matrix_pinv(op):
-    """The pseudo-inverse factors from one SVD of the whole equilibrated operator."""
-    u, s, vt = np.linalg.svd(op.matrix / op.row_scale[:, None])
+def whole_matrix_pinv(spec, rule):
+    """The pseudo-inverse factors from one SVD of the whole equilibrated
+    reference operator, and its row scales."""
+    matrix, row_scale = dense_reference(spec, rule)
+    u, s, vt = np.linalg.svd(matrix / row_scale[:, None])
     keep = s > sham_engine.PINV_RCOND * s[0]
-    return vt[keep].T / s[keep], u[:, keep].T
+    return vt[keep].T / s[keep], u[:, keep].T, row_scale
 
 
 def decoupled_pair_spec() -> SystemSpec:
@@ -696,7 +807,7 @@ def decoupled_pair_spec() -> SystemSpec:
 
 
 def block_ranks(op):
-    return [v_scaled.shape[1] for _, v_scaled, _ in op.pinv]
+    return [v_scaled.shape[1] for _, _, v_scaled, _ in op.pinv]
 
 
 class TestBlockFactorization:
@@ -707,43 +818,55 @@ class TestBlockFactorization:
     )
     def test_matches_the_whole_matrix_svd(self, problem, n, beta):
         spec = derive_tpbvp(problem())
-        op = assemble_operator(spec, build_rule(BasisConfig(beta=beta, n_order=n)))
-        v_scaled, u_t = whole_matrix_pinv(op)
+        rule = build_rule(BasisConfig(beta=beta, n_order=n))
+        op = assemble_operator(spec, rule)
+        v_scaled, u_t, row_scale = whole_matrix_pinv(spec, rule)
         assert op.pinv is not None
         assert len(op.pinv) == len(component_groups(spec.sigma))
         assert sum(block_ranks(op)) == v_scaled.shape[1]
         rng = np.random.default_rng(n)
-        for rhs in rng.normal(size=(5, op.matrix.shape[0])):
-            ref = v_scaled @ (u_t @ (rhs / op.row_scale))
+        for rhs in rng.normal(size=(5, len(row_scale))):
+            ref = v_scaled @ (u_t @ (rhs / row_scale))
             assert np.abs(op.solve(rhs) - ref).max() <= 1e-7 * np.abs(ref).max()
 
-    def test_each_block_keeps_only_its_own_rows(self):
-        # the factors of a block are (rows of the block) x (its rank): tp32's
-        # three 204-row blocks, not one (612 x rank) pair mostly of zeros
+    @pytest.mark.parametrize("n", [50, 12], ids=["pinv", "lu"])
+    def test_each_block_keeps_only_its_own_rows(self, n):
+        # the factors of a block are (rows of the block) x (its rank), or its
+        # own square LU: tp32's three blocks of 4(N+1) rows, not one
+        # 12(N+1)-row factorization mostly of zeros
         spec = derive_tpbvp(builtin_problem_32())
-        rule = build_rule(BasisConfig(beta=0.5, n_order=50))
+        rule = build_rule(BasisConfig(beta=0.5, n_order=n))
         op = assemble_operator(spec, rule)
-        for (rows, v_scaled, u_t), group in zip(op.pinv, component_groups(spec.sigma)):
+        groups = component_groups(spec.sigma)
+        if n == 12:
+            assert op.pinv is None and len(op.lu) == len(groups)
+            factors = [(rows, scale, lu.shape, piv.shape) for rows, scale, (lu, piv) in op.lu]
+        else:
+            assert op.lu is None and len(op.pinv) == len(groups)
+            factors = [(rows, scale, v.shape, u_t.T.shape) for rows, scale, v, u_t in op.pinv]
+        for (rows, scale, shape, other), group in zip(factors, groups, strict=True):
             assert sorted(rows // rule.n_points) == sorted(group * rule.n_points)
-            assert v_scaled.shape == u_t.T.shape == (len(rows), v_scaled.shape[1])
+            assert scale.shape == rows.shape
+            assert shape[0] == other[0] == len(rows)
+            assert shape[1] == (len(rows) if n == 12 else other[1])
 
     def test_condition_number_is_the_whole_operators(self, monkeypatch):
         # the whole operator's condition number (2.0e4) is above either
         # block's (5.8e3 and 1.9e4)
         spec = decoupled_pair_spec()
         rule = build_rule(BasisConfig(beta=1.0, n_order=8))
-        op = assemble_operator(spec, rule)
-        s = np.linalg.svd(op.matrix / op.row_scale[:, None], compute_uv=False)
+        matrix, row_scale = dense_reference(spec, rule)
+        s = np.linalg.svd(matrix / row_scale[:, None], compute_uv=False)
         cond = s[0] / s[-1]
         monkeypatch.setattr(sham_engine, "COND_SWITCH", cond * 1.03)
         assert assemble_operator(spec, rule).lu is not None
         monkeypatch.setattr(sham_engine, "COND_SWITCH", cond / 1.03)
         op = assemble_operator(spec, rule)
         assert op.pinv is not None
-        v_scaled, u_t = whole_matrix_pinv(op)
+        v_scaled, u_t, row_scale = whole_matrix_pinv(spec, rule)
         assert sum(block_ranks(op)) == v_scaled.shape[1]
-        rhs = np.random.default_rng(3).normal(size=op.matrix.shape[0])
-        ref = v_scaled @ (u_t @ (rhs / op.row_scale))
+        rhs = np.random.default_rng(3).normal(size=len(row_scale))
+        ref = v_scaled @ (u_t @ (rhs / row_scale))
         assert np.abs(op.solve(rhs) - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_truncation_is_relative_to_the_largest_singular_value_of_all(self, monkeypatch):
@@ -751,8 +874,8 @@ class TestBlockFactorization:
         # only when it is taken relative to the first block's larger s_max
         spec = decoupled_pair_spec()
         rule = build_rule(BasisConfig(beta=1.0, n_order=8))
-        equilibrated = assemble_operator(spec, rule)
-        equilibrated = equilibrated.matrix / equilibrated.row_scale[:, None]
+        matrix, row_scale = dense_reference(spec, rule)
+        equilibrated = matrix / row_scale[:, None]
         s = np.linalg.svd(equilibrated, compute_uv=False)
         second = rule.n_points
         s2 = np.linalg.svd(equilibrated[second:, second:], compute_uv=False)
@@ -761,11 +884,11 @@ class TestBlockFactorization:
         monkeypatch.setattr(sham_engine, "COND_SWITCH", 1.0)
         monkeypatch.setattr(sham_engine, "PINV_RCOND", rcond)
         op = assemble_operator(spec, rule)
-        v_scaled, u_t = whole_matrix_pinv(op)
+        v_scaled, u_t, row_scale = whole_matrix_pinv(spec, rule)
         assert v_scaled.shape[0] == 2 * second
         assert sum(block_ranks(op)) == v_scaled.shape[1] == int(np.sum(s > rcond * s[0]))
         rhs = np.random.default_rng(4).normal(size=2 * second)
-        ref = v_scaled @ (u_t @ (rhs / op.row_scale))
+        ref = v_scaled @ (u_t @ (rhs / row_scale))
         assert np.abs(op.solve(rhs) - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_a_fully_coupled_sigma_takes_one_svd(self, monkeypatch):
@@ -848,7 +971,7 @@ class TestOverlappedBlockFactorization:
         monkeypatch.setattr(sham_engine, "_overlap_pool", lambda blocks: None)
         serial = assemble_operator(spec, rule)
         assert overlapped.pinv is not None and len(overlapped.pinv) == len(serial.pinv) == blocks
-        for got, ref in zip(overlapped.pinv, serial.pinv):  # (rows, V S^-1, U^T)
+        for got, ref in zip(overlapped.pinv, serial.pinv):  # (rows, scale, V S^-1, U^T)
             assert all(np.array_equal(a, b) for a, b in zip(got, ref))
         if blocks > 1:
             assert any(t is not threading.main_thread() for t in gated.threads)
