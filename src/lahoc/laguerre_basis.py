@@ -50,13 +50,6 @@ def _genlaguerre_pair(degree: int, alpha: float, x: np.ndarray) -> tuple[np.ndar
     return p_prev, p
 
 
-def _genlaguerre(degree: int, alpha: float, x: np.ndarray) -> np.ndarray:
-    """Generalized Laguerre polynomial L_degree^(alpha)(x) by three-term recurrence."""
-    if degree == 0:
-        return np.ones_like(np.asarray(x, dtype=float))
-    return _genlaguerre_pair(degree, alpha, x)[1]
-
-
 def eval_laguerre(beta: float, degree: int, t):
     """Evaluate the scaled Laguerre polynomial of the given degree at t >= 0.
 
@@ -67,17 +60,18 @@ def eval_laguerre(beta: float, degree: int, t):
         raise ValueError(f"beta must be positive, got {beta}")
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    out = _genlaguerre(degree, 0.0, beta * np.asarray(t, dtype=float))
+    x = beta * np.asarray(t, dtype=float)
+    out = _genlaguerre_pair(degree, 0.0, x)[1] if degree else np.ones_like(x)
     return float(out) if np.isscalar(t) else out
 
 
 def _golub_welsch_nodes(degree: int, alpha: float) -> np.ndarray:
-    """Roots of L_degree^(alpha) via the symmetric Jacobi-matrix eigenproblem."""
+    """Roots of L_degree^(alpha): the eigenvalues of the symmetric Jacobi
+    matrix, without its eigenvectors."""
     k = np.arange(degree)
     diag = 2 * k + alpha + 1
     off = np.sqrt((k[:-1] + 1) * (k[:-1] + 1 + alpha))
-    vals, _ = eigh_tridiagonal(diag, off)
-    return vals
+    return eigh_tridiagonal(diag, off, eigvals_only=True)
 
 
 def _barycentric_weights(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,9 +118,10 @@ def build_rule(config: BasisConfig) -> BasisRule:
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             x = _golub_welsch_nodes(n, alpha=1.0)
-            # one Newton step on f(x) = L_n^(1)(x); f'(x) = -L_{n-1}^(2)(x)
-            fx = _genlaguerre(n, 1.0, x)
-            dfx = -_genlaguerre(n - 1, 2.0, x)
+            # one Newton step on f(x) = L_n^(1)(x), with
+            # x f'(x) = n L_n^(1)(x) - (n + 1) L_{n-1}^(1)(x) from the same pass
+            f_prev, fx = _genlaguerre_pair(n, 1.0, x)
+            dfx = (n * fx - (n + 1) * f_prev) / x
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = np.where(dfx != 0, fx / dfx, 0.0)
             x = x - step

@@ -18,8 +18,9 @@ import enum
 import itertools
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -334,11 +335,15 @@ def _equilibrated_blocks(
     boundary rows replaced by unit rows, then divided row by row by each
     row's largest magnitude."""
     npts = rule.n_points
+    diagonal = np.arange(npts)
     blocks = []
     for group in component_groups(spec.sigma):
-        rows = (np.arange(npts) + np.array(group)[:, None] * npts).ravel()
-        block = np.kron(np.eye(len(group)), rule.diff)
-        block += np.kron(spec.sigma[group][:, group], np.eye(npts))
+        rows = (diagonal + np.array(group)[:, None] * npts).ravel()
+        size = len(group)
+        block = np.kron(np.eye(size), rule.diff)
+        # sigma_group (x) I onto the sub-block diagonals alone: an infinite
+        # sigma entry meets no zero of I
+        block.reshape(size, npts, size, npts)[:, diagonal, :, diagonal] += spec.sigma[group][:, group]
         local = np.flatnonzero(np.isin(rows, boundary_rows))
         block[local] = 0.0
         block[local, local] = 1.0
@@ -356,23 +361,38 @@ def _equilibrated_blocks(
 def _block_svds(blocks: list[np.ndarray]) -> list[tuple]:
     """The SVD of each block matrix, in block order.
 
-    With an overlap pool (`_overlap_pool`) the blocks are factored at the
-    same time: the calling thread takes the first block, the pool the others,
-    and the calling thread then also takes, last first, every block no worker
-    has started. A worker runs only np.linalg.svd (LAPACK releases the GIL),
-    so no lahoc function runs off the calling thread. An error raised in a
-    worker is raised here; if the calling thread's own block raises, that
-    error is raised and the workers' results are dropped."""
+    With at least two blocks, at least two usable CPUs and NumPy's OpenBLAS
+    on one thread, the blocks are factored at the same time: min(blocks,
+    usable CPUs) - 1 of them go to this process's worker pool (`_workers`),
+    the calling thread takes the others, and it then also takes, last first,
+    every handed block no worker has started. Otherwise they run one after
+    another; on more OpenBLAS threads, those would compete with the workers
+    for the cores. A worker runs only np.linalg.svd (LAPACK releases the
+    GIL), so no lahoc function runs off the calling thread. An error raised
+    in a worker is raised here; if one of the calling thread's blocks raises,
+    that error is raised and the workers' results are dropped."""
     svd = np.linalg.svd
-    pool = _overlap_pool(len(blocks))
-    if pool is None:
+    cpus = _usable_cpus() if len(blocks) > 1 else 1
+    if cpus < 2 or openblas.numpy_threads() != 1:
         return [svd(block) for block in blocks]
-    futures = {i: pool.submit(svd, blocks[i]) for i in range(1, len(blocks))}
-    svds = {0: svd(blocks[0])}
+    pool = _workers(os.getpid())
+    futures = {i: pool.submit(svd, blocks[i]) for i in range(1, min(len(blocks), cpus))}
+    svds = {i: svd(block) for i, block in enumerate(blocks) if i not in futures}
     for i in reversed(futures):
         if futures[i].cancel():
             svds[i] = svd(blocks[i])
     return [svds[i] if i in svds else futures[i].result() for i in range(len(blocks))]
+
+
+@cache
+def _workers(pid: int) -> ThreadPoolExecutor:
+    """The worker pool of process `pid`, made at first use with usable CPUs - 1
+    threads (at least one) and kept for the life of the process. A pool
+    inherited across fork has no threads, so each process id has its own.
+    Two threads making the first call together may each make a pool; the
+    one the cache does not keep is collected after that call, and its
+    threads then exit."""
+    return ThreadPoolExecutor(max(_usable_cpus() - 1, 1), thread_name_prefix="lahoc-block")
 
 
 def _usable_cpus() -> int:
@@ -380,35 +400,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-_pool = None  # ((process id, threads), ThreadPoolExecutor) of this process
-
-
-def _overlap_pool(blocks: int):
-    """The worker pool that factors coupled blocks beside the calling thread,
-    or None, for one block after another, when there is one block, one usable
-    CPU, or NumPy's OpenBLAS does not report exactly one thread: the workers'
-    SVDs would then compete with OpenBLAS's own threads for the cores.
-
-    The pool is process-wide, created on first use with usable CPUs - 1
-    threads, and a call hands it blocks - 1 factorizations, so min(blocks,
-    usable CPUs) - 1 workers take part. A pool inherited across fork has no
-    threads, so each process id makes its own. A pool of another size is
-    replaced, not shut down: a thread still submitting to it is unaffected,
-    and its workers exit once it is garbage-collected."""
-    global _pool
-    if blocks < 2:
-        return None
-    cpus = _usable_cpus()
-    if cpus < 2 or openblas.numpy_threads() != 1:
-        return None
-    key = (os.getpid(), cpus - 1)
-    if _pool is None or _pool[0] != key:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = (key, ThreadPoolExecutor(cpus - 1, thread_name_prefix="lahoc-block"))
-    return _pool[1]
 
 
 def component_groups(sigma: np.ndarray) -> list[list[int]]:

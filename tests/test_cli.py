@@ -492,6 +492,23 @@ class TestSolverErrors:
         assert code == 1
         assert single_error_line(capsys)
 
+    def test_r_whose_inverse_overflows_exits_one_with_one_line(self, tmp_path):
+        # R = 1e-320 is positive definite but its inverse is inf in sigma; a
+        # fresh interpreter shows any NumPy warning printed before the error
+        path = tmp_path / "tiny_r.txt"
+        path.write_text(ONE_SUBSYSTEM.replace("R 1\n", "R 1e-320\n"))
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-m", "lahoc.cli", "--problem", str(path), "--n", "20", "--beta", "2",
+             "--orders", "5", "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr.startswith("error: operator has a zero or non-finite row")
+        assert len(run.stderr.splitlines()) == 1
+
 
 # Runs `main` in a fresh interpreter and prints, as JSON, its exit code and
 # the bundled OpenBLAS thread counts before `main`, inside `solve_ocp` and after.

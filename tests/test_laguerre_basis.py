@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 
 from lahoc import (
     BasisConfig,
+    BasisConstructionError,
     build_rule,
     eval_laguerre,
     interpolate,
     quadrature_unweighted,
     quadrature_weighted,
 )
+from lahoc import laguerre_basis
 
 
 class TestEvalLaguerre:
@@ -96,6 +99,52 @@ class TestNodesAndWeights:
         gram = (vander * rule.weights) @ vander.T
         dev = np.abs(gram - np.eye(n + 1) / beta).max()
         assert dev < 1e-12
+
+
+def reference_rule(beta, n):
+    """Nodes, weights and diff from the same eigenvalues with the Newton step
+    taken the textbook way, f'(x) = -L_{n-1}^(2)(x) from its own recurrence,
+    or None when the weights come out invalid."""
+    x = laguerre_basis._golub_welsch_nodes(n, alpha=1.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fx = laguerre_basis._genlaguerre_pair(n, 1.0, x)[1]
+        dfx = -laguerre_basis._genlaguerre_pair(n - 1, 2.0, x)[1] if n > 1 else -np.ones_like(x)
+        x = x - np.where(dfx != 0, fx / dfx, 0.0)
+        nodes = np.concatenate(([0.0], x / beta))
+        ln, ln1 = laguerre_basis._genlaguerre_pair(n + 1, 0.0, beta * nodes)
+        weights = np.empty(n + 1)
+        weights[0] = 1.0 / (beta * (n + 1))
+        weights[1:] = 1.0 / (beta * (n + 1) * ln[1:] * ln1[1:])
+    if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
+        return None
+    return nodes, weights, laguerre_basis._diff_matrix(nodes, ln1, BasisConfig(beta, n))
+
+
+class TestNewtonPolish:
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 6.0])
+    def test_equals_the_polish_from_the_order_two_recurrence(self, beta):
+        # f' read from the order-1 pair, x f' = n L_n^(1) - (n+1) L_{n-1}^(1),
+        # gives the same bits as the order-2 recurrence
+        for n in [*range(1, 60), 100, 120, 200]:
+            expected = reference_rule(beta, n)
+            if expected is None:
+                with pytest.raises(BasisConstructionError):
+                    build_rule(BasisConfig(beta=beta, n_order=n))
+                continue
+            rule = build_rule(BasisConfig(beta=beta, n_order=n))
+            for got, ref in zip((rule.nodes, rule.weights, rule.diff), expected, strict=True):
+                assert np.array_equal(got, ref), (beta, n)
+
+    def test_rejecting_a_large_order_needs_no_quadratic_memory(self):
+        # the eigenvectors alone would take 3000^2 doubles, 69 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(BasisConstructionError):
+                build_rule(BasisConfig(beta=1.0, n_order=3000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestWeightedQuadrature:

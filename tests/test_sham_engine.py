@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -242,8 +243,9 @@ class TestOperatorAssembly:
 
         monkeypatch.setattr(np.linalg, "svd", no_factorization)
         rule = build_rule(BasisConfig(beta=1.0, n_order=12))
-        # an infinite sigma_pq times the zeros of I is NaN
-        with np.errstate(invalid="ignore"):
+        # no NumPy warning first: an infinite sigma_pq never meets a zero of I
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(OperatorSingularError, match="zero or non-finite row"):
                 assemble_operator(spec, rule)
 
@@ -912,15 +914,31 @@ USABLE_CPUS = sham_engine._usable_cpus
 def overlap(monkeypatch):
     """The conditions under which assembly factors the coupled blocks at the
     same time: two usable CPUs and NumPy's OpenBLAS on one thread. The worker
-    pool starts empty and is shut down after the test."""
+    pool cache starts empty, and the pool the test made is shut down after it."""
     if openblas.numpy_threads() is None:
         pytest.skip("NumPy bundles no OpenBLAS whose thread count can be read")
+    drop_pool()
     monkeypatch.setattr(sham_engine, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(sham_engine, "_pool", None)
     with openblas.one_thread():
         yield
-    if sham_engine._pool is not None:
-        sham_engine._pool[1].shutdown()
+    drop_pool()
+
+
+def drop_pool():
+    """Shut down this process's worker pool, if any, joining its threads, so
+    that thread counts read later are not racing a pool's exit; then empty
+    the cache."""
+    if pools_made():
+        sham_engine._workers(os.getpid()).shutdown()
+    sham_engine._workers.cache_clear()
+
+
+def pools_made() -> int:
+    return sham_engine._workers.cache_info().currsize
+
+
+def one_block_after_another(monkeypatch):
+    monkeypatch.setattr(sham_engine, "_usable_cpus", lambda: 1)
 
 
 def gate_on_a_worker(svd, fail_in_worker=False, timeout=30.0):
@@ -968,7 +986,7 @@ class TestOverlappedBlockFactorization:
             monkeypatch.setattr(np.linalg, "svd", gated)
         overlapped = assemble_operator(spec, rule)
         monkeypatch.setattr(np.linalg, "svd", svd)
-        monkeypatch.setattr(sham_engine, "_overlap_pool", lambda blocks: None)
+        one_block_after_another(monkeypatch)
         serial = assemble_operator(spec, rule)
         assert overlapped.pinv is not None and len(overlapped.pinv) == len(serial.pinv) == blocks
         for got, ref in zip(overlapped.pinv, serial.pinv):  # (rows, scale, V S^-1, U^T)
@@ -976,7 +994,7 @@ class TestOverlappedBlockFactorization:
         if blocks > 1:
             assert any(t is not threading.main_thread() for t in gated.threads)
         else:
-            assert sham_engine._pool is None
+            assert pools_made() == 0
 
     def test_starts_one_worker_thread_on_two_cpus(self, overlap, monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", gate_on_a_worker(np.linalg.svd))
@@ -1002,7 +1020,7 @@ class TestOverlappedBlockFactorization:
         before = threading.active_count()
         assert assemble_operator(spec, rule).pinv is not None
         assert threading.active_count() == before
-        assert sham_engine._pool is None
+        assert pools_made() == 0
 
     def test_concurrent_callers_get_the_serial_factors(self, overlap, monkeypatch):
         # more calling threads and workers than cores share the pool, with a
@@ -1018,11 +1036,32 @@ class TestOverlappedBlockFactorization:
                 ops = [f.result(timeout=120.0) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        monkeypatch.setattr(sham_engine, "_overlap_pool", lambda blocks: None)
+        one_block_after_another(monkeypatch)
         serial = assemble_operator(spec, rule)
         for op in ops:
             for got, ref in zip(op.pinv, serial.pinv, strict=True):
                 assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_the_pool_keeps_the_size_it_was_made_with(self, overlap, monkeypatch):
+        # made while two CPUs were usable, the pool is reused when four are:
+        # a call then hands min(blocks, 4) - 1 = 2 of tp32's three blocks to
+        # its one worker, and the calling thread takes any it has not started
+        spec = derive_tpbvp(builtin_problem_32())
+        rule = build_rule(BasisConfig(beta=0.5, n_order=50))
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", gate_on_a_worker(svd))
+        assemble_operator(spec, rule)
+        pool = sham_engine._workers(os.getpid())
+        before = threading.active_count()
+        monkeypatch.setattr(sham_engine, "_usable_cpus", lambda: 4)
+        gated = gate_on_a_worker(svd)
+        monkeypatch.setattr(np.linalg, "svd", gated)
+        assert assemble_operator(spec, rule).pinv is not None
+        assert sham_engine._workers(os.getpid()) is pool and pools_made() == 1
+        assert pool._max_workers == 1
+        assert threading.active_count() == before
+        assert len(gated.threads) == 3
+        assert any(t is not threading.main_thread() for t in gated.threads)
 
     def test_an_error_in_a_worker_reaches_the_caller(self, overlap, monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", gate_on_a_worker(np.linalg.svd, fail_in_worker=True))
