@@ -20,6 +20,7 @@ from .ocp_model import (
     builtin_problem_32,
     derive_tpbvp,
     evaluate_cost,
+    hamiltonian,
     load_problem,
     optimal_control,
     parse_problem,
@@ -38,7 +39,6 @@ from .sham_engine import (
     assemble_operator,
     cauchy_order_term,
     deformation_step,
-    gamma_diagnostic,
     initial_guess,
     run_sham,
 )

@@ -28,7 +28,7 @@ from .ocp_model import (
     solve_ocp,
 )
 from .oracle_bvp import NewtonError, TruncationConfig, compare, solve_truncated
-from .sham_engine import OperatorSingularError, SolverConfig, Termination, gamma_diagnostic
+from .sham_engine import OperatorSingularError, SolverConfig, Termination
 
 _FMT = "{:.8e}"  # 9 significant digits, scientific
 
@@ -64,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", type=int, default=2000, help="oracle mesh intervals")
     p.add_argument("--times", type=str, default=None,
                    help="comma-separated report times (default: builtin table times)")
-    p.add_argument("--lipschitz", type=float, default=None,
-                   help="Lipschitz estimate for the contraction-ratio diagnostic")
     p.add_argument("--out", type=Path, default=Path("lahoc_out"), help="output directory")
     p.add_argument("--sweep", type=str, default=None,
                    help="sweep axis, e.g. hbar=-1.0,-0.6,-0.2 or n=40,80,120 or beta=0.5,1")
@@ -145,15 +143,13 @@ def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
         if not args.compare_tol >= 0:  # NaN fails too
             raise InputError("--compare-tol must be non-negative")
         oracle_config = TruncationConfig(t_end=args.t_end, mesh_points=args.mesh)
-    if args.lipschitz is not None and not 0 <= args.lipschitz < np.inf:  # NaN fails too
-        raise InputError("--lipschitz must be finite and non-negative")
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-
     t0 = time.perf_counter()
     bundle = solve_ocp(problem, config, report_times=times)
     solver_seconds = time.perf_counter() - t0
 
+    # made only now, so that an input the solver rejects leaves no directory
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
     _write_trajectories(out / "trajectories.csv", bundle, problem.n_states)
     _write_convergence(out / "convergence.csv", bundle)
 
@@ -162,11 +158,9 @@ def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
         f"orders used: {len(bundle.tail_norms) - 1}",
         f"final tail norm: {_FMT.format(bundle.tail_norms[-1])}",
         f"cost: {_FMT.format(bundle.cost)}",
+        f"max |H| at nodes: {_FMT.format(bundle.max_hamiltonian)}",
         f"solver wall time: {solver_seconds:.3f} s",
     ]
-    if args.lipschitz is not None:
-        gamma = gamma_diagnostic(derive_tpbvp(problem), config, args.lipschitz)
-        lines.append(f"gamma diagnostic: {'undefined' if np.isnan(gamma) else _FMT.format(gamma)}")
 
     status = 2 if bundle.termination is Termination.DIVERGED else 0
 

@@ -3,7 +3,8 @@
 A problem is a list of subsystems (A_i, B_i, Q_i, R_i, polynomial coupling
 f_i over the full stacked state, initial state). `derive_tpbvp` produces the
 2n-dimensional state/costate system, `optimal_control` applies
-u* = -R^{-1} B^T lambda, and `evaluate_cost` integrates the quadratic cost.
+u* = -R^{-1} B^T lambda, `evaluate_cost` integrates the quadratic cost, and
+`hamiltonian` evaluates the Hamiltonian, zero along the optimum.
 """
 
 from __future__ import annotations
@@ -221,6 +222,20 @@ def evaluate_cost(
     return 0.5 * quadrature_unweighted(rule, integrand)
 
 
+def hamiltonian(spec: SystemSpec, z: np.ndarray) -> np.ndarray:
+    """H = 1/2 x^T Q x + 1/2 lambda^T S lambda + lambda^T x' at each column of
+    z = (x; lambda), shape (2n, T), for a spec from `derive_tpbvp`: Q is
+    sigma[n:, :n], S = B R^-1 B^T is sigma[:n, n:], and x' is the spec's
+    right-hand side. With u = -R^-1 B^T lambda this is
+    1/2 (x^T Q x + u^T R u) + lambda^T (A x + B u + f(x)), which vanishes
+    along the optimum of an autonomous problem on an infinite horizon."""
+    n = spec.dim // 2
+    x, lam = z[:n], z[n:]
+    quadratic = np.einsum("it,ij,jt->t", x, spec.sigma[n:, :n], x)
+    quadratic += np.einsum("it,ij,jt->t", lam, spec.sigma[:n, n:], lam)
+    return 0.5 * quadratic + np.einsum("it,it->t", lam, spec.rhs(z)[:n])
+
+
 @dataclass
 class SolutionBundle:
     """Trajectories at report times plus cost and convergence diagnostics."""
@@ -233,6 +248,7 @@ class SolutionBundle:
     per_order_costs: list[float]
     tail_norms: list[float]
     termination: Termination
+    max_hamiltonian: float  # max |H| over the rule's nodes, at the solution
     solution: np.ndarray  # (states; costates) at the rule's nodes, shape (2n, N+1)
     rule: BasisRule
 
@@ -248,7 +264,8 @@ def solve_ocp(
 ) -> SolutionBundle:
     """Run the homotopy solver on the derived optimality system and package
     trajectories, controls, and cost."""
-    result = run_sham(derive_tpbvp(problem), config)
+    spec = derive_tpbvp(problem)
+    result = run_sham(spec, config)
     n = problem.n_states
     # the cost of every partial sum in one stacked call; the last is the solution's
     sums = np.cumsum(result.series.orders, axis=0)
@@ -273,6 +290,7 @@ def solve_ocp(
         per_order_costs=per_order_costs,
         tail_norms=list(result.tail_norms),
         termination=result.termination,
+        max_hamiltonian=float(np.abs(hamiltonian(spec, result.solution)).max()),
         solution=result.solution,
         rule=result.rule,
     )

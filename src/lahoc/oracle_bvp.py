@@ -121,15 +121,6 @@ def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
 
 
-def _rhs(spec: SystemSpec, z: np.ndarray) -> np.ndarray:
-    """dz/dt = -sigma z - g(z), column-wise; z has shape (n, T)."""
-    g = np.zeros(z.shape)
-    for r, terms in enumerate(spec.nonlinear):
-        for t in terms:
-            g[r] += math.prod((z[c] for c in t.factors), start=t.coefficient)
-    return -spec.sigma @ z - g
-
-
 def _monomial_jacobian(spec: SystemSpec, z: np.ndarray) -> np.ndarray:
     """dg/dz at each column of z; returns shape (T, n, n)."""
     jac = np.zeros((len(z), *z.shape))
@@ -153,7 +144,7 @@ def _residual(spec: SystemSpec, times: np.ndarray, z: np.ndarray) -> np.ndarray:
     initial, decay = _split_bc(spec)
     h = np.diff(times)
     zmid = 0.5 * (z[:, :-1] + z[:, 1:])
-    interval = (z[:, 1:] - z[:, :-1]) - h * _rhs(spec, zmid)
+    interval = (z[:, 1:] - z[:, :-1]) - h * spec.rhs(zmid)
     values = np.array([spec.bc[r].value for r in initial])
     return np.concatenate([z[initial, 0] - values, interval.T.ravel(), z[decay, -1]])
 

@@ -120,6 +120,14 @@ class SystemSpec:
         if not any(isinstance(tag, InitialValue) for tag in self.bc):
             raise ValueError("at least one component needs an InitialValue tag")
 
+    def rhs(self, z: np.ndarray) -> np.ndarray:
+        """dz/dt = -sigma z - g(z), column-wise; z has shape (n, T)."""
+        g = np.zeros(z.shape)
+        for r, terms in enumerate(self.nonlinear):
+            for t in terms:
+                g[r] += math.prod((z[c] for c in t.factors), start=t.coefficient)
+        return -self.sigma @ z - g
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -533,25 +541,3 @@ def run_sham(spec: SystemSpec, config: SolverConfig) -> ShamResult:
         series.truncate(best_order)
 
     return ShamResult(series, rule, operator, series.partial_sum(), termination)
-
-
-def gamma_diagnostic(
-    spec: SystemSpec, config: SolverConfig, lipschitz_estimate: float
-) -> float:
-    """Contraction-ratio diagnostic (N|1 + hbar| + a1 + |hbar| L) / (beta/2 + a0),
-    with the auxiliary function H = 1 and the bounds a0, a1 taken from the
-    diagonal of sigma.
-
-    Purely informational: the solver never gates on it. Returns NaN when
-    beta/2 + a0 <= 0 (the ratio is undefined there).
-    """
-    diag = np.diag(spec.sigma)
-    a0 = float(np.min(diag))
-    a1 = float(np.max(np.abs(diag)))
-    beta = config.basis.beta
-    n = config.basis.n_order
-    denom = beta / 2.0 + a0
-    if denom <= 0:
-        return math.nan
-    num = n * abs(1.0 + config.hbar) + a1 + abs(config.hbar) * lipschitz_estimate
-    return num / denom

@@ -25,6 +25,7 @@ from lahoc import (
     builtin_problem_32,
     cauchy_order_term,
     derive_tpbvp,
+    hamiltonian,
     quadrature_weighted,
     run_sham,
     solve_ocp,
@@ -221,6 +222,11 @@ class TestCriterion7ScalarLqr:
         assert np.abs(bundle.states[0] - exact).max() < 1e-5
         assert np.abs(bundle.costates[0] - (1 + math.sqrt(2.0)) * exact).max() < 1e-5
         assert bundle.cost == pytest.approx((1 + math.sqrt(2.0)) / 2, abs=1e-5)
+
+    def test_hamiltonian_vanishes_on_the_exact_trajectory(self):
+        x = np.exp(-math.sqrt(2.0) * np.linspace(0.0, 8.0, 100))
+        z = np.array([x, (1 + math.sqrt(2.0)) * x])
+        assert np.abs(hamiltonian(derive_tpbvp(self.make_problem()), z)).max() < 1e-12
 
     def test_truncated_domain_oracle(self):
         spec = derive_tpbvp(self.make_problem())

@@ -36,6 +36,8 @@ class TestSingleRun:
         summary = (out / "summary.txt").read_text()
         assert "termination: Converged" in summary
         assert "cost:" in summary
+        (h_line,) = [l for l in summary.splitlines() if l.startswith("max |H| at nodes: ")]
+        assert float(h_line.split(": ")[1]) < 1e-3
 
         rows = read_csv(out / "trajectories.csv")
         assert len(rows) == 6  # the builtin report-time table
@@ -76,14 +78,6 @@ class TestSingleRun:
         assert code == 0
         rows = read_csv(out / "trajectories.csv")
         assert [float(r["time"]) for r in rows] == [0.5, 1.0, 2.0]
-
-    def test_gamma_reported_with_lipschitz(self, tmp_path):
-        code, out = run_cli(
-            tmp_path, "--builtin", "tp31", "--n", "30", "--beta", "6",
-            "--orders", "40", "--lipschitz", "1.0",
-        )
-        assert code == 0
-        assert "gamma diagnostic:" in (out / "summary.txt").read_text()
 
 
 class TestBadInput:
@@ -146,10 +140,11 @@ class TestBadInput:
             ("--builtin", "tp31", "--problem", "x"),
             ("--n", "20"),
             ("--builtin", "tp99"),
+            ("--builtin", "tp31", "--lipschitz", "1"),
         ],
         ids=[
             "times", "sweep-axis", "empty-sweep", "missing-file",
-            "bad-int", "two-sources", "no-source", "unknown-builtin",
+            "bad-int", "two-sources", "no-source", "unknown-builtin", "removed-lipschitz",
         ],
     )
     def test_every_input_error_prints_one_error_line(self, tmp_path, capsys, extra):
@@ -207,29 +202,6 @@ class TestBadProblemData:
         assert captured.err == f"error: {path}: {message}\n"
         assert captured.out == ""
         assert not out.exists()
-
-
-class TestLipschitz:
-    @pytest.mark.parametrize("value", ["nan", "-3", "inf"])
-    def test_bad_value_exits_one_before_the_solve(self, tmp_path, capsys, monkeypatch, value):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solve_ocp ran before --lipschitz was checked")
-
-        monkeypatch.setattr(cli, "solve_ocp", no_solve)
-        code, out = run_cli(tmp_path, "--builtin", "tp31", "--n", "20", "--lipschitz", value)
-        assert code == 1
-        assert capsys.readouterr().err.strip() == (
-            "error: --lipschitz must be finite and non-negative"
-        )
-        assert not (out / "summary.txt").exists()
-
-    def test_zero_is_accepted(self, tmp_path):
-        code, out = run_cli(
-            tmp_path, "--builtin", "tp31", "--n", "30", "--beta", "6",
-            "--orders", "40", "--lipschitz", "0",
-        )
-        assert code == 0
-        assert "gamma diagnostic: " in (out / "summary.txt").read_text()
 
 
 class TestReportTimes:
@@ -483,6 +455,12 @@ class TestSolverErrors:
         assert code == 1
         assert single_error_line(capsys)
 
+    def test_rejected_rule_leaves_no_output_directory(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "--builtin", "tp31", "--n", "3000")
+        assert code == 1
+        assert capsys.readouterr().err == "error: invalid weights for N=3000, beta=1.0\n"
+        assert not out.exists()
+
     def test_singular_operator_exits_one(self, tmp_path, capsys, monkeypatch):
         def singular(*args, **kwargs):
             raise OperatorSingularError("singular operator for n=4, grid=21")
@@ -508,6 +486,7 @@ class TestSolverErrors:
         assert run.stdout == ""
         assert run.stderr.startswith("error: operator has a zero or non-finite row")
         assert len(run.stderr.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
 
 # Runs `main` in a fresh interpreter and prints, as JSON, its exit code and

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lahoc import (
     BUILTIN_PROBLEMS,
@@ -17,6 +19,7 @@ from lahoc import (
     builtin_problem_32,
     derive_tpbvp,
     evaluate_cost,
+    hamiltonian,
     load_problem,
     optimal_control,
     parse_problem,
@@ -144,6 +147,66 @@ class TestScalarLqr:
         assert np.abs(bundle.states[0] - exact).max() < 1e-9
         assert np.abs(bundle.costates[0] - p * exact).max() < 1e-9
         assert np.abs(bundle.controls[0] + p * exact).max() < 1e-9
+
+
+class TestHamiltonian:
+    @pytest.mark.parametrize("name", ["tp31", "tp32"])
+    def test_equals_the_state_control_form(self, name):
+        # 1/2 (x^T Q x + u^T R u) + lambda^T (A x + B u + f(x)), u = -R^-1 B^T lambda
+        problem = BUILTIN_PROBLEMS[name]()
+        n = problem.n_states
+        z = np.random.default_rng(5).normal(size=(2 * n, 30))
+        x, lam = z[:n], z[n:]
+        u = optimal_control(problem, lam)
+        expected = np.zeros(z.shape[1])
+        r = c = 0
+        for sub in problem.subsystems:
+            xi, li = x[r : r + sub.n_states], lam[r : r + sub.n_states]
+            ui = u[c : c + sub.n_inputs]
+            f = np.array([
+                sum((t.coefficient * np.prod(x ** np.array(t.exponents)[:, None], axis=0)
+                     for t in row), np.zeros(z.shape[1]))
+                for row in sub.f_terms
+            ])
+            expected += 0.5 * np.einsum("it,ij,jt->t", xi, sub.q_mat, xi)
+            expected += 0.5 * np.einsum("it,ij,jt->t", ui, sub.r_mat, ui)
+            expected += np.einsum("it,it->t", li, sub.a_mat @ xi + sub.b_mat @ ui + f)
+            r += sub.n_states
+            c += sub.n_inputs
+        got = hamiltonian(derive_tpbvp(problem), z)
+        assert np.abs(got - expected).max() < 1e-12 * np.abs(expected).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.floats(-5.0, 5.0),
+        b=st.floats(0.1, 5.0) | st.floats(-5.0, -0.1),
+        q=st.floats(0.01, 10.0),
+        r=st.floats(0.01, 10.0),
+        x0=st.floats(-2.0, 2.0),
+    )
+    def test_vanishes_on_the_scalar_lqr_optimum(self, a, b, q, r, x0):
+        # x' = a x + b u: x = x0 e^{-mu t}, mu = sqrt(a^2 + b^2 q / r), lambda = p x
+        mu = math.sqrt(a * a + b * b * q / r)
+        p = r * (a + mu) / (b * b)
+        sub = SubsystemSpec(a_mat=[[a]], b_mat=[[b]], q_mat=[[q]], r_mat=[[r]],
+                            f_terms=((),), x0=[x0])
+        x = x0 * np.exp(-mu * np.linspace(0.0, 5.0, 30))
+        h = hamiltonian(derive_tpbvp(OCProblem(subsystems=(sub,))), np.array([x, p * x]))
+        # the three terms of H: 1/2 q x^2, 1/2 (b^2 / r) lambda^2 and lambda x'
+        scale = (0.5 * q + 0.5 * b * b / r * p * p + abs(p) * mu) * x * x
+        assert np.all(np.abs(h) <= 1e-10 * scale)
+
+    def test_max_over_the_nodes_flags_the_diverged_row(self):
+        def row(n):
+            cfg = SolverConfig(hbar=-0.6, basis=BasisConfig(beta=6.0, n_order=n),
+                               max_order=150, tail_tol=1e-13)
+            return solve_ocp(builtin_problem_31(), cfg, report_times=())
+
+        diverged, converged = row(20), row(40)
+        assert diverged.termination is Termination.DIVERGED
+        assert diverged.max_hamiltonian > 1.0
+        assert converged.termination is Termination.CONVERGED
+        assert converged.max_hamiltonian < 1e-3
 
 
 class TestSolutionBundle:

@@ -28,7 +28,6 @@ from lahoc import (
     cauchy_order_term,
     deformation_step,
     derive_tpbvp,
-    gamma_diagnostic,
     initial_guess,
     run_sham,
 )
@@ -391,24 +390,6 @@ class TestRunSham:
             np.abs(a - b).max() for a, b in zip(sols, sols[1:])
         )
         assert spread < 1e-6
-
-
-class TestGammaDiagnostic:
-    def test_finite_for_stable_configuration(self):
-        cfg = solver_config(n=40, beta=6.0)
-        spec = derive_tpbvp(builtin_problem_31())
-        gamma = gamma_diagnostic(spec, cfg, lipschitz_estimate=1.0)
-        assert math.isfinite(gamma) and gamma > 0
-
-    def test_nan_when_denominator_nonpositive(self):
-        spec = SystemSpec(
-            dim=1,
-            sigma=np.array([[-5.0]]),
-            nonlinear=((),),
-            bc=(InitialValue(1.0),),
-        )
-        cfg = solver_config(n=10, beta=1.0)
-        assert math.isnan(gamma_diagnostic(spec, cfg, lipschitz_estimate=1.0))
 
 
 def test_cond_switch_separates_the_branches():
