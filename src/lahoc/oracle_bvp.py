@@ -1,12 +1,13 @@
 """Independent truncated-domain solver for the state/costate boundary value problem.
 
 Midpoint-rule collocation on a geometrically graded mesh over [0, t_end] with
-a damped Newton iteration, first on a mesh of half as many intervals and then,
-from the spline of that solution, on the full mesh. The decay condition on
-costate components is imposed at t_end. The unknowns are ordered time-major
-and the residual rows run initial values, then one block of n rows per mesh
-interval, then the decay rows, so the analytic Jacobian is a band matrix 3n
-diagonals wide that each Newton step factors in place with LAPACK's band LU.
+a damped, simplified Newton iteration, first on a mesh of half as many
+intervals and then, from the spline of that solution, on the full mesh. The
+decay condition on costate components is imposed at t_end. The unknowns are
+ordered time-major and the residual rows run initial values, then one block of
+n rows per mesh interval, then the decay rows, so the analytic Jacobian is a
+band matrix 3n diagonals wide, factored in place with LAPACK's band LU and
+solved with again while the steps on it keep contracting the residual.
 Trajectories are read between mesh points through a not-a-knot cubic spline.
 Used to cross-validate the spectral homotopy trajectories.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dgbtrs
 
 from .sham_engine import InitialValue, SystemSpec
 
@@ -33,7 +34,8 @@ class NewtonError(RuntimeError):
 
 
 NEWTON_TOL = 1e-11  # infinity norm of the collocation residual
-MAX_NEWTON_ITERS = 30
+MAX_NEWTON_ITERS = 30  # band solves, fresh or reused
+REUSE_CONTRACTION = 0.25  # a reused factorization must cut the residual norm this much
 GRADING = 4.0  # exponential clustering strength of the mesh near t = 0
 
 
@@ -188,35 +190,62 @@ def _banded_jacobian(
 
 
 def _newton(spec, times, z0):
-    n = spec.dim
+    """Simplified Newton: each step solves with the band LU of the last
+    Jacobian factored, for as long as the steps taken on it contract.
+
+    A reuse step (`dgbtrs` on the held factors) is undamped and keeps them
+    only if it cuts the residual's infinity norm to REUSE_CONTRACTION of its
+    value or less; one that does not lower the residual is discarded, and the
+    Jacobian is factored at the same iterate. Returns (z, band solves,
+    residual), every solve counted, fresh or reused."""
     z = z0.copy()
     res = _residual(spec, times, z)
     rnorm = np.linalg.norm(res, ord=np.inf)
+    lu = None  # `dgbtrs` arguments of the held factors; the only reference to them
     for it in range(MAX_NEWTON_ITERS):
         if rnorm < NEWTON_TOL:
             return z, it, rnorm
-        (l, u), ab = _banded_jacobian(spec, times, z)
-        *_, delta, info = dgbsv(l, u, ab, res, overwrite_ab=True, overwrite_b=True)
-        if info:  # info > 0: a zero pivot
-            raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}", it + 1)
-        if not np.all(np.isfinite(delta)):
-            raise NewtonError("singular Jacobian (non-finite Newton step)", it + 1)
-        step = 1.0
-        dz = delta.reshape(len(times), n).T
-        while True:
-            z_try = z - step * dz
-            res_try = _residual(spec, times, z_try)
-            rnorm_try = np.linalg.norm(res_try, ord=np.inf)
-            if rnorm_try < (1 - 0.1 * step) * rnorm or step < 1e-4:
-                break
-            step *= 0.5
-        z, res, rnorm = z_try, res_try, rnorm_try
+        if lu is None:
+            z, res, rnorm, lu = _factored_step(spec, times, z, res, rnorm, it + 1)
+            continue
+        delta, _ = dgbtrs(b=res, **lu)
+        z_try = z - delta.reshape(len(times), spec.dim).T
+        res_try = _residual(spec, times, z_try)
+        rnorm_try = np.linalg.norm(res_try, ord=np.inf)
+        if not rnorm_try <= REUSE_CONTRACTION * rnorm:
+            lu = None  # freed before the next band is built
+        if rnorm_try < rnorm:  # NaN is not
+            z, res, rnorm = z_try, res_try, rnorm_try
     if rnorm >= NEWTON_TOL:
         raise NewtonError(
             f"no convergence after {MAX_NEWTON_ITERS} iterations, residual {rnorm:.3e}",
             MAX_NEWTON_ITERS,
         )
     return z, MAX_NEWTON_ITERS, rnorm
+
+
+def _factored_step(spec, times, z, res, rnorm, solves):
+    """A Newton step on the Jacobian at z, factored by `dgbsv`, with a line
+    search from the full step. Returns (z, res, rnorm, factors); the factors
+    are the `dgbtrs` arguments if the full step was taken, else None. A
+    NewtonError raised here counts `solves` band solves."""
+    (l, u), ab = _banded_jacobian(spec, times, z)
+    lub, piv, delta, info = dgbsv(l, u, ab, res, overwrite_ab=True)
+    if info:  # info > 0: a zero pivot
+        raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}", solves)
+    if not np.all(np.isfinite(delta)):
+        raise NewtonError("singular Jacobian (non-finite Newton step)", solves)
+    step = 1.0
+    dz = delta.reshape(len(times), spec.dim).T
+    while True:
+        z_try = z - step * dz
+        res_try = _residual(spec, times, z_try)
+        rnorm_try = np.linalg.norm(res_try, ord=np.inf)
+        if rnorm_try < (1 - 0.1 * step) * rnorm or step < 1e-4:
+            break
+        step *= 0.5
+    factors = dict(ab=lub, kl=l, ku=u, ipiv=piv) if step == 1.0 else None
+    return z_try, res_try, rnorm_try, factors
 
 
 def _solve_direct(spec: SystemSpec, times: np.ndarray):

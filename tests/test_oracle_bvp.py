@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgbsv
 
 from lahoc import (
     DecayAtInfinity,
@@ -178,6 +179,56 @@ def dense_from_band(bands, ab):
     return dense
 
 
+def log_band_solves(monkeypatch) -> list[str]:
+    """Wrap the oracle's band factorizations (`dgbsv`) and its solves on held
+    factors (`dgbtrs`); the returned list names each call, in call order."""
+    log = []
+    for name in ("dgbsv", "dgbtrs"):
+        real = getattr(oracle_bvp, name)
+
+        def logging(*args, _name=name, _real=real, **kwargs):
+            log.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_bvp, name, logging)
+    return log
+
+
+def refactor_every_step_newton(spec, times, z0):
+    """Newton that factors the band Jacobian at every step: the oracle's
+    iteration before it held factors across steps, as the reference."""
+    n = spec.dim
+    z = z0.copy()
+    res = _residual(spec, times, z)
+    rnorm = np.linalg.norm(res, ord=np.inf)
+    for it in range(oracle_bvp.MAX_NEWTON_ITERS):
+        if rnorm < oracle_bvp.NEWTON_TOL:
+            return z, it, rnorm
+        (l, u), ab = _banded_jacobian(spec, times, z)
+        *_, delta, info = dgbsv(l, u, ab, res, overwrite_ab=True, overwrite_b=True)
+        if info:
+            raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}", it + 1)
+        if not np.all(np.isfinite(delta)):
+            raise NewtonError("singular Jacobian (non-finite Newton step)", it + 1)
+        step = 1.0
+        dz = delta.reshape(len(times), n).T
+        while True:
+            z_try = z - step * dz
+            res_try = _residual(spec, times, z_try)
+            rnorm_try = np.linalg.norm(res_try, ord=np.inf)
+            if rnorm_try < (1 - 0.1 * step) * rnorm or step < 1e-4:
+                break
+            step *= 0.5
+        z, res, rnorm = z_try, res_try, rnorm_try
+    raise NewtonError("no convergence", oracle_bvp.MAX_NEWTON_ITERS)
+
+
+def reference_solve(monkeypatch, spec, cfg) -> MeshTrajectory:
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle_bvp, "_newton", refactor_every_step_newton)
+        return solve_truncated(spec, cfg)
+
+
 class TestBandedJacobian:
     @pytest.mark.parametrize(
         "spec",
@@ -294,6 +345,7 @@ class TestNewtonSolve:
 
         monkeypatch.setattr(oracle_bvp, "dgbsv", fails_once)
         monkeypatch.setattr(oracle_bvp, "_newton", recording)
+        band_solves = log_band_solves(monkeypatch)
         spec = derive_tpbvp(builtin_problem_31())
         traj = solve_truncated(spec, TruncationConfig(t_end=40.0, mesh_points=400))
         assert len(calls) > 1
@@ -304,8 +356,9 @@ class TestNewtonSolve:
         scales = [1.0, 0.25, 0.5, 0.75, 1.0, 1.0]
         assert np.array_equal(coefficients, [s * full for s in scales])
         assert meshes == [200] * 5 + [400]
-        # every band solve counts: the failed one and each stage's, 16 in all
-        assert traj.newton_iters == len(calls) == 16
+        # every band solve counts: the failed one and each stage's, fresh or
+        # on held factors, 24 in all (7 factorizations)
+        assert traj.newton_iters == len(band_solves) == 24
 
     def test_band_solve_matches_a_dense_solve(self):
         # the Newton step's in-place gbsv against numpy on the dense Jacobian
@@ -340,14 +393,108 @@ class TestNewtonSolve:
 
     @pytest.mark.parametrize(
         "problem, mesh, iters",
-        [(builtin_problem_31, 2000, 6 + 1), (builtin_problem_32, 1200, 4 + 1)],
+        [(builtin_problem_31, 2000, 8 + 1), (builtin_problem_32, 1200, 5 + 1)],
         ids=["tp31", "tp32"],
     )
-    def test_newton_iteration_counts(self, problem, mesh, iters):
+    def test_newton_iteration_counts(self, monkeypatch, problem, mesh, iters):
+        band_solves = log_band_solves(monkeypatch)
         cfg = TruncationConfig(t_end=40.0, mesh_points=mesh)
         traj = solve_truncated(derive_tpbvp(problem()), cfg)
-        assert traj.newton_iters == iters
+        assert traj.newton_iters == len(band_solves) == iters
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
+
+
+class TestFactorReuse:
+    """`_newton` solves on the band LU of the last factored Jacobian while the
+    steps taken on it cut the residual at least fourfold."""
+
+    @pytest.mark.parametrize(
+        "spec, t_end, mesh",
+        [
+            (derive_tpbvp(builtin_problem_31()), 40.0, 2000),
+            (derive_tpbvp(builtin_problem_32()), 40.0, 1200),
+            (interleaved_spec(), 20.0, 400),
+        ],
+        ids=["tp31", "tp32", "interleaved"],
+    )
+    def test_matches_the_refactor_every_step_reference(self, monkeypatch, spec, t_end, mesh):
+        cfg = TruncationConfig(t_end=t_end, mesh_points=mesh)
+        ref = reference_solve(monkeypatch, spec, cfg)
+        band_solves = log_band_solves(monkeypatch)
+        traj = solve_truncated(spec, cfg)
+        assert band_solves.count("dgbtrs") > 0
+        assert np.abs(traj.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
+        assert max(traj.final_residual, ref.final_residual) < oracle_bvp.NEWTON_TOL
+
+    @pytest.mark.parametrize(
+        "problem, mesh, factorizations",
+        [(builtin_problem_31, 2000, 4), (builtin_problem_32, 1200, 3)],
+        ids=["tp31", "tp32"],
+    )
+    def test_factors_fewer_times_than_it_solves(self, monkeypatch, problem, mesh, factorizations):
+        band_solves = log_band_solves(monkeypatch)
+        cfg = TruncationConfig(t_end=40.0, mesh_points=mesh)
+        traj = solve_truncated(derive_tpbvp(problem()), cfg)
+        assert band_solves.count("dgbsv") <= factorizations
+        assert band_solves.count("dgbsv") < traj.newton_iters
+
+    @pytest.mark.parametrize("scale, held", [(0.1, True), (3.0, False)], ids=["full", "damped"])
+    def test_only_a_full_step_holds_its_factors(self, scale, held):
+        # the held factors solve the Jacobian they came from, as a dense solve does
+        spec = interleaved_spec()
+        times = graded_mesh(TruncationConfig(t_end=20.0, mesh_points=60))
+        z = scale * np.random.default_rng(8).standard_normal((spec.dim, len(times)))
+        res = _residual(spec, times, z)
+        rnorm = np.linalg.norm(res, ord=np.inf)
+        ref = np.linalg.solve(dense_from_band(*_banded_jacobian(spec, times, z)), res)
+        z_new, _, _, factors = oracle_bvp._factored_step(spec, times, z, res.copy(), rnorm, 1)
+        step = np.abs(z - z_new).max() / np.abs(ref).max()
+        if not held:
+            assert factors is None and step <= 0.5
+            return
+        assert step == pytest.approx(1.0)
+        delta, info = oracle_bvp.dgbtrs(b=res, **factors)
+        assert info == 0
+        assert np.abs(delta.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "spoil", [lambda x: 10.0 * x, lambda x: np.full_like(x, np.nan)], ids=["too-long", "non-finite"]
+    )
+    def test_a_step_that_does_not_lower_the_residual_is_refactored(self, monkeypatch, spoil):
+        # the first solve on held factors returns a step that raises the
+        # residual: it is dropped, and the next step factors the Jacobian at
+        # the iterate whose residual that solve was given
+        spec = derive_tpbvp(builtin_problem_31())
+        cfg = TruncationConfig(t_end=40.0, mesh_points=2000)
+        ref = reference_solve(monkeypatch, spec, cfg)
+        spoiled = []  # (position in the log, the right-hand side it was given)
+        factored_at = []
+        dgbtrs = oracle_bvp.dgbtrs
+        jacobian = oracle_bvp._banded_jacobian
+
+        def spoils_once(*args, **kwargs):
+            x, info = dgbtrs(*args, **kwargs)
+            if spoiled:
+                return x, info
+            # the log wraps this function, so this call is its last entry
+            spoiled.append((len(band_solves) - 1, kwargs["b"].copy()))
+            return spoil(x), info
+
+        def recording(spec, times, z):
+            factored_at.append(_residual(spec, times, z))
+            return jacobian(spec, times, z)
+
+        monkeypatch.setattr(oracle_bvp, "dgbtrs", spoils_once)
+        monkeypatch.setattr(oracle_bvp, "_banded_jacobian", recording)
+        band_solves = log_band_solves(monkeypatch)
+        traj = solve_truncated(spec, cfg)
+        (position, rhs), = spoiled
+        assert band_solves[position : position + 2] == ["dgbtrs", "dgbsv"]
+        factorization = band_solves[: position + 1].count("dgbsv")
+        assert np.array_equal(factored_at[factorization], rhs)
+        assert traj.newton_iters == len(band_solves)
+        assert traj.final_residual < oracle_bvp.NEWTON_TOL
+        assert np.abs(traj.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
 
 
 class TestCoarseToFine:
@@ -389,10 +536,8 @@ class TestCoarseToFine:
 
         spec = derive_tpbvp(builtin_problem_31())
         direct, iters, rnorm = oracle_bvp._solve_direct(spec, graded_mesh(cfg))
-        dgbsv = oracle_bvp.dgbsv
-        band_solves = []
         monkeypatch.setattr(oracle_bvp, "_newton", failing_stage)
-        monkeypatch.setattr(oracle_bvp, "dgbsv", lambda *a, **k: band_solves.append(1) or dgbsv(*a, **k))
+        band_solves = log_band_solves(monkeypatch)
         traj = solve_truncated(spec, cfg)
         assert np.array_equal(traj.values, direct)
         assert traj.final_residual == rnorm
