@@ -247,10 +247,10 @@ def _run_sweep(args, problem: OCProblem) -> int:
 
 def main(argv=None) -> int:
     """Run the command. Unless one of `openblas.THREAD_VARIABLES` is set,
-    NumPy's and SciPy's OpenBLAS run on one thread until it returns: more
-    threads than free cores made a tp32 solve 16 times slower on a shared
-    host (see README), and one thread lets the coupled blocks be factored
-    at the same time."""
+    NumPy's bundled OpenBLAS, which also runs lahoc's LAPACK calls, runs on
+    one thread until it returns: more threads than free cores made a tp32
+    solve 16 times slower on a shared host (see README), and one thread lets
+    the coupled blocks be factored at the same time."""
     with openblas.one_thread_unless_set():
         try:
             args = _build_parser().parse_args(argv)

@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+
+from .openblas import dsterf
 
 
 class BasisConstructionError(RuntimeError):
@@ -71,7 +72,7 @@ def _golub_welsch_nodes(degree: int, alpha: float) -> np.ndarray:
     k = np.arange(degree)
     diag = 2 * k + alpha + 1
     off = np.sqrt((k[:-1] + 1) * (k[:-1] + 1 + alpha))
-    return eigh_tridiagonal(diag, off, eigvals_only=True)
+    return dsterf(diag, off)
 
 
 def _barycentric_weights(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

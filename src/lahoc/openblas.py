@@ -1,73 +1,81 @@
-"""Thread counts of the OpenBLAS libraries that NumPy and SciPy bundle, read
-and set through ctypes.
+"""NumPy's bundled OpenBLAS, through ctypes: its thread count, and the six
+LAPACK routines lahoc calls.
 
-Wheels install each package's shared libraries in `<package>.libs` next to
-the package. An OpenBLAS exports its thread-count functions under a prefix
-(`scipy_openblas` in NumPy's and SciPy's builds) and, for the 64-bit integer
-interface, a suffix. A package without such a library (another BLAS, or
-another layout) has none here, and callers treat its count as unknown.
+NumPy's PyPI wheels for Linux install an ILP64 OpenBLAS (64-bit integers) in
+`numpy.libs`, next to the package. It exports LAPACK under the prefix
+`scipy_` and the suffix `_64_` (`scipy_dgbsv_64_`), and its thread-count
+functions as `scipy_openblas_{get,set}_num_threads64_`. lahoc needs that
+library: importing this module without it raises ImportError.
+
+Each binding passes LAPACK its integers as int64 and its arrays as aligned
+float64 (pivots int64) Fortran-ordered buffers. An array that is not one
+already, or that the routine would overwrite without leave, is copied first,
+and the argument types check every buffer again, so LAPACK gets no other
+pointer. Pivots count rows from 0, as SciPy's wrappers return them; LAPACK's
+count from 1.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import importlib
 import os
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 # the variables OpenBLAS, OpenMP and MKL read their thread count from
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_NAMES = (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", ""))
+
+
+def _load(libs: Path) -> ctypes.CDLL:
+    """The ILP64 OpenBLAS with LAPACK in the directory `libs`."""
+    for lib in sorted(libs.glob("*openblas*.so*")):
+        handle = ctypes.CDLL(str(lib))
+        if hasattr(handle, "scipy_dgbsv_64_") and hasattr(handle, "scipy_openblas_get_num_threads64_"):
+            return handle
+    raise ImportError(
+        f"lahoc needs NumPy's PyPI wheel for Linux, which bundles an ILP64 OpenBLAS "
+        f"in numpy.libs; found none in {libs}"
+    )
+
+
+_LIB = _load(Path(np.__file__).parent.parent / "numpy.libs")
 
 
 @functools.cache
-def _bundled(package: str) -> tuple[tuple[Callable, Callable], ...]:
-    """(get, set) thread-count functions of each OpenBLAS in `package`'s
-    bundled libraries."""
-    libs = Path(importlib.import_module(package).__file__).parent.parent / f"{package}.libs"
-    found = []
-    for lib in sorted(libs.glob("*openblas*.so*")):
-        handle = ctypes.CDLL(str(lib))
-        for prefix, suffix in _NAMES:
-            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.restype, get.argtypes = ctypes.c_int, ()
-                put.restype, put.argtypes = None, (ctypes.c_int,)
-                found.append((get, put))
-                break
-    return tuple(found)
+def _bundled() -> tuple[tuple[Callable, Callable], ...]:
+    """(get, set) thread-count functions of NumPy's OpenBLAS."""
+    get, put = _LIB.scipy_openblas_get_num_threads64_, _LIB.scipy_openblas_set_num_threads64_
+    get.restype, get.argtypes = ctypes.c_int, ()
+    put.restype, put.argtypes = None, (ctypes.c_int,)
+    return ((get, put),)
 
 
 def numpy_threads() -> int | None:
     """Thread count of NumPy's bundled OpenBLAS, or None if it has none."""
-    libs = _bundled("numpy")
+    libs = _bundled()
     return libs[0][0]() if libs else None
 
 
-def _numpy_and_scipy() -> list[tuple[Callable, Callable]]:
-    return [lib for package in ("numpy", "scipy") for lib in _bundled(package)]
-
-
 def thread_counts() -> list[int]:
-    """Thread count of each OpenBLAS that NumPy and SciPy bundle, NumPy's first."""
-    return [get() for get, _ in _numpy_and_scipy()]
+    """Thread count of NumPy's bundled OpenBLAS, in a list."""
+    return [get() for get, _ in _bundled()]
 
 
 @contextmanager
 def one_thread():
-    """Run the block with each OpenBLAS that NumPy and SciPy bundle on one
-    thread, and restore every previous count after it."""
+    """Run the block with NumPy's bundled OpenBLAS, which also runs lahoc's
+    LAPACK calls, on one thread, and restore the previous count after it."""
     previous = thread_counts()
-    for _, put in _numpy_and_scipy():
+    for _, put in _bundled():
         put(1)
     try:
         yield
     finally:
-        for (_, put), count in zip(_numpy_and_scipy(), previous):
+        for (_, put), count in zip(_bundled(), previous):
             put(count)
 
 
@@ -77,3 +85,159 @@ def one_thread_unless_set():
     if any(os.environ.get(var) for var in THREAD_VARIABLES):
         return nullcontext()
     return one_thread()
+
+
+_INT = ctypes.POINTER(ctypes.c_int64)
+_F64 = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,ALIGNED,WRITEABLE")
+_I64 = np.ctypeslib.ndpointer(np.int64, flags="F_CONTIGUOUS,ALIGNED,WRITEABLE")
+
+
+def _routine(name: str, *argtypes):
+    """LAPACK's `name` in NumPy's OpenBLAS, with its argument types."""
+    routine = getattr(_LIB, f"scipy_{name}_64_")
+    routine.restype, routine.argtypes = None, argtypes
+    return routine
+
+
+# the hidden length of the CHARACTER argument TRANS (c_size_t) goes last
+_dsterf = _routine("dsterf", _INT, _F64, _F64, _INT)
+_dgetrf = _routine("dgetrf", _INT, _INT, _F64, _INT, _I64, _INT)
+_dgetrs = _routine("dgetrs", ctypes.c_char_p, _INT, _INT, _F64, _INT, _I64, _F64, _INT, _INT,
+                   ctypes.c_size_t)
+_dgbsv = _routine("dgbsv", _INT, _INT, _INT, _INT, _F64, _INT, _I64, _F64, _INT, _INT)
+_dgbtrs = _routine("dgbtrs", ctypes.c_char_p, _INT, _INT, _INT, _INT, _F64, _INT, _I64, _F64,
+                   _INT, _INT, ctypes.c_size_t)
+_dgtsv = _routine("dgtsv", _INT, _INT, _F64, _F64, _F64, _F64, _INT, _INT)
+
+
+def _int(value: int):
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _fortran(a, dtype=np.float64, in_place: bool = False) -> np.ndarray:
+    """`a` as an aligned, writeable, Fortran-ordered array of `dtype`: `a`
+    itself if `in_place` and it is one already, else a copy. Only a safe cast
+    is made, so a complex array raises TypeError."""
+    a = np.asarray(a)
+    flags = a.flags
+    if in_place and a.dtype == dtype and flags.f_contiguous and flags.aligned and flags.writeable:
+        return a
+    return a.astype(dtype, order="F", casting="safe")
+
+
+def _rhs(b, n: int, in_place: bool = False) -> tuple[np.ndarray, int]:
+    """Right-hand sides `b` (n,) or (n, k) for LAPACK, with their count k."""
+    b = _fortran(b, in_place=in_place)
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"right-hand sides must have {n} rows, got shape {b.shape}")
+    return b, (b.shape[1] if b.ndim == 2 else 1)
+
+
+def _pivots(piv, n: int) -> np.ndarray:
+    """n row indices, counted from 0, as LAPACK's pivots: int64, from 1. An
+    index outside the matrix would make LAPACK swap rows outside it."""
+    piv = np.asarray(piv)
+    if piv.shape != (n,) or piv.dtype.kind not in "iu" or (n and not 0 <= piv.min() <= piv.max() < n):
+        raise ValueError(f"expected {n} integer pivots in [0, {n}), got {piv!r}")
+    return np.add(piv, 1, dtype=np.int64)
+
+
+def _square(a: np.ndarray) -> np.ndarray:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _band(ab, kl: int, ku: int, in_place: bool) -> np.ndarray:
+    ab = _fortran(ab, in_place=in_place)
+    if ab.ndim != 2 or ab.shape[0] < 2 * kl + ku + 1 or min(kl, ku) < 0:
+        raise ValueError(f"band storage of shape {ab.shape} cannot hold kl={kl}, ku={ku}")
+    return ab
+
+
+def dsterf(d, e) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e. SciPy's `eigh_tridiagonal(eigvals_only=True)`
+    gets them from `dstevd`, which calls `dsterf` when the entries need no
+    rescaling. Raises LinAlgError if the iteration does not converge."""
+    d, e = _fortran(d), _fortran(e)
+    n = d.size
+    if d.ndim != 1 or e.shape != (max(n - 1, 0),):
+        raise ValueError(f"d and e must be 1-D with len(e) = len(d) - 1, got {d.shape}, {e.shape}")
+    info = ctypes.c_int64()
+    _dsterf(_int(n), d, e, info)
+    if info.value:
+        raise np.linalg.LinAlgError(f"dsterf: {info.value} off-diagonal entries did not converge")
+    return d
+
+
+def dgetrf(a) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors and pivots of a copy of the square matrix `a`, as SciPy's
+    `lu_factor`. Raises LinAlgError if a diagonal entry of U is exactly zero."""
+    lu = _square(_fortran(a))
+    n = lu.shape[0]
+    piv, info = np.empty(n, np.int64), ctypes.c_int64()
+    _dgetrf(_int(n), _int(n), lu, _int(max(n, 1)), piv, info)
+    if info.value:
+        raise np.linalg.LinAlgError(f"dgetrf: U[{info.value - 1}, {info.value - 1}] is exactly zero")
+    piv -= 1
+    return lu, piv
+
+
+def dgetrs(lu, piv, b) -> np.ndarray:
+    """The solution of A x = b from `dgetrf`'s factors of A, as SciPy's
+    `lu_solve`; b is not overwritten."""
+    lu = _square(_fortran(lu, in_place=True))
+    n = lu.shape[0]
+    piv = _pivots(piv, n)
+    x, nrhs = _rhs(b, n)
+    info = ctypes.c_int64()
+    _dgetrs(b"N", _int(n), _int(nrhs), lu, _int(max(n, 1)), piv, x, _int(max(n, 1)), info, 1)
+    if info.value:
+        raise np.linalg.LinAlgError(f"dgetrs: info {info.value}")
+    return x
+
+
+def dgbsv(kl: int, ku: int, ab, b, overwrite_ab: bool = False, overwrite_b: bool = False):
+    """Solve the band system in LAPACK band storage `ab` (kl sub- and ku
+    superdiagonals, below kl rows of room for the factor) and factor it, as
+    `scipy.linalg.lapack.dgbsv`. Returns (lu, piv, x, info), info > 0 at a
+    zero pivot; `ab` and `b` are overwritten only where allowed."""
+    ab = _band(ab, kl, ku, overwrite_ab)
+    n = ab.shape[1]
+    x, nrhs = _rhs(b, n, overwrite_b)
+    piv, info = np.empty(n, np.int64), ctypes.c_int64()
+    _dgbsv(_int(n), _int(kl), _int(ku), _int(nrhs), ab, _int(ab.shape[0]), piv, x,
+           _int(max(n, 1)), info)
+    piv -= 1
+    return ab, piv, x, info.value
+
+
+def dgbtrs(ab, kl: int, ku: int, b, ipiv):
+    """Solve with `dgbsv`'s band factors and pivots, as
+    `scipy.linalg.lapack.dgbtrs`. Returns (x, info); b is not overwritten."""
+    ab = _band(ab, kl, ku, in_place=True)
+    n = ab.shape[1]
+    ipiv = _pivots(ipiv, n)
+    x, nrhs = _rhs(b, n)
+    info = ctypes.c_int64()
+    _dgbtrs(b"N", _int(n), _int(kl), _int(ku), _int(nrhs), ab, _int(ab.shape[0]), ipiv, x,
+            _int(max(n, 1)), info, 1)
+    return x, info.value
+
+
+def dgtsv(dl, d, du, b) -> np.ndarray:
+    """The solution of the tridiagonal system with sub-, main and
+    superdiagonals dl, d, du, as SciPy's `solve_banded((1, 1), ...)`; no
+    argument is overwritten. Raises LinAlgError at a zero pivot."""
+    d = _fortran(d)
+    n = d.size
+    if d.ndim != 1 or np.shape(dl) != (max(n - 1, 0),) or np.shape(du) != np.shape(dl):
+        raise ValueError(f"expected diagonals of {n - 1}, {n} and {n - 1} entries")
+    dl, du = _fortran(dl), _fortran(du)
+    x, nrhs = _rhs(b, n)
+    info = ctypes.c_int64()
+    _dgtsv(_int(n), _int(nrhs), dl, d, du, x, _int(max(n, 1)), info)
+    if info.value:
+        raise np.linalg.LinAlgError(f"dgtsv: singular matrix, zero pivot {info.value}")
+    return x

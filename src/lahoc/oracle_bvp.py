@@ -19,9 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbsv, dgbtrs
 
+from .openblas import dgbsv, dgbtrs, dgtsv
 from .sham_engine import InitialValue, SystemSpec
 
 
@@ -101,7 +100,7 @@ def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     dx = np.diff(x)
     dxr = dx[:, None]
     slope = np.diff(y, axis=0) / dxr
-    ab = np.zeros((3, len(x)))  # tridiagonal, in `solve_banded` storage
+    ab = np.zeros((3, len(x)))  # superdiagonal, diagonal and subdiagonal rows
     b = np.empty(y.shape)
     ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
     ab[0, 2:] = dx[:-1]
@@ -120,7 +119,7 @@ def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         d = x[-1] - x[-3]
         ab[1, -1], ab[2, -2] = dx[-2], d
         b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-    return solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    return dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
 
 
 def _monomial_jacobian(spec: SystemSpec, z: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 # Relative singular-value cutoff for the operator pseudo-inverse.  Singular
 # values below this fraction of the largest one correspond to directions the
@@ -41,6 +40,7 @@ PINV_RCOND = 1e-8
 COND_SWITCH = 1e15
 
 from . import openblas
+from .openblas import dgetrf, dgetrs
 from .laguerre_basis import BasisConfig, BasisRule, build_rule, interpolate
 
 
@@ -285,7 +285,7 @@ class BlockOperator:
         out = np.empty_like(rhs, dtype=float)
         if self.lu is not None:
             for rows, scale, lu in self.lu:
-                out[rows] = lu_solve(lu, rhs[rows] / scale)
+                out[rows] = dgetrs(*lu, rhs[rows] / scale)
         else:
             for rows, scale, v_scaled, u_t in self.pinv:
                 out[rows] = v_scaled @ (u_t @ (rhs[rows] / scale))
@@ -323,7 +323,7 @@ def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
             f"singular operator for n={spec.dim}, grid={rule.n_points}"
         )
     if s_max / s_min <= COND_SWITCH:
-        lu = [(rows, scale, lu_factor(block)) for rows, scale, block in blocks]
+        lu = [(rows, scale, dgetrf(block)) for rows, scale, block in blocks]
         return BlockOperator(brows, bvals, lu=lu)
     pinv = []
     for (rows, scale, _), (u, block_s, vt) in zip(blocks, svds):

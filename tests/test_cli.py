@@ -516,7 +516,7 @@ class TestBlasThreads:
                              env=env, capture_output=True, text=True, check=True, timeout=120)
         code, before, inside, after = json.loads(run.stdout.splitlines()[-1])
         if not before:
-            pytest.skip("NumPy and SciPy bundle no OpenBLAS whose thread count can be read")
+            pytest.skip("NumPy bundles no OpenBLAS whose thread count can be read")
         assert code == 0
         assert inside == [[1] * len(before) if variable is None else before]
         assert after == before

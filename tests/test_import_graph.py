@@ -1,30 +1,46 @@
-"""`import lahoc` must stay light: SciPy's heavy subpackages cost about 0.4 s
-of start-up and none of them is needed (lahoc's only SciPy import is
-`scipy.linalg`)."""
+"""lahoc loads no SciPy module: its LAPACK calls go to NumPy's bundled
+OpenBLAS (`lahoc.openblas`), and `import scipy.linalg` alone would cost about
+0.3 s and 300 modules of start-up. Checked in fresh interpreters, after
+`import lahoc` and after a verified CLI run that uses every binding."""
 
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = (
-    "scipy.interpolate",
-    "scipy.optimize",
-    "scipy.special",
-    "scipy.sparse",
-    "scipy.spatial",
-    "scipy.fft",
-)
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import lahoc; "
-        "print(lahoc.__file__); "
-        f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))"
-    )
-    run = subprocess.run([sys.executable, "-c", code, str(SRC)],
+def scipy_modules_after(code: str, *args: str) -> tuple[str, str]:
+    """Run `code` in a fresh interpreter after `import lahoc`, with lahoc's
+    sources first on the path; returns the file lahoc was imported from and
+    the SciPy modules loaded, space-separated."""
+    probe = "\n".join([
+        "import sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "import lahoc",
+        code,
+        "print(lahoc.__file__)",
+        "print(' '.join(m for m in sorted(sys.modules) if m.split('.')[0] == 'scipy'))",
+    ])
+    run = subprocess.run([sys.executable, "-c", probe, str(SRC), *args],
                          capture_output=True, text=True, check=True, timeout=120)
-    imported_from, loaded = run.stdout.splitlines()
+    imported_from, loaded = run.stdout.splitlines()[-2:]
+    return imported_from, loaded
+
+
+def test_import_loads_no_scipy_module():
+    imported_from, loaded = scipy_modules_after("pass")
     assert Path(imported_from).resolve().parent.parent == SRC
+    assert loaded == ""
+
+
+def test_a_verified_cli_run_loads_no_scipy_module(tmp_path):
+    # the rule (dsterf), the operator and the oracle (dgbsv, dgbtrs and the
+    # spline's dgtsv) all run; a nonzero exit fails the probe
+    out = tmp_path / "out"
+    run = ("from lahoc import cli\n"
+           "if cli.main(['--builtin', 'tp31', '--compare', '--mesh', '400', '--out', sys.argv[2]]):\n"
+           "    sys.exit('the CLI run failed')")
+    _, loaded = scipy_modules_after(run, str(out))
+    assert (out / "summary.txt").exists()
     assert loaded == ""

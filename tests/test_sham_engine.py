@@ -997,7 +997,7 @@ class TestOverlappedBlockFactorization:
         elif case == "openblas-on-two-threads":
             monkeypatch.setattr(openblas, "numpy_threads", lambda: 2)
         else:
-            monkeypatch.setattr(openblas, "_bundled", lambda package: ())
+            monkeypatch.setattr(openblas, "_bundled", lambda: ())
         before = threading.active_count()
         assert assemble_operator(spec, rule).pinv is not None
         assert threading.active_count() == before
