@@ -176,6 +176,9 @@ def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
         oracle_seconds = time.perf_counter() - t0
         result = compare(bundle, oracle, times)
         lines.append(f"oracle wall time: {oracle_seconds:.3f} s")
+        lines.append(
+            f"oracle band solves: {oracle.newton_iters} ({oracle.factorizations} factorizations)"
+        )
         lines.append(f"max deviation vs oracle: {_FMT.format(result.worst())}")
         for r, (dev, tmax) in enumerate(zip(result.max_dev, result.argmax_time)):
             lines.append(f"  component {r}: {_FMT.format(dev)} at t={tmax:g}")

@@ -18,11 +18,9 @@ count from 1.
 from __future__ import annotations
 
 import ctypes
-import functools
 import os
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -45,38 +43,27 @@ def _load(libs: Path) -> ctypes.CDLL:
 _LIB = _load(Path(np.__file__).parent.parent / "numpy.libs")
 
 
-@functools.cache
-def _bundled() -> tuple[tuple[Callable, Callable], ...]:
-    """(get, set) thread-count functions of NumPy's OpenBLAS."""
-    get, put = _LIB.scipy_openblas_get_num_threads64_, _LIB.scipy_openblas_set_num_threads64_
-    get.restype, get.argtypes = ctypes.c_int, ()
-    put.restype, put.argtypes = None, (ctypes.c_int,)
-    return ((get, put),)
+_get_threads = _LIB.scipy_openblas_get_num_threads64_
+_get_threads.restype, _get_threads.argtypes = ctypes.c_int, ()
+_set_threads = _LIB.scipy_openblas_set_num_threads64_
+_set_threads.restype, _set_threads.argtypes = None, (ctypes.c_int,)
 
 
-def numpy_threads() -> int | None:
-    """Thread count of NumPy's bundled OpenBLAS, or None if it has none."""
-    libs = _bundled()
-    return libs[0][0]() if libs else None
-
-
-def thread_counts() -> list[int]:
-    """Thread count of NumPy's bundled OpenBLAS, in a list."""
-    return [get() for get, _ in _bundled()]
+def numpy_threads() -> int:
+    """Thread count of NumPy's bundled OpenBLAS."""
+    return _get_threads()
 
 
 @contextmanager
 def one_thread():
     """Run the block with NumPy's bundled OpenBLAS, which also runs lahoc's
     LAPACK calls, on one thread, and restore the previous count after it."""
-    previous = thread_counts()
-    for _, put in _bundled():
-        put(1)
+    previous = _get_threads()
+    _set_threads(1)
     try:
         yield
     finally:
-        for (_, put), count in zip(_bundled(), previous):
-            put(count)
+        _set_threads(previous)
 
 
 def one_thread_unless_set():

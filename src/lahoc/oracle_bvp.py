@@ -2,14 +2,16 @@
 
 Midpoint-rule collocation on a geometrically graded mesh over [0, t_end] with
 a damped, simplified Newton iteration, first on a mesh of half as many
-intervals and then, from the spline of that solution, on the full mesh. The
-decay condition on costate components is imposed at t_end. The unknowns are
-ordered time-major and the residual rows run initial values, then one block of
-n rows per mesh interval, then the decay rows, so the analytic Jacobian is a
-band matrix 3n diagonals wide, factored in place with LAPACK's band LU and
-solved with again while the steps on it keep contracting the residual.
-Trajectories are read between mesh points through a not-a-knot cubic spline.
-Used to cross-validate the spectral homotopy trajectories.
+intervals, from the decaying solution of the linear part (for a derived
+optimality system, the LQR trajectory and its costates), and then, from the
+spline of that solution, on the full mesh. The decay condition on costate
+components is imposed at t_end. The unknowns are ordered time-major and the
+residual rows run initial values, then one block of n rows per mesh interval,
+then the decay rows, so the analytic Jacobian is a band matrix 3n diagonals
+wide, factored in place with LAPACK's band LU and solved with again while the
+steps on it keep contracting the residual. Trajectories are read between mesh
+points through a not-a-knot cubic spline. Used to cross-validate the spectral
+homotopy trajectories.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ from .sham_engine import InitialValue, SystemSpec
 
 
 class NewtonError(RuntimeError):
-    """A Newton solve that failed, with the band solves it made (`solves`)."""
+    """A Newton solve that failed, with the band solves it made (`solves`),
+    `factorizations` of them factored."""
 
-    def __init__(self, message: str, solves: int = 0):
+    def __init__(self, message: str, solves: int = 0, factorizations: int = 0):
         super().__init__(message)
         self.solves = solves
+        self.factorizations = factorizations
 
 
 NEWTON_TOL = 1e-11  # infinity norm of the collocation residual
@@ -66,12 +70,14 @@ class MeshTrajectory:
 
     From `solve_truncated`, `newton_iters` is every band solve the solve
     made: on both meshes, in every continuation stage, and in the attempts
-    that failed. `final_residual` is the full mesh's."""
+    that failed. `factorizations` counts those that factored a Jacobian; the
+    others solved on held factors. `final_residual` is the full mesh's."""
 
     times: np.ndarray
     values: np.ndarray  # shape (n, len(times))
     newton_iters: int = 0
     final_residual: float = 0.0
+    factorizations: int = 0
 
     def at(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -123,7 +129,7 @@ def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _monomial_jacobian(spec: SystemSpec, z: np.ndarray) -> np.ndarray:
-    """dg/dz at each column of z; returns shape (T, n, n)."""
+    """dg/dz at each column of z, as a (T, n, n) view of an (n, n, T) array."""
     jac = np.zeros((len(z), *z.shape))
     for r, terms in enumerate(spec.nonlinear):
         for t in terms:
@@ -169,9 +175,11 @@ def _banded_jacobian(
     l, u = n - 1 + k0, 2 * n - 1 - k0
     h = np.diff(times)
     zmid = 0.5 * (z[:, :-1] + z[:, 1:])
-    # -h/2 d(rhs)/dz at the midpoints, (m, n, n): interval i's left block is
-    # g[i] - I and its right block g[i] + I
-    g = 0.5 * h[:, None, None] * (spec.sigma + _monomial_jacobian(spec, zmid))
+    # -h/2 d(rhs)/dz at the midpoints, (m, n, n), formed in place: interval
+    # i's left block is g[i] - I and its right block g[i] + I
+    g = _monomial_jacobian(spec, zmid)
+    g += spec.sigma
+    g *= 0.5 * h[:, None, None]
 
     ab = np.zeros((2 * l + u + 1, (m + 1) * n), order="F")
     diag = l + u + k0  # band row of the left blocks' diagonals, R - C = k0
@@ -196,16 +204,18 @@ def _newton(spec, times, z0):
     only if it cuts the residual's infinity norm to REUSE_CONTRACTION of its
     value or less; one that does not lower the residual is discarded, and the
     Jacobian is factored at the same iterate. Returns (z, band solves,
-    residual), every solve counted, fresh or reused."""
+    residual, factorizations), every solve counted, fresh or reused."""
     z = z0.copy()
     res = _residual(spec, times, z)
     rnorm = np.linalg.norm(res, ord=np.inf)
     lu = None  # `dgbtrs` arguments of the held factors; the only reference to them
+    factorizations = 0
     for it in range(MAX_NEWTON_ITERS):
         if rnorm < NEWTON_TOL:
-            return z, it, rnorm
+            return z, it, rnorm, factorizations
         if lu is None:
-            z, res, rnorm, lu = _factored_step(spec, times, z, res, rnorm, it + 1)
+            factorizations += 1
+            z, res, rnorm, lu = _factored_step(spec, times, z, res, rnorm, it + 1, factorizations)
             continue
         delta, _ = dgbtrs(b=res, **lu)
         z_try = z - delta.reshape(len(times), spec.dim).T
@@ -219,21 +229,23 @@ def _newton(spec, times, z0):
         raise NewtonError(
             f"no convergence after {MAX_NEWTON_ITERS} iterations, residual {rnorm:.3e}",
             MAX_NEWTON_ITERS,
+            factorizations,
         )
-    return z, MAX_NEWTON_ITERS, rnorm
+    return z, MAX_NEWTON_ITERS, rnorm, factorizations
 
 
-def _factored_step(spec, times, z, res, rnorm, solves):
+def _factored_step(spec, times, z, res, rnorm, solves, factorizations=1):
     """A Newton step on the Jacobian at z, factored by `dgbsv`, with a line
     search from the full step. Returns (z, res, rnorm, factors); the factors
     are the `dgbtrs` arguments if the full step was taken, else None. A
-    NewtonError raised here counts `solves` band solves."""
+    NewtonError raised here counts `solves` band solves, `factorizations` of
+    them factored."""
     (l, u), ab = _banded_jacobian(spec, times, z)
     lub, piv, delta, info = dgbsv(l, u, ab, res, overwrite_ab=True)
     if info:  # info > 0: a zero pivot
-        raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}", solves)
+        raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}", solves, factorizations)
     if not np.all(np.isfinite(delta)):
-        raise NewtonError("singular Jacobian (non-finite Newton step)", solves)
+        raise NewtonError("singular Jacobian (non-finite Newton step)", solves, factorizations)
     step = 1.0
     dz = delta.reshape(len(times), spec.dim).T
     while True:
@@ -247,35 +259,58 @@ def _factored_step(spec, times, z, res, rnorm, solves):
     return z_try, res_try, rnorm_try, factors
 
 
-def _solve_direct(spec: SystemSpec, times: np.ndarray):
-    """Newton on `times` from zero costates with states relaxing linearly to
-    zero; if it fails, the nonlinear terms are continued from zero to full
-    strength in four steps, each a Newton solve of a copy of the spec whose
-    monomial coefficients are scaled. Returns the last solve's z and residual
-    with the band solves of every attempt, (z, solves, residual); a
-    NewtonError raised here also counts them all."""
+def _linear_start(spec: SystemSpec, times: np.ndarray) -> np.ndarray:
+    """The decaying solution of the linear part, dz/dt = -sigma z, on `times`:
+    the eigenmodes of -sigma with negative real part, fitted to the initial
+    values. For a spec from `derive_tpbvp` it is the LQR trajectory, with
+    costates P x. Where no such split exists (a count of decaying modes other
+    than of initial values, a singular fit, or non-finite values), the
+    initial values relax linearly to zero and the other components are zero."""
+    initial, _ = _split_bc(spec)
+    values = np.array([spec.bc[r].value for r in initial])
+    try:
+        rates, modes = np.linalg.eig(-spec.sigma)
+        decaying = rates.real < 0
+        if np.count_nonzero(decaying) == len(initial):
+            rates, modes = rates[decaying], modes[:, decaying]
+            weights = np.linalg.solve(modes[initial], values)
+            z = ((modes * weights) @ np.exp(np.outer(rates, times))).real
+            if np.all(np.isfinite(z)):
+                return z
+    except np.linalg.LinAlgError:
+        pass
     z = np.zeros((spec.dim, len(times)))
-    ramp = 1.0 - times / times[-1]
-    for r, tag in enumerate(spec.bc):
-        if isinstance(tag, InitialValue):
-            z[r] = tag.value * ramp
+    z[initial] = np.outer(values, 1.0 - times / times[-1])
+    return z
 
+
+def _solve_direct(spec: SystemSpec, times: np.ndarray):
+    """Newton on `times` from the decaying solution of the linear part
+    (`_linear_start`); if it fails, the nonlinear terms are continued from
+    zero to full strength in four steps, from the same start, each a Newton
+    solve of a copy of the spec whose monomial coefficients are scaled.
+    Returns the last solve's z and residual with the band solves and
+    factorizations of every attempt, (z, solves, residual, factorizations);
+    a NewtonError raised here also counts them all."""
+    z = _linear_start(spec, times)
     try:
         return _newton(spec, times, z)
     except NewtonError as exc:
-        solves = exc.solves
+        solves, factorizations = exc.solves, exc.factorizations
     for scale in (0.25, 0.5, 0.75, 1.0):
         nonlinear = tuple(
             tuple(replace(t, coefficient=scale * t.coefficient) for t in eq)
             for eq in spec.nonlinear
         )
         try:
-            z, iters, rnorm = _newton(replace(spec, nonlinear=nonlinear), times, z)
+            z, iters, rnorm, factored = _newton(replace(spec, nonlinear=nonlinear), times, z)
         except NewtonError as exc:
             exc.solves += solves
+            exc.factorizations += factorizations
             raise
         solves += iters
-    return z, solves, rnorm
+        factorizations += factored
+    return z, solves, rnorm, factorizations
 
 
 def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
@@ -287,19 +322,27 @@ def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
     (usually one step). The meshes need not be nested. If either stage fails,
     the direct solve runs on the full mesh, so the result is always the
     full-mesh Newton solution. `newton_iters` counts every band solve made,
-    the failed attempts' and every continuation stage's included.
+    the failed attempts' and every continuation stage's included, and
+    `factorizations` those that factored.
     """
     times = graded_mesh(cfg)
     coarse_times = _graded(cfg.t_end, cfg.mesh_points // 2)
-    solves = 0
+    solves = factorizations = 0
     try:
-        coarse, solves, _ = _solve_direct(spec, coarse_times)
+        coarse, solves, _, factorizations = _solve_direct(spec, coarse_times)
         start = MeshTrajectory(coarse_times, coarse).at(times)
-        z, iters, rnorm = _newton(spec, times, start)
+        z, iters, rnorm, factored = _newton(spec, times, start)
     except NewtonError as exc:
         solves += exc.solves
-        z, iters, rnorm = _solve_direct(spec, times)
-    return MeshTrajectory(times, z, newton_iters=solves + iters, final_residual=rnorm)
+        factorizations += exc.factorizations
+        z, iters, rnorm, factored = _solve_direct(spec, times)
+    return MeshTrajectory(
+        times,
+        z,
+        newton_iters=solves + iters,
+        final_residual=rnorm,
+        factorizations=factorizations + factored,
+    )
 
 
 @dataclass

@@ -11,6 +11,8 @@ from lahoc import (
     InitialValue,
     MeshTrajectory,
     MonomialTerm,
+    OCProblem,
+    SubsystemSpec,
     SystemSpec,
     TruncationConfig,
     builtin_problem_31,
@@ -196,20 +198,21 @@ def log_band_solves(monkeypatch) -> list[str]:
 
 def refactor_every_step_newton(spec, times, z0):
     """Newton that factors the band Jacobian at every step: the oracle's
-    iteration before it held factors across steps, as the reference."""
+    iteration before it held factors across steps, as the reference. Returns
+    `_newton`'s (z, band solves, residual, factorizations)."""
     n = spec.dim
     z = z0.copy()
     res = _residual(spec, times, z)
     rnorm = np.linalg.norm(res, ord=np.inf)
     for it in range(oracle_bvp.MAX_NEWTON_ITERS):
         if rnorm < oracle_bvp.NEWTON_TOL:
-            return z, it, rnorm
+            return z, it, rnorm, it
         (l, u), ab = _banded_jacobian(spec, times, z)
         *_, delta, info = dgbsv(l, u, ab, res, overwrite_ab=True, overwrite_b=True)
         if info:
-            raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}", it + 1)
+            raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}", it + 1, it + 1)
         if not np.all(np.isfinite(delta)):
-            raise NewtonError("singular Jacobian (non-finite Newton step)", it + 1)
+            raise NewtonError("singular Jacobian (non-finite Newton step)", it + 1, it + 1)
         step = 1.0
         dz = delta.reshape(len(times), n).T
         while True:
@@ -220,7 +223,7 @@ def refactor_every_step_newton(spec, times, z0):
                 break
             step *= 0.5
         z, res, rnorm = z_try, res_try, rnorm_try
-    raise NewtonError("no convergence", oracle_bvp.MAX_NEWTON_ITERS)
+    raise NewtonError("no convergence", oracle_bvp.MAX_NEWTON_ITERS, oracle_bvp.MAX_NEWTON_ITERS)
 
 
 def reference_solve(monkeypatch, spec, cfg) -> MeshTrajectory:
@@ -357,8 +360,9 @@ class TestNewtonSolve:
         assert np.array_equal(coefficients, [s * full for s in scales])
         assert meshes == [200] * 5 + [400]
         # every band solve counts: the failed one and each stage's, fresh or
-        # on held factors, 24 in all (7 factorizations)
-        assert traj.newton_iters == len(band_solves) == 24
+        # on held factors, 21 in all (6 factorizations)
+        assert traj.newton_iters == len(band_solves) == 21
+        assert traj.factorizations == band_solves.count("dgbsv") == 6
 
     def test_band_solve_matches_a_dense_solve(self):
         # the Newton step's in-place gbsv against numpy on the dense Jacobian
@@ -393,7 +397,7 @@ class TestNewtonSolve:
 
     @pytest.mark.parametrize(
         "problem, mesh, iters",
-        [(builtin_problem_31, 2000, 8 + 1), (builtin_problem_32, 1200, 5 + 1)],
+        [(builtin_problem_31, 2000, 8 + 1), (builtin_problem_32, 1200, 6 + 1)],
         ids=["tp31", "tp32"],
     )
     def test_newton_iteration_counts(self, monkeypatch, problem, mesh, iters):
@@ -437,6 +441,26 @@ class TestFactorReuse:
         traj = solve_truncated(derive_tpbvp(problem()), cfg)
         assert band_solves.count("dgbsv") <= factorizations
         assert band_solves.count("dgbsv") < traj.newton_iters
+
+    @pytest.mark.parametrize(
+        "problem, mesh", [(builtin_problem_31, 2000), (builtin_problem_32, 1200)], ids=["tp31", "tp32"]
+    )
+    def test_factors_once_per_mesh(self, monkeypatch, problem, mesh):
+        # from the linear start the coarse solve finishes on the factors of
+        # its first step, and the fine one takes a single factored step
+        spec = derive_tpbvp(problem())
+        factored = []  # the mesh intervals of each factored band
+        real = oracle_bvp.dgbsv
+
+        def recording(l, u, ab, b, **kwargs):
+            factored.append(ab.shape[1] // spec.dim - 1)
+            return real(l, u, ab, b, **kwargs)
+
+        monkeypatch.setattr(oracle_bvp, "dgbsv", recording)
+        traj = solve_truncated(spec, TruncationConfig(t_end=40.0, mesh_points=mesh))
+        assert factored == [mesh // 2, mesh]
+        assert traj.factorizations == 2
+        assert traj.final_residual < oracle_bvp.NEWTON_TOL
 
     @pytest.mark.parametrize("scale, held", [(0.1, True), (3.0, False)], ids=["full", "damped"])
     def test_only_a_full_step_holds_its_factors(self, scale, held):
@@ -497,6 +521,92 @@ class TestFactorReuse:
         assert np.abs(traj.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
 
 
+def scalar_lqr_spec(a, b, q, r, x0) -> SystemSpec:
+    """Optimality system of x' = a x + b u with cost (q x^2 + r u^2) / 2."""
+    sub = SubsystemSpec(a_mat=[[a]], b_mat=[[b]], q_mat=[[q]], r_mat=[[r]], f_terms=((),), x0=[x0])
+    return derive_tpbvp(OCProblem(subsystems=(sub,)))
+
+
+def ramp(spec, times) -> np.ndarray:
+    """The start without a decaying split: initial values relaxing linearly
+    to zero at the last time, every other component zero."""
+    z = np.zeros((spec.dim, len(times)))
+    for r, tag in enumerate(spec.bc):
+        if isinstance(tag, InitialValue):
+            z[r] = tag.value * (1.0 - times / times[-1])
+    return z
+
+
+class TestLinearStart:
+    """Newton's start is the decaying solution of dz/dt = -sigma z that meets
+    the initial values, or the linear ramp where there is none."""
+
+    @pytest.mark.parametrize(
+        "a, b, q, r, x0",
+        [
+            (1.0, 1.0, 1.0, 1.0, 1.0),
+            (-0.5, 2.0, 0.3, 1.5, -0.8),
+            (2.5, 4.0, 5.0, 0.01, 1.0),  # mu = 89.5
+            (-4.570581184930598, 0.1, 0.01, 3.28125, 1.0),  # a + mu = 3.3e-6
+        ],
+    )
+    def test_is_the_scalar_lqr_trajectory(self, a, b, q, r, x0):
+        # x' = a x + b u: x = x0 e^{-mu t}, mu = sqrt(a^2 + b^2 q / r), lambda = p x,
+        # with the Riccati root in the form that does not cancel
+        mu = math.sqrt(a * a + b * b * q / r)
+        p = r * (a + mu) / (b * b) if a > 0 else q / (mu - a)
+        times = graded_mesh(TruncationConfig(t_end=40.0, mesh_points=400))
+        x = x0 * np.exp(-mu * times)
+        exact = np.array([x, p * x])
+        got = oracle_bvp._linear_start(scalar_lqr_spec(a, b, q, r, x0), times)
+        assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+
+    @pytest.mark.parametrize(
+        "spec, t_end",
+        [
+            (coupled_linear_spec(), 30.0),  # two decaying modes, one initial value
+            (decay_first_spec(), 20.0),  # three decaying modes, one initial value
+            (  # the one decaying mode has no initial-value component: a singular fit
+                SystemSpec(dim=2, sigma=np.diag([-1.0, 1.0]), nonlinear=((), ()),
+                           bc=(InitialValue(0.5), DecayAtInfinity())),
+                5.0,
+            ),
+            (  # x' = x - x^3 has no decaying mode
+                SystemSpec(dim=1, sigma=[[-1.0]], nonlinear=((MonomialTerm(1.0, (3,)),),),
+                           bc=(InitialValue(0.5),)),
+                10.0,
+            ),
+        ],
+        ids=["more-decaying-modes", "decay-first", "singular-fit", "no-decaying-mode"],
+    )
+    def test_falls_back_to_the_ramp_and_converges(self, spec, t_end):
+        cfg = TruncationConfig(t_end=t_end, mesh_points=200)
+        times = graded_mesh(cfg)
+        assert np.array_equal(oracle_bvp._linear_start(spec, times), ramp(spec, times))
+        traj = solve_truncated(spec, cfg)
+        assert traj.final_residual < oracle_bvp.NEWTON_TOL
+
+    def test_costates_of_a_derived_spec_are_p_x(self):
+        # the start of a derived system is the LQR trajectory: the costates are
+        # P x at every time, P the stabilizing root of A'P + PA - PSP + Q = 0,
+        # with sigma = [[-A, S], [Q, A']]; distinct closed-loop rates make
+        # x(t) span the plane, so that the trajectory fixes P
+        sub = SubsystemSpec(
+            a_mat=[[0.0, 1.0], [-2.0, -0.5]], b_mat=[[0.0], [1.0]], q_mat=[[1.0, 0.0], [0.0, 0.5]],
+            r_mat=[[0.8]], f_terms=((), ()), x0=[1.0, -0.5],
+        )
+        spec = derive_tpbvp(OCProblem(subsystems=(sub,)))
+        n = spec.dim // 2
+        a, s, q = -spec.sigma[:n, :n], spec.sigma[:n, n:], spec.sigma[n:, :n]
+        times = graded_mesh(TruncationConfig(t_end=40.0, mesh_points=200))
+        z = oracle_bvp._linear_start(spec, times)
+        x, costates = z[:n], z[n:]
+        p = np.linalg.lstsq(x.T, costates.T, rcond=None)[0].T
+        assert np.abs(p @ x - costates).max() <= 1e-12 * np.abs(costates).max()
+        riccati = a.T @ p + p @ a - p @ s @ p + q
+        assert np.abs(riccati).max() <= 1e-12 * np.abs(q).max()
+
+
 class TestCoarseToFine:
     """`solve_truncated` solves on half the intervals, then takes Newton on
     the full mesh from the spline of that solution."""
@@ -515,7 +625,7 @@ class TestCoarseToFine:
         spec = derive_tpbvp(problem())
         cfg = TruncationConfig(t_end=40.0, mesh_points=mesh)
         traj = solve_truncated(spec, cfg)
-        direct, _, _ = oracle_bvp._solve_direct(spec, graded_mesh(cfg))
+        direct, *_ = oracle_bvp._solve_direct(spec, graded_mesh(cfg))
         assert np.array_equal(traj.times, graded_mesh(cfg))
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
         assert np.abs(traj.values - direct).max() < 1e-9
@@ -535,19 +645,40 @@ class TestCoarseToFine:
             return newton(spec, times, z0)
 
         spec = derive_tpbvp(builtin_problem_31())
-        direct, iters, rnorm = oracle_bvp._solve_direct(spec, graded_mesh(cfg))
+        direct, iters, rnorm, _ = oracle_bvp._solve_direct(spec, graded_mesh(cfg))
         monkeypatch.setattr(oracle_bvp, "_newton", failing_stage)
         band_solves = log_band_solves(monkeypatch)
         traj = solve_truncated(spec, cfg)
         assert np.array_equal(traj.values, direct)
         assert traj.final_residual == rnorm
         assert traj.newton_iters == len(band_solves)
+        assert traj.factorizations == band_solves.count("dgbsv")
         if failing == "coarse":  # the first attempt, then the first continuation stage
             assert calls == [200, 200, 400]
             assert traj.newton_iters == iters
         else:
             assert calls == [200, 400, 400]
             assert traj.newton_iters > iters
+
+    def test_counts_the_factorizations_of_a_failed_coarse_solve(self, monkeypatch):
+        # every coarse factorization reports a zero pivot, so the first attempt
+        # and the first continuation stage each fail after one; both count,
+        # with those of the direct solve on the full mesh that follows
+        spec = derive_tpbvp(builtin_problem_31())
+        real = oracle_bvp.dgbsv
+
+        def zero_pivot_on_the_coarse_mesh(l, u, ab, b, **kwargs):
+            if ab.shape[1] == 201 * spec.dim:
+                return ab, np.zeros(len(b), dtype=np.int64), b, 1
+            return real(l, u, ab, b, **kwargs)
+
+        monkeypatch.setattr(oracle_bvp, "dgbsv", zero_pivot_on_the_coarse_mesh)
+        band_solves = log_band_solves(monkeypatch)
+        traj = solve_truncated(spec, TruncationConfig(t_end=40.0, mesh_points=400))
+        assert band_solves[:2] == ["dgbsv", "dgbsv"]
+        assert traj.newton_iters == len(band_solves)
+        assert traj.factorizations == band_solves.count("dgbsv") > 2
+        assert traj.final_residual < oracle_bvp.NEWTON_TOL
 
     @pytest.mark.parametrize("fallback", [False, True])
     def test_enters_solve_truncated_once_per_call(self, monkeypatch, fallback):

@@ -896,8 +896,6 @@ def overlap(monkeypatch):
     """The conditions under which assembly factors the coupled blocks at the
     same time: two usable CPUs and NumPy's OpenBLAS on one thread. The worker
     pool cache starts empty, and the pool the test made is shut down after it."""
-    if openblas.numpy_threads() is None:
-        pytest.skip("NumPy bundles no OpenBLAS whose thread count can be read")
     drop_pool()
     monkeypatch.setattr(sham_engine, "_usable_cpus", lambda: 2)
     with openblas.one_thread():
@@ -985,7 +983,7 @@ class TestOverlappedBlockFactorization:
         assert threading.active_count() == before + 1
 
     @pytest.mark.parametrize(
-        "case", ["one-block", "one-usable-cpu", "openblas-on-two-threads", "no-openblas-found"]
+        "case", ["one-block", "one-usable-cpu", "openblas-on-two-threads"]
     )
     def test_falls_back_without_starting_a_thread(self, overlap, monkeypatch, case):
         spec, rule = tp31_operator_inputs()
@@ -994,10 +992,8 @@ class TestOverlappedBlockFactorization:
         elif case == "one-usable-cpu":
             monkeypatch.setattr(sham_engine, "_usable_cpus", USABLE_CPUS)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        elif case == "openblas-on-two-threads":
-            monkeypatch.setattr(openblas, "numpy_threads", lambda: 2)
         else:
-            monkeypatch.setattr(openblas, "_bundled", lambda: ())
+            monkeypatch.setattr(openblas, "numpy_threads", lambda: 2)
         before = threading.active_count()
         assert assemble_operator(spec, rule).pinv is not None
         assert threading.active_count() == before
