@@ -70,11 +70,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _report_times(args) -> np.ndarray:
+def _horizon(args) -> float:
     # --t-end sets a problem file's default report times as well as the oracle's horizon
-    t_end = args.t_end
-    if not 0 < t_end < np.inf:  # NaN fails too
+    if not 0 < args.t_end < np.inf:  # NaN fails too
         raise InputError("--t-end must be finite and positive")
+    return args.t_end
+
+
+def _report_times(args) -> np.ndarray:
+    t_end = _horizon(args)
     if args.times:
         try:
             times = np.array([float(v) for v in args.times.split(",")])
@@ -198,6 +202,11 @@ def _write_summary(out: Path, lines: list[str]) -> None:
 
 
 def _run_sweep(args, problem: OCProblem) -> int:
+    # a row is neither compared nor written out at report times
+    for option, given in (("--compare", args.compare), ("--times", args.times is not None)):
+        if given:
+            raise InputError(f"{option} does not apply to a sweep")
+    _horizon(args)
     axis, _, values = args.sweep.partition("=")
     axis = axis.strip()
     if axis not in ("hbar", "n", "beta"):

@@ -1,10 +1,12 @@
 """Independent truncated-domain solver for the state/costate boundary value problem.
 
 Midpoint-rule collocation on a geometrically graded mesh over [0, t_end] with
-a damped, simplified Newton iteration, first on a mesh of half as many
+a damped, simplified Newton iteration, first on a mesh of a quarter as many
 intervals, from the decaying solution of the linear part (for a derived
 optimality system, the LQR trajectory and its costates), and then, from the
-spline of that solution, on the full mesh. The decay condition on costate
+spline of that solution, on the full mesh; if either fails, the same from a
+solve on half as many intervals with continuation in the nonlinear terms,
+and then that solve on the full mesh. The decay condition on costate
 components is imposed at t_end. The unknowns are ordered time-major and the
 residual rows run initial values, then one block of n rows per mesh interval,
 then the decay rows, so the analytic Jacobian is a band matrix 3n diagonals
@@ -69,9 +71,10 @@ class MeshTrajectory:
     """Trajectories on a truncated mesh, interpolable inside [0, t_end].
 
     From `solve_truncated`, `newton_iters` is every band solve the solve
-    made: on both meshes, in every continuation stage, and in the attempts
-    that failed. `factorizations` counts those that factored a Jacobian; the
-    others solved on held factors. `final_residual` is the full mesh's."""
+    made: on every mesh it tried, in every continuation stage, and in the
+    attempts that failed. `factorizations` counts those that factored a
+    Jacobian; the others solved on held factors. `final_residual` is the full
+    mesh's."""
 
     times: np.ndarray
     values: np.ndarray  # shape (n, len(times))
@@ -313,28 +316,42 @@ def _solve_direct(spec: SystemSpec, times: np.ndarray):
     return z, solves, rnorm, factorizations
 
 
+def _quarter_stage(spec: SystemSpec, times: np.ndarray):
+    """Newton on `times` from `_linear_start`, without the continuation of
+    `_solve_direct`, so that a failed attempt costs at most MAX_NEWTON_ITERS
+    band solves on the coarsest mesh."""
+    return _newton(spec, times, _linear_start(spec, times))
+
+
 def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
     """Solve the boundary value problem on [0, t_end], by nested iteration.
 
-    The direct solve (`_solve_direct`) runs on the graded mesh of
-    `mesh_points // 2` intervals; Newton on the full `graded_mesh(cfg)` then
-    starts from the spline of that coarse solution, to the same tolerance
-    (usually one step). The meshes need not be nested. If either stage fails,
-    the direct solve runs on the full mesh, so the result is always the
-    full-mesh Newton solution. `newton_iters` counts every band solve made,
-    the failed attempts' and every continuation stage's included, and
-    `factorizations` those that factored.
+    Newton from the linear start (`_linear_start`) runs on the graded mesh
+    of `mesh_points // 4` intervals; Newton on the full `graded_mesh(cfg)`
+    then starts from the spline of that coarse solution, to the same
+    tolerance (usually one step). If either fails, the same two stages run
+    with the direct solve (`_solve_direct`, with its continuation) on
+    `mesh_points // 2` intervals, and if that fails too, the direct solve
+    runs on the full mesh, so the result is always the full-mesh Newton
+    solution. The meshes need not be nested. `newton_iters` counts every
+    band solve made on every mesh tried, the failed attempts' and every
+    continuation stage's included, and `factorizations` those that factored.
     """
     times = graded_mesh(cfg)
-    coarse_times = _graded(cfg.t_end, cfg.mesh_points // 2)
     solves = factorizations = 0
-    try:
-        coarse, solves, _, factorizations = _solve_direct(spec, coarse_times)
-        start = MeshTrajectory(coarse_times, coarse).at(times)
-        z, iters, rnorm, factored = _newton(spec, times, start)
-    except NewtonError as exc:
-        solves += exc.solves
-        factorizations += exc.factorizations
+    for stage, divisor in ((_quarter_stage, 4), (_solve_direct, 2)):
+        coarse_times = _graded(cfg.t_end, cfg.mesh_points // divisor)
+        try:
+            coarse, iters, _, factored = stage(spec, coarse_times)
+            solves += iters
+            factorizations += factored
+            start = MeshTrajectory(coarse_times, coarse).at(times)
+            z, iters, rnorm, factored = _newton(spec, times, start)
+            break
+        except NewtonError as exc:
+            solves += exc.solves
+            factorizations += exc.factorizations
+    else:
         z, iters, rnorm, factored = _solve_direct(spec, times)
     return MeshTrajectory(
         times,

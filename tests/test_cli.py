@@ -350,6 +350,35 @@ class TestSweep:
         assert single_error_line(capsys)
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (("--compare", "--compare-tol", "1e-30"), "--compare does not apply to a sweep"),
+            (("--times=-1,0.5",), "--times does not apply to a sweep"),
+            (("--times=0.5",), "--times does not apply to a sweep"),
+            (("--t-end", "nan"), "--t-end must be finite and positive"),
+            (("--t-end", "-5"), "--t-end must be finite and positive"),
+        ],
+        ids=["compare", "negative-times", "times", "nan-horizon", "negative-horizon"],
+    )
+    def test_options_a_row_does_not_use_exit_one_before_any_row(
+        self, tmp_path, capsys, monkeypatch, options, message
+    ):
+        # a sweep compares no row and writes none at report times, so these
+        # options would be dropped without a word; --t-end is checked as in a single run
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a sweep row was solved")
+
+        monkeypatch.setattr(cli, "solve_ocp", no_solve)
+        code, out = run_cli(
+            tmp_path, "--builtin", "tp31", "--n", "20", "--beta", "6", "--orders", "5",
+            "--sweep", "hbar=-0.6", *options,
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["20", "20.0", "2e1"])
     def test_n_rows_are_labelled_with_the_integer(self, tmp_path, capsys, value):
         code, out = run_cli(

@@ -328,12 +328,17 @@ class TestNewtonSolve:
             solve_truncated(coupled_linear_spec(), TruncationConfig(t_end=30.0, mesh_points=100))
 
     def test_failed_first_solve_falls_back_to_continuation(self, monkeypatch):
+        # the first factorization on each coarse mesh reports a zero pivot:
+        # the quarter mesh's Newton fails, and so does the half mesh's first
+        # attempt, which the continuation then replaces
+        spec = derive_tpbvp(builtin_problem_31())
         real = oracle_bvp.dgbsv
         calls = []
 
-        def fails_once(l, u, ab, b, **kwargs):
-            calls.append(1)
-            if len(calls) == 1:
+        def fails_once_per_coarse_mesh(l, u, ab, b, **kwargs):
+            mesh = ab.shape[1] // spec.dim - 1
+            calls.append(mesh)
+            if mesh < 400 and calls.count(mesh) == 1:
                 return ab, np.zeros(len(b), dtype=np.int32), b, 1  # gbsv's zero pivot
             return real(l, u, ab, b, **kwargs)
 
@@ -346,23 +351,23 @@ class TestNewtonSolve:
             meshes.append(len(times) - 1)
             return newton(spec, times, z0)
 
-        monkeypatch.setattr(oracle_bvp, "dgbsv", fails_once)
+        monkeypatch.setattr(oracle_bvp, "dgbsv", fails_once_per_coarse_mesh)
         monkeypatch.setattr(oracle_bvp, "_newton", recording)
         band_solves = log_band_solves(monkeypatch)
-        spec = derive_tpbvp(builtin_problem_31())
         traj = solve_truncated(spec, TruncationConfig(t_end=40.0, mesh_points=400))
-        assert len(calls) > 1
+        assert calls[:2] == [100, 200]
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
-        # on the coarse mesh the full attempt, then four solves with every
-        # coefficient scaled; then one solve at full strength on the fine mesh
+        # the failed attempt on the quarter mesh; on the half mesh the full
+        # attempt, then four solves with every coefficient scaled; then one
+        # solve at full strength on the fine mesh
         full = np.array([t.coefficient for eq in spec.nonlinear for t in eq])
-        scales = [1.0, 0.25, 0.5, 0.75, 1.0, 1.0]
+        scales = [1.0, 1.0, 0.25, 0.5, 0.75, 1.0, 1.0]
         assert np.array_equal(coefficients, [s * full for s in scales])
-        assert meshes == [200] * 5 + [400]
-        # every band solve counts: the failed one and each stage's, fresh or
-        # on held factors, 21 in all (6 factorizations)
-        assert traj.newton_iters == len(band_solves) == 21
-        assert traj.factorizations == band_solves.count("dgbsv") == 6
+        assert meshes == [100] + [200] * 5 + [400]
+        # every band solve counts: the failed ones and each stage's, fresh or
+        # on held factors, 22 in all (7 factorizations)
+        assert traj.newton_iters == len(band_solves) == 22
+        assert traj.factorizations == band_solves.count("dgbsv") == 7
 
     def test_band_solve_matches_a_dense_solve(self):
         # the Newton step's in-place gbsv against numpy on the dense Jacobian
@@ -379,7 +384,7 @@ class TestNewtonSolve:
     def test_linear_system_takes_one_full_step(self, monkeypatch):
         # a full Newton step solves a linear collocation system exactly, so a
         # line search that starts at the full step stops after one iteration,
-        # on the coarse mesh and again on the fine one
+        # on the quarter mesh and again on the fine one
         newton = oracle_bvp._newton
         steps = []
 
@@ -390,7 +395,7 @@ class TestNewtonSolve:
 
         monkeypatch.setattr(oracle_bvp, "_newton", recording)
         traj = solve_truncated(linear_decay_spec(), TruncationConfig(t_end=20.0, mesh_points=200))
-        assert steps == [(100, 1), (200, 1)]
+        assert steps == [(50, 1), (200, 1)]
         assert traj.newton_iters == 2
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
         assert oracle_bvp.NEWTON_TOL == 1e-11 and oracle_bvp.MAX_NEWTON_ITERS == 30
@@ -446,8 +451,8 @@ class TestFactorReuse:
         "problem, mesh", [(builtin_problem_31, 2000), (builtin_problem_32, 1200)], ids=["tp31", "tp32"]
     )
     def test_factors_once_per_mesh(self, monkeypatch, problem, mesh):
-        # from the linear start the coarse solve finishes on the factors of
-        # its first step, and the fine one takes a single factored step
+        # from the linear start the quarter-mesh solve finishes on the factors
+        # of its first step, and the fine one takes a single factored step
         spec = derive_tpbvp(problem())
         factored = []  # the mesh intervals of each factored band
         real = oracle_bvp.dgbsv
@@ -458,7 +463,7 @@ class TestFactorReuse:
 
         monkeypatch.setattr(oracle_bvp, "dgbsv", recording)
         traj = solve_truncated(spec, TruncationConfig(t_end=40.0, mesh_points=mesh))
-        assert factored == [mesh // 2, mesh]
+        assert factored == [mesh // 4, mesh]
         assert traj.factorizations == 2
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
 
@@ -608,8 +613,10 @@ class TestLinearStart:
 
 
 class TestCoarseToFine:
-    """`solve_truncated` solves on half the intervals, then takes Newton on
-    the full mesh from the spline of that solution."""
+    """`solve_truncated` solves on a quarter of the intervals, then takes
+    Newton on the full mesh from the spline of that solution; if either fails,
+    it does the same from the direct solve on half the intervals, and then
+    solves directly on the full mesh."""
 
     @pytest.mark.parametrize(
         "problem, mesh",
@@ -632,7 +639,7 @@ class TestCoarseToFine:
 
     @pytest.mark.parametrize("failing", ["coarse", "fine"])
     def test_a_failed_stage_falls_back_to_the_direct_fine_solve(self, monkeypatch, failing):
-        # every coarse solve fails, or the warm-started fine one does
+        # every coarse solve fails, or both warm-started fine ones do
         newton = oracle_bvp._newton
         cfg = TruncationConfig(t_end=40.0, mesh_points=400)
         calls = []
@@ -640,7 +647,8 @@ class TestCoarseToFine:
         def failing_stage(spec, times, z0):
             mesh = len(times) - 1
             calls.append(mesh)
-            if (failing == "coarse" and mesh == 200) or (failing == "fine" and calls.count(400) == 1):
+            fine_spoiled = mesh == 400 and calls.count(400) <= 2
+            if (failing == "coarse" and mesh < 400) or (failing == "fine" and fine_spoiled):
                 raise NewtonError("spoiled")
             return newton(spec, times, z0)
 
@@ -653,31 +661,91 @@ class TestCoarseToFine:
         assert traj.final_residual == rnorm
         assert traj.newton_iters == len(band_solves)
         assert traj.factorizations == band_solves.count("dgbsv")
-        if failing == "coarse":  # the first attempt, then the first continuation stage
-            assert calls == [200, 200, 400]
+        if failing == "coarse":  # the quarter mesh's Newton, then the half
+            # mesh's first attempt and its first continuation stage
+            assert calls == [100, 200, 200, 400]
             assert traj.newton_iters == iters
         else:
-            assert calls == [200, 400, 400]
+            assert calls == [100, 400, 200, 400, 400]
             assert traj.newton_iters > iters
 
+    @pytest.mark.parametrize("failing", ["quarter", "quarter-and-half"])
+    def test_a_failed_quarter_stage_falls_back_to_the_half_then_the_direct_solve(
+        self, monkeypatch, failing
+    ):
+        # the answer is the one of the first rung whose two stages both converge
+        spec = derive_tpbvp(builtin_problem_31())
+        cfg = TruncationConfig(t_end=40.0, mesh_points=400)
+        times = graded_mesh(cfg)
+        newton = oracle_bvp._newton
+        if failing == "quarter":
+            half_times = graded_mesh(TruncationConfig(t_end=40.0, mesh_points=200))
+            half, *_ = oracle_bvp._solve_direct(spec, half_times)
+            want, *_ = newton(spec, times, MeshTrajectory(half_times, half).at(times))
+        else:
+            want, *_ = oracle_bvp._solve_direct(spec, times)
+        spoiled = {"quarter": {100}, "quarter-and-half": {100, 200}}[failing]
+        meshes = []
+
+        def failing_rungs(spec, times, z0):
+            mesh = len(times) - 1
+            meshes.append(mesh)
+            if mesh in spoiled:
+                raise NewtonError("spoiled")
+            return newton(spec, times, z0)
+
+        monkeypatch.setattr(oracle_bvp, "_newton", failing_rungs)
+        band_solves = log_band_solves(monkeypatch)
+        traj = solve_truncated(spec, cfg)
+        # the half rung's first attempt, then (if it fails) its first
+        # continuation stage; then Newton on the full mesh
+        assert meshes == {"quarter": [100, 200, 400], "quarter-and-half": [100, 200, 200, 400]}[failing]
+        assert np.array_equal(traj.values, want)
+        assert traj.newton_iters == len(band_solves)
+        assert traj.final_residual < oracle_bvp.NEWTON_TOL
+
+    @pytest.mark.parametrize(
+        "mesh, meshes", [(200, [50, 100, 200]), (400, [100, 400])], ids=["mesh200", "mesh400"]
+    )
+    def test_no_decaying_mode_converges_on_the_first_rung_that_does(self, monkeypatch, mesh, meshes):
+        # x' = x - x^3 from the ramp: Newton fails on 50 intervals, so at mesh
+        # 200 the half rung finishes; on 100 it converges, so mesh 400 (where a
+        # direct solve on 200 or 400 intervals fails) finishes on the quarter rung
+        spec = SystemSpec(dim=1, sigma=[[-1.0]], nonlinear=((MonomialTerm(1.0, (3,)),),),
+                          bc=(InitialValue(0.5),))
+        newton = oracle_bvp._newton
+        calls = []
+
+        def recording(spec, times, z0):
+            try:
+                return newton(spec, times, z0)
+            finally:
+                calls.append(len(times) - 1)
+
+        monkeypatch.setattr(oracle_bvp, "_newton", recording)
+        traj = solve_truncated(spec, TruncationConfig(t_end=10.0, mesh_points=mesh))
+        assert calls == meshes
+        assert traj.final_residual < oracle_bvp.NEWTON_TOL
+
     def test_counts_the_factorizations_of_a_failed_coarse_solve(self, monkeypatch):
-        # every coarse factorization reports a zero pivot, so the first attempt
-        # and the first continuation stage each fail after one; both count,
+        # every factorization on the quarter and the half mesh reports a zero
+        # pivot, so the quarter mesh's Newton, the half mesh's first attempt
+        # and its first continuation stage each fail after one; all count,
         # with those of the direct solve on the full mesh that follows
         spec = derive_tpbvp(builtin_problem_31())
         real = oracle_bvp.dgbsv
 
-        def zero_pivot_on_the_coarse_mesh(l, u, ab, b, **kwargs):
-            if ab.shape[1] == 201 * spec.dim:
+        def zero_pivot_on_the_coarse_meshes(l, u, ab, b, **kwargs):
+            if ab.shape[1] in (101 * spec.dim, 201 * spec.dim):
                 return ab, np.zeros(len(b), dtype=np.int64), b, 1
             return real(l, u, ab, b, **kwargs)
 
-        monkeypatch.setattr(oracle_bvp, "dgbsv", zero_pivot_on_the_coarse_mesh)
+        monkeypatch.setattr(oracle_bvp, "dgbsv", zero_pivot_on_the_coarse_meshes)
         band_solves = log_band_solves(monkeypatch)
         traj = solve_truncated(spec, TruncationConfig(t_end=40.0, mesh_points=400))
-        assert band_solves[:2] == ["dgbsv", "dgbsv"]
+        assert band_solves[:3] == ["dgbsv", "dgbsv", "dgbsv"]
         assert traj.newton_iters == len(band_solves)
-        assert traj.factorizations == band_solves.count("dgbsv") > 2
+        assert traj.factorizations == band_solves.count("dgbsv") > 3
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
 
     @pytest.mark.parametrize("fallback", [False, True])
