@@ -79,7 +79,7 @@ def _horizon(args) -> float:
 
 def _report_times(args) -> np.ndarray:
     t_end = _horizon(args)
-    if args.times:
+    if args.times is not None:  # `--times=` too: an empty list is a bad value
         try:
             times = np.array([float(v) for v in args.times.split(",")])
         except ValueError:
@@ -272,6 +272,9 @@ def main(argv=None) -> int:
             return _run_single(args, problem, _solver_config(args))
         except (InputError, BasisConstructionError, OperatorSingularError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:  # e.g. an oracle --mesh too large to allocate
+            print(f"error: out of memory: {exc}", file=sys.stderr)
             return 1
 
 

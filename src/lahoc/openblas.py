@@ -1,4 +1,4 @@
-"""NumPy's bundled OpenBLAS, through ctypes: its thread count, and the six
+"""NumPy's bundled OpenBLAS, through ctypes: its thread count, and the five
 LAPACK routines lahoc calls.
 
 NumPy's PyPI wheels for Linux install an ILP64 OpenBLAS (64-bit integers) in
@@ -94,7 +94,6 @@ _dgetrs = _routine("dgetrs", ctypes.c_char_p, _INT, _INT, _F64, _INT, _I64, _F64
 _dgbsv = _routine("dgbsv", _INT, _INT, _INT, _INT, _F64, _INT, _I64, _F64, _INT, _INT)
 _dgbtrs = _routine("dgbtrs", ctypes.c_char_p, _INT, _INT, _INT, _INT, _F64, _INT, _I64, _F64,
                    _INT, _INT, ctypes.c_size_t)
-_dgtsv = _routine("dgtsv", _INT, _INT, _F64, _F64, _F64, _F64, _INT, _INT)
 
 
 def _int(value: int):
@@ -212,19 +211,3 @@ def dgbtrs(ab, kl: int, ku: int, b, ipiv):
             _int(max(n, 1)), info, 1)
     return x, info.value
 
-
-def dgtsv(dl, d, du, b) -> np.ndarray:
-    """The solution of the tridiagonal system with sub-, main and
-    superdiagonals dl, d, du, as SciPy's `solve_banded((1, 1), ...)`; no
-    argument is overwritten. Raises LinAlgError at a zero pivot."""
-    d = _fortran(d)
-    n = d.size
-    if d.ndim != 1 or np.shape(dl) != (max(n - 1, 0),) or np.shape(du) != np.shape(dl):
-        raise ValueError(f"expected diagonals of {n - 1}, {n} and {n - 1} entries")
-    dl, du = _fortran(dl), _fortran(du)
-    x, nrhs = _rhs(b, n)
-    info = ctypes.c_int64()
-    _dgtsv(_int(n), _int(nrhs), dl, d, du, x, _int(max(n, 1)), info)
-    if info.value:
-        raise np.linalg.LinAlgError(f"dgtsv: singular matrix, zero pivot {info.value}")
-    return x

@@ -4,7 +4,7 @@ Midpoint-rule collocation on a geometrically graded mesh over [0, t_end] with
 a damped, simplified Newton iteration, first on a mesh of a quarter as many
 intervals, from the decaying solution of the linear part (for a derived
 optimality system, the LQR trajectory and its costates), and then, from the
-spline of that solution, on the full mesh; if either fails, the same from a
+interpolant of that solution, on the full mesh; if either fails, the same from a
 solve on half as many intervals with continuation in the nonlinear terms,
 and then that solve on the full mesh. The decay condition on costate
 components is imposed at t_end. The unknowns are ordered time-major and the
@@ -12,8 +12,9 @@ residual rows run initial values, then one block of n rows per mesh interval,
 then the decay rows, so the analytic Jacobian is a band matrix 3n diagonals
 wide, factored in place with LAPACK's band LU and solved with again while the
 steps on it keep contracting the residual. Trajectories are read between mesh
-points through a not-a-knot cubic spline. Used to cross-validate the spectral
-homotopy trajectories.
+points through the cubic Hermite interpolant of the mesh values and their
+slopes f(z), as BVP4C and BVP5C read theirs. Used to cross-validate the
+spectral homotopy trajectories.
 """
 
 from __future__ import annotations
@@ -24,18 +25,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .openblas import dgbsv, dgbtrs, dgtsv
+from .openblas import dgbsv, dgbtrs
 from .sham_engine import InitialValue, SystemSpec
 
 
 class NewtonError(RuntimeError):
-    """A Newton solve that failed, with the band solves it made (`solves`),
-    `factorizations` of them factored."""
+    """A Newton solve that failed."""
 
-    def __init__(self, message: str, solves: int = 0, factorizations: int = 0):
-        super().__init__(message)
-        self.solves = solves
-        self.factorizations = factorizations
+
+@dataclass
+class _Count:
+    """The band solves one `solve_truncated` call made, fresh or on held
+    factors, and the factorizations among them, failed attempts included."""
+
+    solves: int = 0
+    factorizations: int = 0
 
 
 NEWTON_TOL = 1e-11  # infinity norm of the collocation residual
@@ -68,16 +72,19 @@ def _graded(t_end: float, intervals: int) -> np.ndarray:
 
 @dataclass
 class MeshTrajectory:
-    """Trajectories on a truncated mesh, interpolable inside [0, t_end].
+    """Trajectories on a truncated mesh, interpolable inside [0, t_end] by
+    the C1 cubic Hermite interpolant of the values and `slopes` at the mesh
+    points (BVP4C's, Kierzenka & Shampine 2001).
 
-    From `solve_truncated`, `newton_iters` is every band solve the solve
-    made: on every mesh it tried, in every continuation stage, and in the
-    attempts that failed. `factorizations` counts those that factored a
-    Jacobian; the others solved on held factors. `final_residual` is the full
-    mesh's."""
+    From `solve_truncated`, the slopes are the ODE's f(z) at the mesh values;
+    `newton_iters` is every band solve the solve made: on every mesh it
+    tried, in every continuation stage, and in the attempts that failed.
+    `factorizations` counts those that factored a Jacobian; the others solved
+    on held factors. `final_residual` is the full mesh's."""
 
     times: np.ndarray
     values: np.ndarray  # shape (n, len(times))
+    slopes: np.ndarray  # d values / dt, shape (n, len(times))
     newton_iters: int = 0
     final_residual: float = 0.0
     factorizations: int = 0
@@ -88,47 +95,15 @@ class MeshTrajectory:
             raise ValueError(
                 f"query times must lie in [{self.times[0]}, {self.times[-1]}]"
             )
-        x, y = self.times, self.values.T
-        s = _not_a_knot_slopes(x, y)
-        # Cubic Hermite piece of each query's interval, in powers of t - x[i]
+        x, y, s = self.times, self.values.T, self.slopes.T
+        # the Hermite basis of each query's interval i in u = (t - x[i]) / h:
+        # exactly y[i] at u = 0 and y[i + 1] at u = 1, so at every mesh point
         i = np.clip(np.searchsorted(x, times, side="right") - 1, 0, len(x) - 2)
         h = (x[i + 1] - x[i])[:, None]
-        slope = (y[i + 1] - y[i]) / h
-        curv = (s[i] + s[i + 1] - 2 * slope) / h
-        c2 = (slope - s[i]) / h - curv
-        c3 = curv / h
-        d = (times - x[i])[:, None]
-        d2 = d * d
-        return (y[i] + s[i] * d + c2 * d2 + c3 * (d2 * d)).T
-
-
-def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Node slopes of the not-a-knot cubic spline through the columns of y,
-    shape (len(x), components) (de Boor 1978), with the end rows of SciPy's
-    `CubicSpline(bc_type="not-a-knot")`: 2 points give the line, 3 the parabola."""
-    dx = np.diff(x)
-    dxr = dx[:, None]
-    slope = np.diff(y, axis=0) / dxr
-    ab = np.zeros((3, len(x)))  # superdiagonal, diagonal and subdiagonal rows
-    b = np.empty(y.shape)
-    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    ab[0, 2:] = dx[:-1]
-    ab[2, :-2] = dx[1:]
-    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-    if len(x) == 2:  # both slopes are the secant slope
-        ab[1] = 1.0
-        b[:] = slope[0]
-    elif len(x) == 3:  # s0 + s1 and s1 + s2 are twice the secant slopes
-        ab[1, [0, 2]] = ab[0, 1] = ab[2, 1] = 1.0
-        b[0], b[2] = 2 * slope[0], 2 * slope[1]
-    else:  # the third derivative is continuous at x[1] and at x[-2]
-        d = x[2] - x[0]
-        ab[1, 0], ab[0, 1] = dx[1], d
-        b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
-        d = x[-1] - x[-3]
-        ab[1, -1], ab[2, -2] = dx[-2], d
-        b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-    return dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+        u = (times - x[i])[:, None] / h
+        w = u * u * (3 - 2 * u)
+        v = 1 - u
+        return ((1 - w) * y[i] + w * y[i + 1] + h * u * v * (v * s[i] - u * s[i + 1])).T
 
 
 def _monomial_jacobian(spec: SystemSpec, z: np.ndarray) -> np.ndarray:
@@ -199,26 +174,26 @@ def _banded_jacobian(
     return (l, u), ab
 
 
-def _newton(spec, times, z0):
+def _newton(spec, times, z0, count: _Count):
     """Simplified Newton: each step solves with the band LU of the last
     Jacobian factored, for as long as the steps taken on it contract.
 
     A reuse step (`dgbtrs` on the held factors) is undamped and keeps them
     only if it cuts the residual's infinity norm to REUSE_CONTRACTION of its
     value or less; one that does not lower the residual is discarded, and the
-    Jacobian is factored at the same iterate. Returns (z, band solves,
-    residual, factorizations), every solve counted, fresh or reused."""
+    Jacobian is factored at the same iterate. Returns (z, residual); every
+    band solve, fresh or reused, is added to `count` as it is made."""
     z = z0.copy()
     res = _residual(spec, times, z)
     rnorm = np.linalg.norm(res, ord=np.inf)
     lu = None  # `dgbtrs` arguments of the held factors; the only reference to them
-    factorizations = 0
-    for it in range(MAX_NEWTON_ITERS):
+    for _ in range(MAX_NEWTON_ITERS):
         if rnorm < NEWTON_TOL:
-            return z, it, rnorm, factorizations
+            return z, rnorm
+        count.solves += 1
         if lu is None:
-            factorizations += 1
-            z, res, rnorm, lu = _factored_step(spec, times, z, res, rnorm, it + 1, factorizations)
+            count.factorizations += 1
+            z, res, rnorm, lu = _factored_step(spec, times, z, res, rnorm)
             continue
         delta, _ = dgbtrs(b=res, **lu)
         z_try = z - delta.reshape(len(times), spec.dim).T
@@ -229,26 +204,20 @@ def _newton(spec, times, z0):
         if rnorm_try < rnorm:  # NaN is not
             z, res, rnorm = z_try, res_try, rnorm_try
     if rnorm >= NEWTON_TOL:
-        raise NewtonError(
-            f"no convergence after {MAX_NEWTON_ITERS} iterations, residual {rnorm:.3e}",
-            MAX_NEWTON_ITERS,
-            factorizations,
-        )
-    return z, MAX_NEWTON_ITERS, rnorm, factorizations
+        raise NewtonError(f"no convergence after {MAX_NEWTON_ITERS} iterations, residual {rnorm:.3e}")
+    return z, rnorm
 
 
-def _factored_step(spec, times, z, res, rnorm, solves, factorizations=1):
+def _factored_step(spec, times, z, res, rnorm):
     """A Newton step on the Jacobian at z, factored by `dgbsv`, with a line
     search from the full step. Returns (z, res, rnorm, factors); the factors
-    are the `dgbtrs` arguments if the full step was taken, else None. A
-    NewtonError raised here counts `solves` band solves, `factorizations` of
-    them factored."""
+    are the `dgbtrs` arguments if the full step was taken, else None."""
     (l, u), ab = _banded_jacobian(spec, times, z)
     lub, piv, delta, info = dgbsv(l, u, ab, res, overwrite_ab=True)
     if info:  # info > 0: a zero pivot
-        raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}", solves, factorizations)
+        raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}")
     if not np.all(np.isfinite(delta)):
-        raise NewtonError("singular Jacobian (non-finite Newton step)", solves, factorizations)
+        raise NewtonError("singular Jacobian (non-finite Newton step)")
     step = 1.0
     dz = delta.reshape(len(times), spec.dim).T
     while True:
@@ -287,40 +256,31 @@ def _linear_start(spec: SystemSpec, times: np.ndarray) -> np.ndarray:
     return z
 
 
-def _solve_direct(spec: SystemSpec, times: np.ndarray):
+def _solve_direct(spec: SystemSpec, times: np.ndarray, count: _Count):
     """Newton on `times` from the decaying solution of the linear part
     (`_linear_start`); if it fails, the nonlinear terms are continued from
     zero to full strength in four steps, from the same start, each a Newton
     solve of a copy of the spec whose monomial coefficients are scaled.
-    Returns the last solve's z and residual with the band solves and
-    factorizations of every attempt, (z, solves, residual, factorizations);
-    a NewtonError raised here also counts them all."""
+    Returns the last solve's (z, residual)."""
     z = _linear_start(spec, times)
     try:
-        return _newton(spec, times, z)
-    except NewtonError as exc:
-        solves, factorizations = exc.solves, exc.factorizations
+        return _newton(spec, times, z, count)
+    except NewtonError:
+        pass
     for scale in (0.25, 0.5, 0.75, 1.0):
         nonlinear = tuple(
             tuple(replace(t, coefficient=scale * t.coefficient) for t in eq)
             for eq in spec.nonlinear
         )
-        try:
-            z, iters, rnorm, factored = _newton(replace(spec, nonlinear=nonlinear), times, z)
-        except NewtonError as exc:
-            exc.solves += solves
-            exc.factorizations += factorizations
-            raise
-        solves += iters
-        factorizations += factored
-    return z, solves, rnorm, factorizations
+        z, rnorm = _newton(replace(spec, nonlinear=nonlinear), times, z, count)
+    return z, rnorm
 
 
-def _quarter_stage(spec: SystemSpec, times: np.ndarray):
+def _quarter_stage(spec: SystemSpec, times: np.ndarray, count: _Count):
     """Newton on `times` from `_linear_start`, without the continuation of
     `_solve_direct`, so that a failed attempt costs at most MAX_NEWTON_ITERS
     band solves on the coarsest mesh."""
-    return _newton(spec, times, _linear_start(spec, times))
+    return _newton(spec, times, _linear_start(spec, times), count)
 
 
 def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
@@ -328,9 +288,9 @@ def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
 
     Newton from the linear start (`_linear_start`) runs on the graded mesh
     of `mesh_points // 4` intervals; Newton on the full `graded_mesh(cfg)`
-    then starts from the spline of that coarse solution, to the same
-    tolerance (usually one step). If either fails, the same two stages run
-    with the direct solve (`_solve_direct`, with its continuation) on
+    then starts from the Hermite interpolant of that coarse solution, to the
+    same tolerance (usually one step). If either fails, the same two stages
+    run with the direct solve (`_solve_direct`, with its continuation) on
     `mesh_points // 2` intervals, and if that fails too, the direct solve
     runs on the full mesh, so the result is always the full-mesh Newton
     solution. The meshes need not be nested. `newton_iters` counts every
@@ -338,28 +298,19 @@ def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
     continuation stage's included, and `factorizations` those that factored.
     """
     times = graded_mesh(cfg)
-    solves = factorizations = 0
+    count = _Count()
     for stage, divisor in ((_quarter_stage, 4), (_solve_direct, 2)):
         coarse_times = _graded(cfg.t_end, cfg.mesh_points // divisor)
         try:
-            coarse, iters, _, factored = stage(spec, coarse_times)
-            solves += iters
-            factorizations += factored
-            start = MeshTrajectory(coarse_times, coarse).at(times)
-            z, iters, rnorm, factored = _newton(spec, times, start)
+            coarse, _ = stage(spec, coarse_times, count)
+            start = MeshTrajectory(coarse_times, coarse, spec.rhs(coarse)).at(times)
+            z, rnorm = _newton(spec, times, start, count)
             break
-        except NewtonError as exc:
-            solves += exc.solves
-            factorizations += exc.factorizations
+        except NewtonError:
+            pass
     else:
-        z, iters, rnorm, factored = _solve_direct(spec, times)
-    return MeshTrajectory(
-        times,
-        z,
-        newton_iters=solves + iters,
-        final_residual=rnorm,
-        factorizations=factorizations + factored,
-    )
+        z, rnorm = _solve_direct(spec, times, count)
+    return MeshTrajectory(times, z, spec.rhs(z), count.solves, rnorm, count.factorizations)
 
 
 @dataclass

@@ -241,6 +241,19 @@ class TestReportTimes:
         assert not out.exists()
 
     @pytest.mark.parametrize("compare", [(), ("--compare",)], ids=["alone", "compare"])
+    def test_an_empty_list_exits_one_before_the_solve(self, tmp_path, capsys, monkeypatch, compare):
+        # `--times=` is a given, empty list, not the builtin table times
+        monkeypatch.setattr(cli, "solve_ocp", self.no_solve)
+        code, out = run_cli(
+            tmp_path, "--builtin", "tp31", "--n", "20", "--beta", "6", "--orders", "5", "--times=",
+            *compare,
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: bad --times value\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("compare", [(), ("--compare",)], ids=["alone", "compare"])
     @pytest.mark.parametrize("t_end", ["nan", "-5", "0", "inf"])
     def test_bad_horizon_exits_one_before_the_solve(
         self, tmp_path, capsys, monkeypatch, t_end, compare
@@ -492,7 +505,7 @@ class TestNonFiniteInput:
 
     def test_nan_deviation_fails_comparison(self, tmp_path, monkeypatch):
         # an oracle comparison that yields NaN must not pass the tolerance gate
-        oracle = MeshTrajectory(np.array([0.0, 1.0]), np.zeros((4, 2)))
+        oracle = MeshTrajectory(np.array([0.0, 1.0]), np.zeros((4, 2)), np.zeros((4, 2)))
         monkeypatch.setattr(cli, "solve_truncated", lambda spec, cfg: oracle)
         monkeypatch.setattr(
             cli, "compare",
@@ -526,6 +539,25 @@ class TestSolverErrors:
         code, _ = run_cli(tmp_path, "--builtin", "tp31", "--n", "20")
         assert code == 1
         assert single_error_line(capsys)
+
+    def test_an_oracle_out_of_memory_exits_one_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # as NumPy fails to allocate the mesh of `--mesh 1000000000000`; no
+        # test allocates a real huge array
+        def out_of_memory(spec, cfg):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000001,)")
+
+        monkeypatch.setattr(cli, "solve_truncated", out_of_memory)
+        code, _ = run_cli(
+            tmp_path, "--builtin", "tp31", "--n", "20", "--beta", "6", "--orders", "5", "--compare",
+            "--mesh", "1000000000000",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: out of memory: Unable to allocate 7.28 TiB for an array with shape "
+            "(1000000000001,)\n"
+        )
 
     def test_r_whose_inverse_overflows_exits_one_with_one_line(self, tmp_path):
         # R = 1e-320 is positive definite but its inverse is inf in sigma; a

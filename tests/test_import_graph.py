@@ -35,8 +35,8 @@ def test_import_loads_no_scipy_module():
 
 
 def test_a_verified_cli_run_loads_no_scipy_module(tmp_path):
-    # the rule (dsterf), the operator and the oracle (dgbsv, dgbtrs and the
-    # spline's dgtsv) all run; a nonzero exit fails the probe
+    # the rule (dsterf), the operator and the oracle (dgbsv and dgbtrs) all
+    # run; a nonzero exit fails the probe
     out = tmp_path / "out"
     run = ("from lahoc import cli\n"
            "if cli.main(['--builtin', 'tp31', '--compare', '--mesh', '400', '--out', sys.argv[2]]):\n"

@@ -7,7 +7,7 @@ import ctypes
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve, solve_banded
+from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve
 from scipy.linalg import lapack
 
 from lahoc import (
@@ -18,7 +18,6 @@ from lahoc import (
     builtin_problem_32,
     derive_tpbvp,
     openblas,
-    oracle_bvp,
     sham_engine,
 )
 from lahoc.oracle_bvp import _banded_jacobian, _residual, graded_mesh
@@ -98,25 +97,10 @@ def test_dgbsv_writes_in_place_only_where_allowed():
     assert same(lu_in_place, lu) and same(x_in_place, x)
 
 
-def test_dgtsv_equals_solve_banded_on_the_spline_system(monkeypatch):
-    systems = record_calls(monkeypatch, oracle_bvp, "dgtsv")
-    times = graded_mesh(TruncationConfig(t_end=40.0, mesh_points=1200))
-    values = np.exp(-np.outer(times, np.arange(1, 13) / 4))  # 12 components, as tp32's
-    slopes = oracle_bvp._not_a_knot_slopes(times, values)
-    (dl, d, du, b), = systems
-    ab = np.zeros((3, len(d)))
-    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
-    assert same(slopes, solve_banded((1, 1), ab, b))
-
-
 class TestErrors:
     def test_exactly_singular_lu_block_raises(self):
         with pytest.raises(np.linalg.LinAlgError, match="exactly zero"):
             openblas.dgetrf(np.array([[1.0, 2.0], [2.0, 4.0]]))
-
-    def test_singular_tridiagonal_raises(self):
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            openblas.dgtsv(np.ones(2), np.zeros(3), np.ones(2), np.ones(3))
 
     def test_zero_band_column_is_reported_as_info(self):
         # the oracle turns this into NewtonError("... LAPACK gbsv info 3"):
@@ -158,11 +142,9 @@ class TestErrors:
             lambda: openblas.dgetrs(np.eye(3), np.ones(3, np.int64), np.zeros(4)),
             lambda: openblas.dgetrf(np.zeros((2, 3))),
             lambda: openblas.dsterf(np.ones(3), np.ones(3)),
-            lambda: openblas.dgtsv(np.ones(2), np.ones(3), np.ones(1), np.ones(3)),
         ],
         ids=["band-rows", "gbsv-rhs", "gbtrs-pivots", "gbtrs-pivot-past-the-end",
-             "getrs-negative-pivot", "getrs-float-pivots", "getrs-rhs", "getrf-square", "sterf-e",
-             "gtsv-du"],
+             "getrs-negative-pivot", "getrs-float-pivots", "getrs-rhs", "getrf-square", "sterf-e"],
     )
     def test_mismatched_shapes_raise_before_the_call(self, call):
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgbsv
 
 from lahoc import (
@@ -196,23 +195,25 @@ def log_band_solves(monkeypatch) -> list[str]:
     return log
 
 
-def refactor_every_step_newton(spec, times, z0):
+def refactor_every_step_newton(spec, times, z0, count):
     """Newton that factors the band Jacobian at every step: the oracle's
     iteration before it held factors across steps, as the reference. Returns
-    `_newton`'s (z, band solves, residual, factorizations)."""
+    `_newton`'s (z, residual), with each band solve added to `count`."""
     n = spec.dim
     z = z0.copy()
     res = _residual(spec, times, z)
     rnorm = np.linalg.norm(res, ord=np.inf)
-    for it in range(oracle_bvp.MAX_NEWTON_ITERS):
+    for _ in range(oracle_bvp.MAX_NEWTON_ITERS):
         if rnorm < oracle_bvp.NEWTON_TOL:
-            return z, it, rnorm, it
+            return z, rnorm
+        count.solves += 1
+        count.factorizations += 1
         (l, u), ab = _banded_jacobian(spec, times, z)
         *_, delta, info = dgbsv(l, u, ab, res, overwrite_ab=True, overwrite_b=True)
         if info:
-            raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}", it + 1, it + 1)
+            raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}")
         if not np.all(np.isfinite(delta)):
-            raise NewtonError("singular Jacobian (non-finite Newton step)", it + 1, it + 1)
+            raise NewtonError("singular Jacobian (non-finite Newton step)")
         step = 1.0
         dz = delta.reshape(len(times), n).T
         while True:
@@ -223,7 +224,7 @@ def refactor_every_step_newton(spec, times, z0):
                 break
             step *= 0.5
         z, res, rnorm = z_try, res_try, rnorm_try
-    raise NewtonError("no convergence", oracle_bvp.MAX_NEWTON_ITERS, oracle_bvp.MAX_NEWTON_ITERS)
+    raise NewtonError("no convergence")
 
 
 def reference_solve(monkeypatch, spec, cfg) -> MeshTrajectory:
@@ -346,10 +347,10 @@ class TestNewtonSolve:
         coefficients = []
         meshes = []
 
-        def recording(spec, times, z0):
+        def recording(spec, times, z0, count):
             coefficients.append([t.coefficient for eq in spec.nonlinear for t in eq])
             meshes.append(len(times) - 1)
-            return newton(spec, times, z0)
+            return newton(spec, times, z0, count)
 
         monkeypatch.setattr(oracle_bvp, "dgbsv", fails_once_per_coarse_mesh)
         monkeypatch.setattr(oracle_bvp, "_newton", recording)
@@ -388,9 +389,10 @@ class TestNewtonSolve:
         newton = oracle_bvp._newton
         steps = []
 
-        def recording(spec, times, z0):
-            result = newton(spec, times, z0)
-            steps.append((len(times) - 1, result[1]))
+        def recording(spec, times, z0, count):
+            before = count.solves
+            result = newton(spec, times, z0, count)
+            steps.append((len(times) - 1, count.solves - before))
             return result
 
         monkeypatch.setattr(oracle_bvp, "_newton", recording)
@@ -476,7 +478,7 @@ class TestFactorReuse:
         res = _residual(spec, times, z)
         rnorm = np.linalg.norm(res, ord=np.inf)
         ref = np.linalg.solve(dense_from_band(*_banded_jacobian(spec, times, z)), res)
-        z_new, _, _, factors = oracle_bvp._factored_step(spec, times, z, res.copy(), rnorm, 1)
+        z_new, _, _, factors = oracle_bvp._factored_step(spec, times, z, res.copy(), rnorm)
         step = np.abs(z - z_new).max() / np.abs(ref).max()
         if not held:
             assert factors is None and step <= 0.5
@@ -614,9 +616,9 @@ class TestLinearStart:
 
 class TestCoarseToFine:
     """`solve_truncated` solves on a quarter of the intervals, then takes
-    Newton on the full mesh from the spline of that solution; if either fails,
-    it does the same from the direct solve on half the intervals, and then
-    solves directly on the full mesh."""
+    Newton on the full mesh from the interpolant of that solution; if either
+    fails, it does the same from the direct solve on half the intervals, and
+    then solves directly on the full mesh."""
 
     @pytest.mark.parametrize(
         "problem, mesh",
@@ -628,14 +630,22 @@ class TestCoarseToFine:
         ],
         ids=["tp31-2000", "tp32-1200", "tp31-50", "tp31-51"],
     )
-    def test_matches_the_direct_fine_solve(self, problem, mesh):
+    def test_matches_the_direct_fine_solve(self, monkeypatch, problem, mesh):
+        # against the direct solve polished far below NEWTON_TOL, so that the
+        # bound measures the nested answer's own error, not the reference's
         spec = derive_tpbvp(problem())
         cfg = TruncationConfig(t_end=40.0, mesh_points=mesh)
         traj = solve_truncated(spec, cfg)
-        direct, *_ = oracle_bvp._solve_direct(spec, graded_mesh(cfg))
-        assert np.array_equal(traj.times, graded_mesh(cfg))
+        times = graded_mesh(cfg)
+        count = oracle_bvp._Count()
+        direct, _ = oracle_bvp._solve_direct(spec, times, count)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle_bvp, "NEWTON_TOL", 1e-13)
+            reference, rnorm = oracle_bvp._newton(spec, times, direct, count)
+        assert rnorm < 1e-13
+        assert np.array_equal(traj.times, times)
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
-        assert np.abs(traj.values - direct).max() < 1e-9
+        assert np.abs(traj.values - reference).max() < 1e-9
 
     @pytest.mark.parametrize("failing", ["coarse", "fine"])
     def test_a_failed_stage_falls_back_to_the_direct_fine_solve(self, monkeypatch, failing):
@@ -644,16 +654,18 @@ class TestCoarseToFine:
         cfg = TruncationConfig(t_end=40.0, mesh_points=400)
         calls = []
 
-        def failing_stage(spec, times, z0):
+        def failing_stage(spec, times, z0, count):
             mesh = len(times) - 1
             calls.append(mesh)
             fine_spoiled = mesh == 400 and calls.count(400) <= 2
             if (failing == "coarse" and mesh < 400) or (failing == "fine" and fine_spoiled):
                 raise NewtonError("spoiled")
-            return newton(spec, times, z0)
+            return newton(spec, times, z0, count)
 
         spec = derive_tpbvp(builtin_problem_31())
-        direct, iters, rnorm, _ = oracle_bvp._solve_direct(spec, graded_mesh(cfg))
+        count = oracle_bvp._Count()
+        direct, rnorm = oracle_bvp._solve_direct(spec, graded_mesh(cfg), count)
+        iters = count.solves
         monkeypatch.setattr(oracle_bvp, "_newton", failing_stage)
         band_solves = log_band_solves(monkeypatch)
         traj = solve_truncated(spec, cfg)
@@ -678,21 +690,23 @@ class TestCoarseToFine:
         cfg = TruncationConfig(t_end=40.0, mesh_points=400)
         times = graded_mesh(cfg)
         newton = oracle_bvp._newton
+        count = oracle_bvp._Count()
         if failing == "quarter":
             half_times = graded_mesh(TruncationConfig(t_end=40.0, mesh_points=200))
-            half, *_ = oracle_bvp._solve_direct(spec, half_times)
-            want, *_ = newton(spec, times, MeshTrajectory(half_times, half).at(times))
+            half, _ = oracle_bvp._solve_direct(spec, half_times, count)
+            start = MeshTrajectory(half_times, half, spec.rhs(half)).at(times)
+            want, _ = newton(spec, times, start, count)
         else:
-            want, *_ = oracle_bvp._solve_direct(spec, times)
+            want, _ = oracle_bvp._solve_direct(spec, times, count)
         spoiled = {"quarter": {100}, "quarter-and-half": {100, 200}}[failing]
         meshes = []
 
-        def failing_rungs(spec, times, z0):
+        def failing_rungs(spec, times, z0, count):
             mesh = len(times) - 1
             meshes.append(mesh)
             if mesh in spoiled:
                 raise NewtonError("spoiled")
-            return newton(spec, times, z0)
+            return newton(spec, times, z0, count)
 
         monkeypatch.setattr(oracle_bvp, "_newton", failing_rungs)
         band_solves = log_band_solves(monkeypatch)
@@ -716,9 +730,9 @@ class TestCoarseToFine:
         newton = oracle_bvp._newton
         calls = []
 
-        def recording(spec, times, z0):
+        def recording(spec, times, z0, count):
             try:
-                return newton(spec, times, z0)
+                return newton(spec, times, z0, count)
             finally:
                 calls.append(len(times) - 1)
 
@@ -763,12 +777,12 @@ class TestCoarseToFine:
         newton = oracle_bvp._newton
         fine_solves = []
 
-        def fails_warm_start(spec, times, z0):
+        def fails_warm_start(spec, times, z0, count):
             if len(times) == 401:
                 fine_solves.append(1)
                 if fallback and len(fine_solves) == 1:
                     raise NewtonError("spoiled")
-            return newton(spec, times, z0)
+            return newton(spec, times, z0, count)
 
         monkeypatch.setattr(oracle_bvp, "_newton", fails_warm_start)
         oracle_bvp.solve_truncated(linear_decay_spec(), TruncationConfig(t_end=20.0, mesh_points=400))
@@ -776,7 +790,7 @@ class TestCoarseToFine:
         assert len(fine_solves) == (2 if fallback else 1)
 
 
-def spline_mesh(kind: str, points: int, rng) -> np.ndarray:
+def interpolant_mesh(kind: str, points: int, rng) -> np.ndarray:
     if kind == "graded":
         tau = np.linspace(0.0, 1.0, points)
         return 40.0 * np.expm1(4.0 * tau) / np.expm1(4.0)
@@ -784,44 +798,53 @@ def spline_mesh(kind: str, points: int, rng) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(gaps)])
 
 
-class TestMeshSpline:
-    """`MeshTrajectory.at` is the not-a-knot cubic spline through the mesh values."""
+def gradient_trajectory(times: np.ndarray, values: np.ndarray) -> MeshTrajectory:
+    """The values with finite-difference slopes, for tests that read nodes."""
+    return MeshTrajectory(times, values, np.gradient(values, times, axis=1))
+
+
+class TestMeshInterpolant:
+    """`MeshTrajectory.at` is the cubic Hermite interpolant of the mesh values
+    and slopes."""
 
     @pytest.mark.parametrize("components", [1, 12])
     @pytest.mark.parametrize("points", [2, 3, 4, 5, 51, 2001])
     @pytest.mark.parametrize("kind", ["random", "graded"])
-    def test_matches_scipy_cubic_spline(self, kind, points, components):
+    def test_reproduces_cubics_from_their_exact_slopes(self, kind, points, components):
         rng = np.random.default_rng(points * 100 + components)
-        times = spline_mesh(kind, points, rng)
-        values = rng.standard_normal((components, points)) * rng.uniform(0.1, 10.0, (components, 1))
-        queries = np.concatenate([
-            rng.uniform(times[0], times[-1], size=200),
-            times,  # every node, both endpoints among them
-            [times[0], times[-1]],
-        ])
-        got = MeshTrajectory(times, values).at(queries)
-        want = CubicSpline(times, values, axis=1)(queries)
-        assert got.shape == (components, len(queries))
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(values).max()
-
-    @pytest.mark.parametrize("points", [4, 5, 40])
-    def test_reproduces_a_cubic(self, points):
-        rng = np.random.default_rng(points)
-        times = spline_mesh("random", points, rng)
-        coefficients = rng.standard_normal((3, 4))  # three cubics, highest power first
+        times = interpolant_mesh(kind, points, rng)
+        span = times[-1]
+        coefficients = rng.standard_normal((components, 4))  # cubics in t / span, highest power first
 
         def exact(t):
-            return np.array([np.polyval(c, t) for c in coefficients])
+            return np.array([np.polyval(c, t / span) for c in coefficients])
 
-        queries = np.concatenate([rng.uniform(times[0], times[-1], size=100), times])
-        got = MeshTrajectory(times, exact(times)).at(queries)
-        scale = np.abs(exact(queries)).max()
-        assert np.abs(got - exact(queries)).max() <= 1e-12 * scale
+        slopes = np.array([np.polyval(np.polyder(c), times / span) / span for c in coefficients])
+        traj = MeshTrajectory(times, exact(times), slopes)
+        queries = rng.uniform(times[0], times[-1], size=200)
+        got = traj.at(queries)
+        assert got.shape == (components, len(queries))
+        assert np.abs(got - exact(queries)).max() <= 1e-12 * np.abs(exact(queries)).max()
+        assert np.array_equal(traj.at(times), traj.values)  # every node, both endpoints among them
+
+    @pytest.mark.parametrize("mesh", [200, 400, 2000])
+    def test_the_oracle_between_its_nodes_is_as_close_to_the_lqr_answer_as_at_them(self, mesh):
+        # x' = x + u, unit weights: x = e^{-sqrt(2) t}, lambda = (1 + sqrt(2)) x;
+        # the interpolant adds no error beyond the collocation's own
+        spec = scalar_lqr_spec(1.0, 1.0, 1.0, 1.0, 1.0)
+        traj = solve_truncated(spec, TruncationConfig(t_end=40.0, mesh_points=mesh))
+
+        def error(t):
+            x = np.exp(-math.sqrt(2.0) * t)
+            return np.abs(traj.at(t) - np.array([x, (1.0 + math.sqrt(2.0)) * x])).max()
+
+        midpoints = 0.5 * (traj.times[:-1] + traj.times[1:])
+        assert error(midpoints) <= 1.1 * error(traj.times)
 
     @pytest.mark.parametrize("query", [-1e-6, 5.0 + 1e-6, [1.0, 6.0]])
     def test_queries_outside_the_mesh_raise(self, query):
         times = np.linspace(0.0, 5.0, 11)
-        traj = MeshTrajectory(times, np.vstack([np.exp(-times), np.cos(times)]))
+        traj = gradient_trajectory(times, np.vstack([np.exp(-times), np.cos(times)]))
         with pytest.raises(ValueError, match="query times"):
             traj.at(query)
 
@@ -829,17 +852,17 @@ class TestMeshSpline:
 class TestCompare:
     def test_zero_for_identical_trajectories(self):
         t = np.linspace(0.0, 5.0, 50)
-        traj = MeshTrajectory(times=t, values=np.vstack([np.exp(-t), np.cos(t)]))
+        traj = gradient_trajectory(t, np.vstack([np.exp(-t), np.cos(t)]))
         result = compare(traj, traj, np.linspace(0.5, 4.5, 11))
         assert result.worst() == 0.0
         assert result.max_dev.shape == (2,)
 
     def test_reports_component_wise_deviation_and_location(self):
         t = np.linspace(0.0, 5.0, 501)
-        a = MeshTrajectory(times=t, values=np.vstack([np.exp(-t), np.cos(t)]))
+        a = gradient_trajectory(t, np.vstack([np.exp(-t), np.cos(t)]))
         bumped = np.vstack([np.exp(-t), np.cos(t)])
         bumped[1] += 0.01 * (np.abs(t - 2.0) < 0.004)
-        b = MeshTrajectory(times=t, values=bumped)
+        b = gradient_trajectory(t, bumped)
         result = compare(a, b, t)
         assert result.max_dev[0] < 1e-12
         assert result.max_dev[1] == pytest.approx(0.01, rel=1e-6)
@@ -847,7 +870,7 @@ class TestCompare:
 
     def test_shape_mismatch_rejected(self):
         t = np.linspace(0.0, 5.0, 50)
-        a = MeshTrajectory(times=t, values=np.exp(-t)[None, :])
-        b = MeshTrajectory(times=t, values=np.vstack([np.exp(-t), np.cos(t)]))
+        a = gradient_trajectory(t, np.exp(-t)[None, :])
+        b = gradient_trajectory(t, np.vstack([np.exp(-t), np.cos(t)]))
         with pytest.raises(ValueError):
             compare(a, b, t)
