@@ -151,12 +151,6 @@ def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
     bundle = solve_ocp(problem, config, report_times=times)
     solver_seconds = time.perf_counter() - t0
 
-    # made only now, so that an input the solver rejects leaves no directory
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    _write_trajectories(out / "trajectories.csv", bundle, problem.n_states)
-    _write_convergence(out / "convergence.csv", bundle)
-
     lines = [
         f"termination: {bundle.termination.value}",
         f"orders used: {len(bundle.tail_norms) - 1}",
@@ -173,24 +167,28 @@ def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
         t0 = time.perf_counter()
         try:
             oracle = solve_truncated(spec, oracle_config)
-        except NewtonError as exc:
+        except NewtonError as exc:  # the solver's files are still written
             lines.append(f"oracle: failed ({exc})")
-            _write_summary(out, lines)
-            return 3
-        oracle_seconds = time.perf_counter() - t0
-        result = compare(bundle, oracle, times)
-        lines.append(f"oracle wall time: {oracle_seconds:.3f} s")
-        lines.append(
-            f"oracle band solves: {oracle.newton_iters} ({oracle.factorizations} factorizations)"
-        )
-        lines.append(f"max deviation vs oracle: {_FMT.format(result.worst())}")
-        for r, (dev, tmax) in enumerate(zip(result.max_dev, result.argmax_time)):
-            lines.append(f"  component {r}: {_FMT.format(dev)} at t={tmax:g}")
-        if not result.worst() <= args.compare_tol:  # a NaN deviation fails too
-            lines.append(f"comparison FAILED (tolerance {args.compare_tol:g})")
-            _write_summary(out, lines)
-            return 3
+            status = 3
+        else:
+            oracle_seconds = time.perf_counter() - t0
+            result = compare(bundle, oracle, times)
+            lines.append(f"oracle wall time: {oracle_seconds:.3f} s")
+            lines.append(f"oracle band solves: {oracle.newton_iters} "
+                         f"({oracle.factorizations} factorizations)")
+            lines.append(f"max deviation vs oracle: {_FMT.format(result.worst())}")
+            for r, (dev, tmax) in enumerate(zip(result.max_dev, result.argmax_time)):
+                lines.append(f"  component {r}: {_FMT.format(dev)} at t={tmax:g}")
+            if not result.worst() <= args.compare_tol:  # a NaN deviation fails too
+                lines.append(f"comparison FAILED (tolerance {args.compare_tol:g})")
+                status = 3
 
+    # made only now, so that an input the solver rejects, or an oracle that
+    # runs out of memory, leaves no directory
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
+    _write_trajectories(out / "trajectories.csv", bundle, problem.n_states)
+    _write_convergence(out / "convergence.csv", bundle)
     _write_summary(out, lines)
     return status
 

@@ -19,6 +19,15 @@ class BasisConstructionError(RuntimeError):
     pass
 
 
+# From N = 363 on, the three-term recurrence for L_{N+1} overflows at the
+# largest node (x = beta t_N = 1414.18), and x does not depend on beta, so no
+# beta builds a rule of higher degree; build_rule rejects one before its
+# O(N^2) work. At moderate beta the weights overflow sooner (past N = 185 for
+# beta from 0.5 to 6), but that limit moves with beta (N = 191 at beta = 1e-10,
+# 179 at 1e10), so the weight check decides it.
+MAX_N_ORDER = 362
+
+
 class QuadratureOverflowWarning(RuntimeWarning):
     """No longer raised. Its test, beta * t_N > ln 1e15, held for every rule
     with N >= 11 whatever beta (beta * t_N is the largest root of L_N^(1)),
@@ -114,6 +123,8 @@ def build_rule(config: BasisConfig) -> BasisRule:
     eigensolve and polished by one Newton step.
     """
     beta, n = config.beta, config.n_order
+    if n > MAX_N_ORDER:
+        raise BasisConstructionError(f"invalid weights for N={n}, beta={beta}")
     # past the degree double precision can hold, the recurrences overflow;
     # the node and weight checks below turn that into BasisConstructionError
     try:
@@ -132,12 +143,14 @@ def build_rule(config: BasisConfig) -> BasisRule:
             weights = np.empty(n + 1)
             weights[0] = 1.0 / (beta * (n + 1))
             weights[1:] = 1.0 / (beta * (n + 1) * ln[1:] * ln1[1:])
+            # inside the errstate: nodes t = x / beta overflow at a tiny beta
+            repeated = np.any(np.diff(nodes) <= 0)
     except np.linalg.LinAlgError as exc:
         raise BasisConstructionError(
             f"eigen-solve failed for N={n}, beta={beta}: {exc}"
         ) from exc
 
-    if np.any(np.diff(nodes) <= 0):
+    if repeated:
         raise BasisConstructionError(f"non-distinct nodes for N={n}, beta={beta}")
     if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
         raise BasisConstructionError(f"invalid weights for N={n}, beta={beta}")

@@ -162,10 +162,11 @@ class HomotopySeries:
     construction, and the table holds no other.
 
     The chain rows run one depth (chain length) after another. Each depth
-    keeps two (capacity, chains at that depth, N+1) histories: its parents'
-    coefficients and its last factors' orders. Each order appends one
-    gathered slice to each, and one einsum over the two then fills that
-    coefficient of the whole depth."""
+    keeps one (capacity, 2 * chains at that depth, N+1) history: its parents'
+    coefficients in the first half of each slice, its last factors' orders
+    in the second. Each order appends one slice, gathered from the store by
+    one take, and one einsum over the two halves then fills that coefficient
+    of the whole depth."""
 
     def __init__(
         self,
@@ -182,16 +183,16 @@ class HomotopySeries:
         chains = {f[:length]: None for f in products for length in range(2, len(f) + 1)}
         # factor sequence -> store row: the components, then the chains by depth
         self._rows = {(c,): c for c in range(n)}
-        self._depths = []  # (store rows, parent rows, last components, histories)
+        self._depths = []  # (store rows, chains, gathered store rows, history)
         for _, group in itertools.groupby(sorted(chains, key=len), key=len):
             keys = list(group)
             start = len(self._rows)
             self._rows.update((key, start + i) for i, key in enumerate(keys))
-            parents = np.array([self._rows[key[:-1]] for key in keys])
-            lasts = np.array([key[-1] for key in keys])
-            shape = (capacity, len(keys), n_points)
+            # parent rows, then last components: one gather fills both halves
+            gathered = np.array([self._rows[key[:-1]] for key in keys] + [key[-1] for key in keys])
+            history = np.empty((capacity, 2 * len(keys), n_points))
             rows = slice(start, start + len(keys))
-            self._depths.append((rows, parents, lasts, np.empty(shape), np.empty(shape)))
+            self._depths.append((rows, len(keys), gathered, history))
         self._store = np.empty((capacity, len(self._rows), n_points))
         self._store[: len(orders), :n] = orders
         for k in range(len(orders)):
@@ -227,11 +228,10 @@ class HomotopySeries:
 
     def _fill_order(self, k: int) -> None:
         s = self._store[k]
-        for rows, parents, lasts, parent_history, last_history in self._depths:
+        for rows, width, gathered, history in self._depths:
             # mode="clip" gathers straight into the history (every row is in range)
-            np.take(s, parents, axis=0, out=parent_history[k], mode="clip")
-            np.take(s, lasts, axis=0, out=last_history[k], mode="clip")
-            np.einsum("icj,icj->cj", parent_history[: k + 1], last_history[k::-1], out=s[rows])
+            s.take(gathered, axis=0, out=history[k], mode="clip")
+            np.einsum("icj,icj->cj", history[: k + 1, :width], history[k::-1, width:], out=s[rows])
 
     def product_coefficient(self, factors: tuple[int, ...], k: int) -> np.ndarray:
         """Coefficient k of the node-wise product of the component series
@@ -285,10 +285,14 @@ class BlockOperator:
         out = np.empty_like(rhs, dtype=float)
         if self.lu is not None:
             for rows, scale, lu in self.lu:
-                out[rows] = dgetrs(*lu, rhs[rows] / scale)
+                block_rhs = rhs[rows]  # a gathered copy, divided in place
+                block_rhs /= scale
+                out[rows] = dgetrs(*lu, block_rhs)
         else:
             for rows, scale, v_scaled, u_t in self.pinv:
-                out[rows] = v_scaled @ (u_t @ (rhs[rows] / scale))
+                block_rhs = rhs[rows]
+                block_rhs /= scale
+                out[rows] = v_scaled @ (u_t @ block_rhs)
         return out
 
 
@@ -466,24 +470,27 @@ def deformation_step(
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    q = np.zeros((spec.dim, rule.n_points))
-    for r, terms in enumerate(spec.nonlinear):
+    # one flat right-hand side, summed row by row through a (dim, N+1) view
+    q = np.zeros(spec.dim * rule.n_points)
+    for row, terms in zip(q.reshape(spec.dim, rule.n_points), spec.nonlinear):
         for term in terms:
-            q[r] += cauchy_order_term(series, term, order)
-    if not np.all(np.isfinite(q)):
+            row += cauchy_order_term(series, term, order)
+    if not np.isfinite(q).all():
         raise DivergenceError(order, float(np.nanmax(np.abs(q))))
 
-    q = q.ravel()
     q[operator.boundary_rows] = 0.0
-    step = config.hbar * operator.solve(q).reshape(spec.dim, rule.n_points)
-    if order == 1:
-        return step
-    return (1.0 + config.hbar) * series.orders[order - 1] + step
+    step = operator.solve(q).reshape(spec.dim, rule.n_points)
+    step *= config.hbar
+    if order > 1:
+        # step + (1 + hbar) z_{m-1} has the bits of (1 + hbar) z_{m-1} + step
+        step += (1.0 + config.hbar) * series.orders[order - 1]
+    return step
 
 
 def tail_norm(rule: BasisRule, z: np.ndarray) -> float:
     """Discrete weighted norm of one order term over all components."""
-    return math.sqrt(float(np.sum(rule.weights * np.sum(z * z, axis=0))))
+    # np.sum's two reductions, without its dispatch
+    return math.sqrt(float(np.add.reduce(rule.weights * np.add.reduce(z * z, axis=0))))
 
 
 @dataclass

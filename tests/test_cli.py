@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from lahoc import (
     solve_truncated,
 )
 from lahoc.cli import main
-from lahoc.oracle_bvp import ComparisonResult
+from lahoc.oracle_bvp import ComparisonResult, NewtonError
 from lahoc.sham_engine import OperatorSingularError
 
 
@@ -547,7 +548,7 @@ class TestSolverErrors:
             raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000001,)")
 
         monkeypatch.setattr(cli, "solve_truncated", out_of_memory)
-        code, _ = run_cli(
+        code, out = run_cli(
             tmp_path, "--builtin", "tp31", "--n", "20", "--beta", "6", "--orders", "5", "--compare",
             "--mesh", "1000000000000",
         )
@@ -558,6 +559,39 @@ class TestSolverErrors:
             "error: out of memory: Unable to allocate 7.28 TiB for an array with shape "
             "(1000000000001,)\n"
         )
+        # the oracle runs before any file is written
+        assert not out.exists()
+
+    def test_a_failed_oracle_exits_three_and_writes_the_solver_files(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_convergence(spec, cfg):
+            raise NewtonError("no convergence")
+
+        monkeypatch.setattr(cli, "solve_truncated", no_convergence)
+        code, out = run_cli(
+            tmp_path, "--builtin", "tp31", "--n", "40", "--beta", "6", "--orders", "40",
+            "--compare",
+        )
+        assert code == 3
+        assert len(read_csv(out / "trajectories.csv")) == 6
+        assert len(read_csv(out / "convergence.csv")) == 41
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary[-1] == "oracle: failed (no convergence)"
+        assert capsys.readouterr().out.splitlines() == summary
+
+    def test_a_degree_past_the_cap_fails_fast(self, tmp_path, capsys):
+        # the recurrences alone took 5 s at N = 20000 before the cap
+        start = time.perf_counter()
+        code, out = run_cli(tmp_path, "--builtin", "tp31", "--n", "20000")
+        assert code == 1
+        assert capsys.readouterr().err == "error: invalid weights for N=20000, beta=1.0\n"
+        assert not out.exists()
+        code, out = run_cli(tmp_path, "--builtin", "tp31", "--sweep", "n=200000")
+        assert code == 0
+        (row,) = read_csv(out / "sweep.csv")
+        assert row["termination"] == "error: invalid weights for N=200000, beta=1.0"
+        assert time.perf_counter() - start < 1.0
 
     def test_r_whose_inverse_overflows_exits_one_with_one_line(self, tmp_path):
         # R = 1e-320 is positive definite but its inverse is inf in sigma; a

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -145,6 +146,40 @@ class TestNewtonPolish:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestLargestDegree:
+    @pytest.mark.parametrize("beta", [0.5, 6.0])
+    def test_the_largest_degree_that_builds_is_accepted_and_the_next_rejected(self, beta):
+        rule = build_rule(BasisConfig(beta=beta, n_order=185))
+        assert np.all(np.isfinite(rule.weights)) and np.all(rule.weights > 0)
+        with pytest.raises(BasisConstructionError, match=f"invalid weights for N=186, beta={beta}"):
+            build_rule(BasisConfig(beta=beta, n_order=186))
+
+    def test_the_cap_is_the_degree_no_beta_passes(self):
+        # a tiny beta keeps the weights finite up to the cap ...
+        cap = laguerre_basis.MAX_N_ORDER
+        build_rule(BasisConfig(beta=1e-305, n_order=cap))
+        # ... and one degree past it the recurrence overflows at the largest
+        # node, which does not depend on beta
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = laguerre_basis._golub_welsch_nodes(cap + 1, alpha=1.0)
+            ln, ln1 = laguerre_basis._genlaguerre_pair(cap + 2, 0.0, x)
+        assert not (np.all(np.isfinite(ln)) and np.all(np.isfinite(ln1)))
+
+    @pytest.mark.parametrize("n", [laguerre_basis.MAX_N_ORDER + 1, 20000, 10**6])
+    def test_degrees_past_the_cap_are_rejected_at_once(self, n):
+        start = time.perf_counter()
+        with pytest.raises(BasisConstructionError, match=f"invalid weights for N={n}, beta=6.0"):
+            build_rule(BasisConfig(beta=6.0, n_order=n))
+        assert time.perf_counter() - start < 1.0
+
+    def test_overflowing_nodes_raise_without_a_warning(self):
+        # t = x / beta is infinite at beta = 1e-308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BasisConstructionError, match="invalid weights for N=40"):
+                build_rule(BasisConfig(beta=1e-308, n_order=40))
 
 
 class TestWeightedQuadrature:

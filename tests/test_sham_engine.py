@@ -32,6 +32,7 @@ from lahoc import (
     run_sham,
 )
 from lahoc import openblas, sham_engine
+from lahoc.openblas import dgetrs
 from lahoc.oracle_bvp import TruncationConfig, solve_truncated
 from lahoc.sham_engine import COND_SWITCH, OperatorSingularError, component_groups, tail_norm
 
@@ -675,6 +676,99 @@ class TestSaddleSystem:
         oracle = solve_truncated(spec, TruncationConfig(t_end=40.0, mesh_points=2000))
         t = np.linspace(0.0, 10.0, 41)
         assert np.abs(result.at(t) - oracle.at(t)).max() < 1e-5
+
+
+def plain_recurrence(spec, cfg):
+    """run_sham written out plainly: every chain coefficient by its own einsum
+    over its parent's coefficients and its last factor's orders, the
+    right-hand side summed term by term, the block solve, the deformation
+    update and the stopping rules. Returns the kept orders, their tail norms
+    and the termination."""
+    rule = build_rule(cfg.basis)
+    op = assemble_operator(spec, rule)
+
+    def solve(rhs):
+        out = np.empty_like(rhs)
+        if op.lu is not None:
+            for rows, scale, lu in op.lu:
+                out[rows] = dgetrs(*lu, rhs[rows] / scale)
+        else:
+            for rows, scale, v_scaled, u_t in op.pinv:
+                out[rows] = v_scaled @ (u_t @ (rhs[rows] / scale))
+        return out
+
+    def norm(z):
+        return math.sqrt(float(np.sum(rule.weights * np.sum(z * z, axis=0))))
+
+    chains = {}  # factor sequence -> its coefficients so far
+
+    def coefficient(factors, k):
+        if len(factors) == 1:
+            return orders[k][factors[0]]
+        known = chains.setdefault(factors, [])
+        while len(known) <= k:
+            i = len(known)
+            parent = np.array([coefficient(factors[:-1], j) for j in range(i + 1)])
+            last = np.array([z[factors[-1]] for z in orders[: i + 1]])
+            known.append(np.einsum("ij,ij->j", parent, last[::-1]))
+        return known[k]
+
+    rhs = np.zeros(spec.dim * rule.n_points)
+    rhs[op.boundary_rows] = op.boundary_values
+    orders = [solve(rhs).reshape(spec.dim, rule.n_points)]
+    tails = [norm(orders[0])]
+    termination, best_order, best_tail = Termination.MAX_ORDER, 0, tails[0]
+    for m in range(1, cfg.max_order + 1):
+        q = np.zeros((spec.dim, rule.n_points))
+        for r, terms in enumerate(spec.nonlinear):
+            for term in terms:
+                q[r] += term.coefficient * coefficient(term.factors, m - 1)
+        if not np.all(np.isfinite(q)):
+            termination = Termination.DIVERGED
+            break
+        q = q.ravel()
+        q[op.boundary_rows] = 0.0
+        step = cfg.hbar * solve(q).reshape(spec.dim, rule.n_points)
+        orders.append(step if m == 1 else (1.0 + cfg.hbar) * orders[m - 1] + step)
+        tails.append(norm(orders[m]))
+        if not math.isfinite(tails[m]) or (best_tail > 0 and tails[m] > 1e6 * best_tail):
+            termination = Termination.DIVERGED
+            break
+        if tails[m] < best_tail:
+            best_tail, best_order = tails[m], m
+        if tails[m] < cfg.tail_tol:
+            termination = Termination.CONVERGED
+            break
+    if termination is Termination.DIVERGED:
+        del orders[best_order + 1 :], tails[best_order + 1 :]
+    return np.array(orders), tails, termination, op
+
+
+class TestRunShamBitIdentity:
+    @pytest.mark.parametrize(
+        "spec, cfg, path, termination, kept",
+        [
+            (derive_tpbvp(builtin_problem_31()),
+             solver_config(beta=1.0, n=100, hbar=-0.6, max_order=100), "pinv",
+             Termination.MAX_ORDER, 101),
+            (saddle_spec(), solver_config(beta=6.0, n=10, hbar=-0.6, max_order=60, tail_tol=1e-13),
+             "lu", Termination.CONVERGED, 30),
+            # the diverging cost-sweep row keeps its best partial sum, order 14
+            (derive_tpbvp(builtin_problem_31()),
+             solver_config(beta=6.0, n=20, hbar=-0.6, max_order=150, tail_tol=1e-13), "pinv",
+             Termination.DIVERGED, 15),
+        ],
+        ids=["tp31-paper", "saddle-lu", "tp31-n20-diverged"],
+    )
+    def test_equals_the_plain_recurrence(self, spec, cfg, path, termination, kept):
+        result = run_sham(spec, cfg)
+        orders, tails, reference_termination, op = plain_recurrence(spec, cfg)
+        assert getattr(op, path) is not None
+        assert result.termination is reference_termination is termination
+        assert len(tails) == kept
+        assert np.array_equal(result.series.orders, orders)
+        assert np.array_equal(result.tail_norms, tails)
+        assert np.array_equal(result.solution, np.sum(orders, axis=0))
 
 
 class TestReducedDeformationStep:
