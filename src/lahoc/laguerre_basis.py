@@ -143,13 +143,17 @@ def build_rule(config: BasisConfig) -> BasisRule:
             weights = np.empty(n + 1)
             weights[0] = 1.0 / (beta * (n + 1))
             weights[1:] = 1.0 / (beta * (n + 1) * ln[1:] * ln1[1:])
-            # inside the errstate: nodes t = x / beta overflow at a tiny beta
+            # inside the errstate: nodes t = x / beta overflow at a tiny beta,
+            # and np.diff turns infinite nodes into NaN, which no <= test sees
+            finite = np.isfinite(nodes).all()
             repeated = np.any(np.diff(nodes) <= 0)
     except np.linalg.LinAlgError as exc:
         raise BasisConstructionError(
             f"eigen-solve failed for N={n}, beta={beta}: {exc}"
         ) from exc
 
+    if not finite:
+        raise BasisConstructionError(f"non-finite nodes for N={n}, beta={beta}")
     if repeated:
         raise BasisConstructionError(f"non-distinct nodes for N={n}, beta={beta}")
     if np.any(weights <= 0) or not np.all(np.isfinite(weights)):

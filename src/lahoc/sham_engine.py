@@ -10,6 +10,14 @@ block at a time, the order-0 term solves the linear part, and each higher
 order is one linear solve against a right-hand side built from truncated
 Cauchy products of the previous orders, each extended by one coefficient per
 order.
+
+Both the series and the system's right-hand side read the monomials through
+one chain table (`chain_table`): every factor sequence a monomial needs, and
+its prefixes, is one row, filled depth by depth from its parent row and its
+last component. `SystemSpec.rhs` fills one such table from z and contracts it
+with the (dim, rows) coefficient matrix K, whose entry (r, row) sums the
+coefficients of equation r's monomials with that factor sequence (a degree-1
+monomial lands in its component's column).
 """
 
 from __future__ import annotations
@@ -92,6 +100,27 @@ class DecayAtInfinity:
 BoundaryTag = InitialValue | DecayAtInfinity
 
 
+def chain_table(
+    dim: int, products: Sequence[tuple[int, ...]]
+) -> tuple[dict[tuple[int, ...], int], list[tuple[slice, np.ndarray, np.ndarray]]]:
+    """The chain table of `products` and their prefixes: factor sequence ->
+    row (the components' rows 0..dim-1, then the chains one depth after
+    another), and per depth its rows, its parent rows and its last
+    components. The chain (c_1, ..., c_L) is its parent (c_1, ..., c_{L-1})
+    times component c_L, node-wise; for L = 2 the parent is c_1's row."""
+    chains = {f[:length]: None for f in products for length in range(2, len(f) + 1)}
+    rows = {(c,): c for c in range(dim)}
+    depths = []
+    for _, group in itertools.groupby(sorted(chains, key=len), key=len):
+        keys = list(group)
+        start = len(rows)
+        rows.update((key, start + i) for i, key in enumerate(keys))
+        parents = np.array([rows[key[:-1]] for key in keys])
+        last = np.array([key[-1] for key in keys])
+        depths.append((slice(start, start + len(keys)), parents, last))
+    return rows, depths
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Linear coupling sigma, per-equation monomial lists, and one boundary
@@ -120,13 +149,28 @@ class SystemSpec:
         if not any(isinstance(tag, InitialValue) for tag in self.bc):
             raise ValueError("at least one component needs an InitialValue tag")
 
-    def rhs(self, z: np.ndarray) -> np.ndarray:
-        """dz/dt = -sigma z - g(z), column-wise; z has shape (n, T)."""
-        g = np.zeros(z.shape)
+    @cached_property
+    def _monomial_table(self) -> tuple[int, list[tuple], np.ndarray]:
+        """(rows, per-depth (store rows, parent rows, last components), K) of
+        the monomials' chain table, K being the (dim, rows) coefficient matrix."""
+        rows, depths = chain_table(self.dim, [t.factors for eq in self.nonlinear for t in eq])
+        coefficients = np.zeros((self.dim, len(rows)))
         for r, terms in enumerate(self.nonlinear):
             for t in terms:
-                g[r] += math.prod((z[c] for c in t.factors), start=t.coefficient)
-        return -self.sigma @ z - g
+                coefficients[r, rows[t.factors]] += t.coefficient
+        return len(rows), depths, coefficients
+
+    def rhs(self, z: np.ndarray) -> np.ndarray:
+        """dz/dt = -sigma z - g(z), column-wise; z has shape (n,) or (n, T).
+
+        g(z) = K P, P holding z in its first n rows and below them every
+        chain's product, one multiply per chain depth."""
+        n_rows, depths, coefficients = self._monomial_table
+        products = np.empty((n_rows, *z.shape[1:]))
+        products[: self.dim] = z
+        for rows, parents, last in depths:
+            np.multiply(products[parents], z[last], out=products[rows])
+        return -(self.sigma @ z) - coefficients @ products
 
 
 @dataclass(frozen=True)
@@ -180,19 +224,13 @@ class HomotopySeries:
         capacity = len(orders) if max_order is None else max(len(orders), max_order + 1)
         n, n_points = np.shape(orders[0])
         self._dim = n
-        chains = {f[:length]: None for f in products for length in range(2, len(f) + 1)}
-        # factor sequence -> store row: the components, then the chains by depth
-        self._rows = {(c,): c for c in range(n)}
+        self._rows, depths = chain_table(n, products)
         self._depths = []  # (store rows, chains, gathered store rows, history)
-        for _, group in itertools.groupby(sorted(chains, key=len), key=len):
-            keys = list(group)
-            start = len(self._rows)
-            self._rows.update((key, start + i) for i, key in enumerate(keys))
+        for rows, parents, last in depths:
             # parent rows, then last components: one gather fills both halves
-            gathered = np.array([self._rows[key[:-1]] for key in keys] + [key[-1] for key in keys])
-            history = np.empty((capacity, 2 * len(keys), n_points))
-            rows = slice(start, start + len(keys))
-            self._depths.append((rows, len(keys), gathered, history))
+            gathered = np.concatenate([parents, last])
+            history = np.empty((capacity, len(gathered), n_points))
+            self._depths.append((rows, len(parents), gathered, history))
         self._store = np.empty((capacity, len(self._rows), n_points))
         self._store[: len(orders), :n] = orders
         for k in range(len(orders)):

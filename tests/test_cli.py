@@ -593,6 +593,13 @@ class TestSolverErrors:
         assert row["termination"] == "error: invalid weights for N=200000, beta=1.0"
         assert time.perf_counter() - start < 1.0
 
+    def test_overflowing_nodes_are_named(self, tmp_path, capsys):
+        # t = x / beta is infinite at beta = 1e-308
+        code, out = run_cli(tmp_path, "--builtin", "tp31", "--n", "40", "--beta", "1e-308")
+        assert code == 1
+        assert capsys.readouterr().err == "error: non-finite nodes for N=40, beta=1e-308\n"
+        assert not out.exists()
+
     def test_r_whose_inverse_overflows_exits_one_with_one_line(self, tmp_path):
         # R = 1e-320 is positive definite but its inverse is inf in sigma; a
         # fresh interpreter shows any NumPy warning printed before the error

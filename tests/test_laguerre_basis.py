@@ -178,7 +178,7 @@ class TestLargestDegree:
         # t = x / beta is infinite at beta = 1e-308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(BasisConstructionError, match="invalid weights for N=40"):
+            with pytest.raises(BasisConstructionError, match="non-finite nodes for N=40, beta=1e-308"):
                 build_rule(BasisConfig(beta=1e-308, n_order=40))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -649,6 +650,87 @@ class TestChainTable:
             assert np.array_equal(
                 cauchy_order_term(series, extra, m), cauchy_order_term(fresh, extra, m)
             ), f"order {m}"
+
+
+def rhs_term_by_term(spec, z):
+    """dz/dt = -sigma z - g(z), g summed one monomial at a time, and the same
+    sum over absolute values, the scale its rounding error is relative to."""
+    g = np.zeros(z.shape)
+    scale = np.abs(spec.sigma) @ np.abs(z)
+    for r, terms in enumerate(spec.nonlinear):
+        for t in terms:
+            term = math.prod((z[c] for c in t.factors), start=t.coefficient)
+            g[r] += term
+            scale[r] += np.abs(term)
+    return -spec.sigma @ z - g, scale
+
+
+def assert_rhs_matches_term_by_term(spec, z):
+    ref, scale = rhs_term_by_term(spec, z)
+    got = spec.rhs(z)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+
+class TestMonomialTableRhs:
+    def test_linear_repeated_shared_and_empty(self):
+        # z0 z1^2 in equations 0 and 2, degree-1 terms, a repeated factor z2^3
+        # and an equation with no terms
+        shared = MonomialTerm(1.5, (1, 2, 0))
+        nonlinear = (
+            (shared, MonomialTerm(-0.5, (0, 1, 0)), MonomialTerm(0.25, (1, 0, 0))),
+            (),
+            (MonomialTerm(2.0, (0, 0, 3)), shared),
+        )
+        spec = SystemSpec(3, np.arange(9.0).reshape(3, 3) / 9, nonlinear, (InitialValue(1.0),) * 3)
+        _, depths, coefficients = spec._monomial_table
+        # columns: z0, z1, z2, then chains (0, 1), (2, 2), (0, 1, 1), (2, 2, 2)
+        assert [len(parents) for _, parents, _ in depths] == [2, 2]
+        assert coefficients.shape == (3, 7)
+        assert np.array_equal(coefficients[:, :3], [[0.25, -0.5, 0.0], [0, 0, 0], [0, 0, 0]])
+        assert np.array_equal(coefficients[1], np.zeros(7))
+        rng = np.random.default_rng(3)
+        for shape in [(3,), (3, 1), (3, 40)]:
+            assert_rhs_matches_term_by_term(spec, rng.normal(size=shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        eqs=random_equations(),
+        seed=st.integers(0, 2**31),
+        columns=st.sampled_from([None, 1, 9]),
+        shared=st.booleans(),
+    )
+    def test_matches_the_term_by_term_sum(self, eqs, seed, columns, shared):
+        n, nonlinear = eqs
+        if shared and any(nonlinear):
+            # the first monomial also read by the last equation
+            first = next(eq[0] for eq in nonlinear if eq)
+            nonlinear = nonlinear[:-1] + (nonlinear[-1] + (first,),)
+        rng = np.random.default_rng(seed)
+        spec = SystemSpec(n, rng.normal(size=(n, n)), nonlinear, (InitialValue(1.0),) * n)
+        z = rng.normal(size=(n,) if columns is None else (n, columns))
+        assert_rhs_matches_term_by_term(spec, z)
+
+    def test_a_replaced_spec_reads_its_own_coefficients(self):
+        # the oracle's continuation: a copy of the spec with scaled monomials
+        spec = derive_tpbvp(builtin_problem_32())
+        z = np.random.default_rng(5).normal(size=(spec.dim, 6))
+        before = spec.rhs(z)  # builds the original's table
+        scaled = tuple(
+            tuple(dataclasses.replace(t, coefficient=0.25 * t.coefficient) for t in eq)
+            for eq in spec.nonlinear
+        )
+        quarter = dataclasses.replace(spec, nonlinear=scaled)
+        assert_rhs_matches_term_by_term(quarter, z)
+        assert np.abs(quarter.rhs(z) - before).max() > 1e-3
+        assert np.array_equal(spec.rhs(z), before)
+
+    def test_sigma_is_read_at_each_call(self):
+        spec = saddle_spec()
+        z = np.array([[0.5, -1.0], [0.25, 2.0]])
+        spec.rhs(z)
+        spec.sigma[0, 1] = 4.0
+        assert_rhs_matches_term_by_term(spec, z)
 
 
 def saddle_spec() -> SystemSpec:
