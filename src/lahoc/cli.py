@@ -23,11 +23,10 @@ from .ocp_model import (
     BUILTIN_REPORT_TIMES,
     OCProblem,
     ProblemFormatError,
-    derive_tpbvp,
     load_problem,
     solve_ocp,
 )
-from .oracle_bvp import NewtonError, TruncationConfig, compare, solve_truncated
+from .oracle_bvp import MIN_MESH_POINTS, NewtonError, TruncationConfig, compare, solve_truncated
 from .sham_engine import OperatorSingularError, SolverConfig, Termination
 
 _FMT = "{:.8e}"  # 9 significant digits, scientific
@@ -142,8 +141,8 @@ def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
     times = _report_times(args)
     oracle_config = None
     if args.compare:
-        if args.mesh < 50:
-            raise InputError("--mesh (mesh intervals) must be >= 50")
+        if args.mesh < MIN_MESH_POINTS:
+            raise InputError(f"--mesh (mesh intervals) must be >= {MIN_MESH_POINTS}")
         if not args.compare_tol >= 0:  # NaN fails too
             raise InputError("--compare-tol must be non-negative")
         oracle_config = TruncationConfig(t_end=args.t_end, mesh_points=args.mesh)
@@ -163,10 +162,9 @@ def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
     status = 2 if bundle.termination is Termination.DIVERGED else 0
 
     if args.compare and status == 0:
-        spec = derive_tpbvp(problem)
         t0 = time.perf_counter()
-        try:
-            oracle = solve_truncated(spec, oracle_config)
+        try:  # the optimality system the solver solved, not a second derivation
+            oracle = solve_truncated(bundle.spec, oracle_config)
         except NewtonError as exc:  # the solver's files are still written
             lines.append(f"oracle: failed ({exc})")
             status = 3

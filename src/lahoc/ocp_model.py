@@ -251,6 +251,7 @@ class SolutionBundle:
     max_hamiltonian: float  # max |H| over the rule's nodes, at the solution
     solution: np.ndarray  # (states; costates) at the rule's nodes, shape (2n, N+1)
     rule: BasisRule
+    spec: SystemSpec  # the optimality system `derive_tpbvp` derived and `run_sham` solved
 
     def at(self, times) -> np.ndarray:
         """Interpolated (states; costates) stack at arbitrary times >= 0."""
@@ -293,6 +294,7 @@ def solve_ocp(
         max_hamiltonian=float(np.abs(hamiltonian(spec, result.solution)).max()),
         solution=result.solution,
         rule=result.rule,
+        spec=spec,
     )
 
 

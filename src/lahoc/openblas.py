@@ -111,9 +111,10 @@ def _fortran(a, dtype=np.float64, in_place: bool = False) -> np.ndarray:
     return a.astype(dtype, order="F", casting="safe")
 
 
-def _rhs(b, n: int, in_place: bool = False) -> tuple[np.ndarray, int]:
-    """Right-hand sides `b` (n,) or (n, k) for LAPACK, with their count k."""
-    b = _fortran(b, in_place=in_place)
+def _rhs(b, n: int) -> tuple[np.ndarray, int]:
+    """A copy of the right-hand sides `b` (n,) or (n, k) for LAPACK, which
+    overwrites it with the solutions, and their count k."""
+    b = _fortran(b)
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"right-hand sides must have {n} rows, got shape {b.shape}")
     return b, (b.shape[1] if b.ndim == 2 else 1)
@@ -184,14 +185,14 @@ def dgetrs(lu, piv, b) -> np.ndarray:
     return x
 
 
-def dgbsv(kl: int, ku: int, ab, b, overwrite_ab: bool = False, overwrite_b: bool = False):
+def dgbsv(kl: int, ku: int, ab, b, overwrite_ab: bool = False):
     """Solve the band system in LAPACK band storage `ab` (kl sub- and ku
     superdiagonals, below kl rows of room for the factor) and factor it, as
     `scipy.linalg.lapack.dgbsv`. Returns (lu, piv, x, info), info > 0 at a
-    zero pivot; `ab` and `b` are overwritten only where allowed."""
+    zero pivot; `ab` is overwritten only where allowed, b never."""
     ab = _band(ab, kl, ku, overwrite_ab)
     n = ab.shape[1]
-    x, nrhs = _rhs(b, n, overwrite_b)
+    x, nrhs = _rhs(b, n)
     piv, info = np.empty(n, np.int64), ctypes.c_int64()
     _dgbsv(_int(n), _int(kl), _int(ku), _int(nrhs), ab, _int(ab.shape[0]), piv, x,
            _int(max(n, 1)), info)

@@ -1,20 +1,22 @@
 """Independent truncated-domain solver for the state/costate boundary value problem.
 
 Midpoint-rule collocation on a geometrically graded mesh over [0, t_end] with
-a damped, simplified Newton iteration, first on a mesh of a quarter as many
-intervals, from the decaying solution of the linear part (for a derived
-optimality system, the LQR trajectory and its costates), and then, from the
-interpolant of that solution, on the full mesh; if either fails, the same from a
-solve on half as many intervals with continuation in the nonlinear terms,
-and then that solve on the full mesh. The decay condition on costate
-components is imposed at t_end. The unknowns are ordered time-major and the
-residual rows run initial values, then one block of n rows per mesh interval,
-then the decay rows, so the analytic Jacobian is a band matrix 3n diagonals
-wide, factored in place with LAPACK's band LU and solved with again while the
-steps on it keep contracting the residual. Trajectories are read between mesh
-points through the cubic Hermite interpolant of the mesh values and their
-slopes f(z), as BVP4C and BVP5C read theirs. Used to cross-validate the
-spectral homotopy trajectories.
+a damped, simplified Newton iteration, by nested iteration on one coarse
+mesh: first on a quarter as many intervals, never fewer than MIN_MESH_POINTS,
+from the decaying solution of the linear part (for a derived optimality
+system, the LQR trajectory and its costates; for an initial-value problem
+without one, its forward Euler march), with continuation in the nonlinear
+terms if Newton fails there, and then, from the interpolant of that
+solution, on the full mesh; if either fails, the same direct solve runs on
+the full mesh. The decay condition on costate components is imposed at
+t_end. The unknowns are ordered time-major and the residual rows run initial
+values, then one block of n rows per mesh interval, then the decay rows, so
+the analytic Jacobian is a band matrix 3n diagonals wide, factored in place
+with LAPACK's band LU and solved with again while the steps on it keep
+contracting the residual. Trajectories are read between mesh points through
+the cubic Hermite interpolant of the mesh values and their slopes f(z), as
+BVP4C and BVP5C read theirs. Used to cross-validate the spectral homotopy
+trajectories.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ NEWTON_TOL = 1e-11  # infinity norm of the collocation residual
 MAX_NEWTON_ITERS = 30  # band solves, fresh or reused
 REUSE_CONTRACTION = 0.25  # a reused factorization must cut the residual norm this much
 GRADING = 4.0  # exponential clustering strength of the mesh near t = 0
+MIN_MESH_POINTS = 50  # mesh intervals: the fewest a config takes, and the coarse mesh's floor
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,8 @@ class TruncationConfig:
     def __post_init__(self):
         if not 0 < self.t_end < np.inf:  # NaN fails too
             raise ValueError("t_end must be finite and positive")
-        if self.mesh_points < 50:
-            raise ValueError("mesh_points must be >= 50")
+        if self.mesh_points < MIN_MESH_POINTS:
+            raise ValueError(f"mesh_points must be >= {MIN_MESH_POINTS}")
 
 
 def graded_mesh(cfg: TruncationConfig) -> np.ndarray:
@@ -236,9 +239,11 @@ def _linear_start(spec: SystemSpec, times: np.ndarray) -> np.ndarray:
     the eigenmodes of -sigma with negative real part, fitted to the initial
     values. For a spec from `derive_tpbvp` it is the LQR trajectory, with
     costates P x. Where no such split exists (a count of decaying modes other
-    than of initial values, a singular fit, or non-finite values), the
-    initial values relax linearly to zero and the other components are zero."""
-    initial, _ = _split_bc(spec)
+    than of initial values, a singular fit, or non-finite values), an
+    initial-value problem (no decay rows) is marched by forward Euler on
+    `times`; otherwise, or if the march is not finite, the initial values
+    relax linearly to zero and the other components are zero."""
+    initial, decay = _split_bc(spec)
     values = np.array([spec.bc[r].value for r in initial])
     try:
         rates, modes = np.linalg.eig(-spec.sigma)
@@ -252,6 +257,13 @@ def _linear_start(spec: SystemSpec, times: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     z = np.zeros((spec.dim, len(times)))
+    if not len(decay):  # every component an initial value, in order
+        z[:, 0] = values
+        with np.errstate(over="ignore", invalid="ignore"):  # a march that blows up is dropped
+            for k, h in enumerate(np.diff(times)):
+                z[:, k + 1] = z[:, k] + h * spec.rhs(z[:, k])
+        if np.all(np.isfinite(z)):
+            return z
     z[initial] = np.outer(values, 1.0 - times / times[-1])
     return z
 
@@ -276,39 +288,28 @@ def _solve_direct(spec: SystemSpec, times: np.ndarray, count: _Count):
     return z, rnorm
 
 
-def _quarter_stage(spec: SystemSpec, times: np.ndarray, count: _Count):
-    """Newton on `times` from `_linear_start`, without the continuation of
-    `_solve_direct`, so that a failed attempt costs at most MAX_NEWTON_ITERS
-    band solves on the coarsest mesh."""
-    return _newton(spec, times, _linear_start(spec, times), count)
-
-
 def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
     """Solve the boundary value problem on [0, t_end], by nested iteration.
 
-    Newton from the linear start (`_linear_start`) runs on the graded mesh
-    of `mesh_points // 4` intervals; Newton on the full `graded_mesh(cfg)`
-    then starts from the Hermite interpolant of that coarse solution, to the
-    same tolerance (usually one step). If either fails, the same two stages
-    run with the direct solve (`_solve_direct`, with its continuation) on
-    `mesh_points // 2` intervals, and if that fails too, the direct solve
-    runs on the full mesh, so the result is always the full-mesh Newton
-    solution. The meshes need not be nested. `newton_iters` counts every
-    band solve made on every mesh tried, the failed attempts' and every
-    continuation stage's included, and `factorizations` those that factored.
+    The direct solve (`_solve_direct`: Newton from `_linear_start`, then its
+    continuation if Newton fails) runs on the graded mesh of
+    `max(mesh_points // 4, MIN_MESH_POINTS)` intervals; Newton on the full
+    `graded_mesh(cfg)` then starts from the Hermite interpolant of that coarse
+    solution, to the same tolerance (usually one step, and none when the two
+    meshes are one). If either fails, the direct solve runs on the full mesh,
+    so the result is always the full-mesh Newton solution. The meshes need
+    not be nested. `newton_iters` counts every band solve made on both
+    meshes, the failed attempts' and every continuation stage's included,
+    and `factorizations` those that factored.
     """
     times = graded_mesh(cfg)
+    coarse_times = _graded(cfg.t_end, max(cfg.mesh_points // 4, MIN_MESH_POINTS))
     count = _Count()
-    for stage, divisor in ((_quarter_stage, 4), (_solve_direct, 2)):
-        coarse_times = _graded(cfg.t_end, cfg.mesh_points // divisor)
-        try:
-            coarse, _ = stage(spec, coarse_times, count)
-            start = MeshTrajectory(coarse_times, coarse, spec.rhs(coarse)).at(times)
-            z, rnorm = _newton(spec, times, start, count)
-            break
-        except NewtonError:
-            pass
-    else:
+    try:
+        coarse, _ = _solve_direct(spec, coarse_times, count)
+        start = MeshTrajectory(coarse_times, coarse, spec.rhs(coarse)).at(times)
+        z, rnorm = _newton(spec, times, start, count)
+    except NewtonError:
         z, rnorm = _solve_direct(spec, times, count)
     return MeshTrajectory(times, z, spec.rhs(z), count.solves, rnorm, count.factorizations)
 

@@ -309,6 +309,29 @@ class TestCompareMode:
                          f"({oracle.factorizations} factorizations)"]
         assert oracle.newton_iters > oracle.factorizations == 2
 
+    def test_the_oracle_solves_the_system_the_solver_solved(self, tmp_path, monkeypatch):
+        # one derivation per verified solve: the spec `run_sham` solved is the
+        # object `solve_truncated` is given
+        solved, checked = [], []
+        run_sham, solve = ocp_model.run_sham, cli.solve_truncated
+
+        def recording_run_sham(spec, config):
+            solved.append(spec)
+            return run_sham(spec, config)
+
+        def recording_solve(spec, cfg):
+            checked.append(spec)
+            return solve(spec, cfg)
+
+        monkeypatch.setattr(ocp_model, "run_sham", recording_run_sham)
+        monkeypatch.setattr(cli, "solve_truncated", recording_solve)
+        code, _ = run_cli(
+            tmp_path, "--builtin", "tp31", "--n", "40", "--beta", "6", "--orders", "60",
+            "--compare", "--mesh", "200", "--compare-tol", "1",
+        )
+        assert code == 0
+        assert len(solved) == len(checked) == 1 and checked[0] is solved[0]
+
     def test_failed_comparison_exits_three(self, tmp_path):
         # an intentionally coarse run cannot match the oracle tightly
         code, out = run_cli(

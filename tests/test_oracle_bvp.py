@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -227,6 +228,19 @@ def refactor_every_step_newton(spec, times, z0, count):
     raise NewtonError("no convergence")
 
 
+def spoil_first(newton, calls: int):
+    """`newton` whose first `calls` calls raise NewtonError without a band solve."""
+    made = []
+
+    def spoiled(spec, times, z0, count):
+        made.append(1)
+        if len(made) <= calls:
+            raise NewtonError("spoiled")
+        return newton(spec, times, z0, count)
+
+    return spoiled
+
+
 def reference_solve(monkeypatch, spec, cfg) -> MeshTrajectory:
     with monkeypatch.context() as patch:
         patch.setattr(oracle_bvp, "_newton", refactor_every_step_newton)
@@ -329,14 +343,13 @@ class TestNewtonSolve:
             solve_truncated(coupled_linear_spec(), TruncationConfig(t_end=30.0, mesh_points=100))
 
     def test_failed_first_solve_falls_back_to_continuation(self, monkeypatch):
-        # the first factorization on each coarse mesh reports a zero pivot:
-        # the quarter mesh's Newton fails, and so does the half mesh's first
-        # attempt, which the continuation then replaces
+        # the first factorization on the coarse mesh reports a zero pivot: its
+        # first Newton attempt fails, and the continuation there replaces it
         spec = derive_tpbvp(builtin_problem_31())
         real = oracle_bvp.dgbsv
         calls = []
 
-        def fails_once_per_coarse_mesh(l, u, ab, b, **kwargs):
+        def fails_first_on_the_coarse_mesh(l, u, ab, b, **kwargs):
             mesh = ab.shape[1] // spec.dim - 1
             calls.append(mesh)
             if mesh < 400 and calls.count(mesh) == 1:
@@ -352,23 +365,23 @@ class TestNewtonSolve:
             meshes.append(len(times) - 1)
             return newton(spec, times, z0, count)
 
-        monkeypatch.setattr(oracle_bvp, "dgbsv", fails_once_per_coarse_mesh)
+        monkeypatch.setattr(oracle_bvp, "dgbsv", fails_first_on_the_coarse_mesh)
         monkeypatch.setattr(oracle_bvp, "_newton", recording)
         band_solves = log_band_solves(monkeypatch)
         traj = solve_truncated(spec, TruncationConfig(t_end=40.0, mesh_points=400))
-        assert calls[:2] == [100, 200]
+        assert calls[:2] == [100, 100]
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
-        # the failed attempt on the quarter mesh; on the half mesh the full
-        # attempt, then four solves with every coefficient scaled; then one
-        # solve at full strength on the fine mesh
+        # on the coarse mesh the failed attempt at full strength, then four
+        # solves with every coefficient scaled; then one solve at full
+        # strength on the fine mesh
         full = np.array([t.coefficient for eq in spec.nonlinear for t in eq])
-        scales = [1.0, 1.0, 0.25, 0.5, 0.75, 1.0, 1.0]
+        scales = [1.0, 0.25, 0.5, 0.75, 1.0, 1.0]
         assert np.array_equal(coefficients, [s * full for s in scales])
-        assert meshes == [100] + [200] * 5 + [400]
-        # every band solve counts: the failed ones and each stage's, fresh or
-        # on held factors, 22 in all (7 factorizations)
-        assert traj.newton_iters == len(band_solves) == 22
-        assert traj.factorizations == band_solves.count("dgbsv") == 7
+        assert meshes == [100] * 5 + [400]
+        # every band solve counts: the failed one and each stage's, fresh or
+        # on held factors, 23 in all (6 factorizations)
+        assert traj.newton_iters == len(band_solves) == 23
+        assert traj.factorizations == band_solves.count("dgbsv") == 6
 
     def test_band_solve_matches_a_dense_solve(self):
         # the Newton step's in-place gbsv against numpy on the dense Jacobian
@@ -378,7 +391,7 @@ class TestNewtonSolve:
         res = _residual(spec, times, z)
         bands, ab = _banded_jacobian(spec, times, z)
         ref = np.linalg.solve(dense_from_band(bands, ab), res)
-        *_, delta, info = oracle_bvp.dgbsv(*bands, ab, res.copy(), overwrite_ab=True, overwrite_b=True)
+        *_, delta, info = oracle_bvp.dgbsv(*bands, ab, res, overwrite_ab=True)
         assert info == 0
         assert np.abs(delta - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -534,6 +547,37 @@ def scalar_lqr_spec(a, b, q, r, x0) -> SystemSpec:
     return derive_tpbvp(OCProblem(subsystems=(sub,)))
 
 
+def cubic_ivp_spec() -> SystemSpec:
+    """x' = x - x^3, x(0) = 0.5: an initial-value problem with no decaying mode."""
+    return SystemSpec(dim=1, sigma=[[-1.0]], nonlinear=((MonomialTerm(1.0, (3,)),),),
+                      bc=(InitialValue(0.5),))
+
+
+def ivp_pair_spec() -> SystemSpec:
+    """x' = x - x^3 + 0.2 y, y' = -2 y + x^2 from (0.5, 0.3): one growing and
+    one decaying mode, two initial values."""
+    return SystemSpec(dim=2, sigma=np.array([[-1.0, -0.2], [0.0, 2.0]]),
+                      nonlinear=((MonomialTerm(1.0, (3, 0)),), (MonomialTerm(-1.0, (2, 0)),)),
+                      bc=(InitialValue(0.5), InitialValue(0.3)))
+
+
+def stiff_ivp_spec() -> SystemSpec:
+    """x' = -50 x - x^3, x(0) = 1: stiff, its one mode decaying."""
+    return SystemSpec(dim=1, sigma=[[50.0]], nonlinear=((MonomialTerm(1.0, (3,)),),),
+                      bc=(InitialValue(1.0),))
+
+
+def euler_march(spec, times) -> np.ndarray:
+    """Forward Euler on `times` from the initial values of an initial-value
+    problem, one step at a time; one that blows up ends in inf or NaN."""
+    z = np.zeros((spec.dim, len(times)))
+    z[:, 0] = [tag.value for tag in spec.bc]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(times) - 1):
+            z[:, k + 1] = z[:, k] + (times[k + 1] - times[k]) * spec.rhs(z[:, k])
+    return z
+
+
 def ramp(spec, times) -> np.ndarray:
     """The start without a decaying split: initial values relaxing linearly
     to zero at the last time, every other component zero."""
@@ -546,7 +590,8 @@ def ramp(spec, times) -> np.ndarray:
 
 class TestLinearStart:
     """Newton's start is the decaying solution of dz/dt = -sigma z that meets
-    the initial values, or the linear ramp where there is none."""
+    the initial values; where there is none, an initial-value problem's
+    forward Euler march, or else the linear ramp."""
 
     @pytest.mark.parametrize(
         "a, b, q, r, x0",
@@ -578,13 +623,8 @@ class TestLinearStart:
                            bc=(InitialValue(0.5), DecayAtInfinity())),
                 5.0,
             ),
-            (  # x' = x - x^3 has no decaying mode
-                SystemSpec(dim=1, sigma=[[-1.0]], nonlinear=((MonomialTerm(1.0, (3,)),),),
-                           bc=(InitialValue(0.5),)),
-                10.0,
-            ),
         ],
-        ids=["more-decaying-modes", "decay-first", "singular-fit", "no-decaying-mode"],
+        ids=["more-decaying-modes", "decay-first", "singular-fit"],
     )
     def test_falls_back_to_the_ramp_and_converges(self, spec, t_end):
         cfg = TruncationConfig(t_end=t_end, mesh_points=200)
@@ -592,6 +632,38 @@ class TestLinearStart:
         assert np.array_equal(oracle_bvp._linear_start(spec, times), ramp(spec, times))
         traj = solve_truncated(spec, cfg)
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
+
+    @pytest.mark.parametrize("spec", [cubic_ivp_spec(), ivp_pair_spec()], ids=["no-decaying-mode", "pair"])
+    def test_an_initial_value_problem_without_the_split_is_marched(self, spec):
+        cfg = TruncationConfig(t_end=10.0, mesh_points=200)
+        times = graded_mesh(cfg)
+        start = oracle_bvp._linear_start(spec, times)
+        assert np.array_equal(start, euler_march(spec, times))
+        assert not np.array_equal(start, ramp(spec, times))
+        traj = solve_truncated(spec, cfg)
+        assert traj.final_residual < oracle_bvp.NEWTON_TOL
+
+    def test_a_march_that_overflows_falls_back_to_the_ramp_silently(self):
+        # x' = x^3 from 2 blows up at t = 1/8; the march overflows to inf and
+        # then NaN, and no floating-point warning escapes
+        spec = SystemSpec(dim=1, sigma=[[0.0]], nonlinear=((MonomialTerm(-1.0, (3,)),),),
+                          bc=(InitialValue(2.0),))
+        times = graded_mesh(TruncationConfig(t_end=10.0, mesh_points=200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = oracle_bvp._linear_start(spec, times)
+        assert np.array_equal(start, ramp(spec, times))
+
+    @pytest.mark.parametrize(
+        "spec, rate", [(linear_decay_spec(), 1.0), (stiff_ivp_spec(), 50.0)], ids=["linear", "stiff"]
+    )
+    def test_an_initial_value_problem_with_the_split_starts_from_its_linear_solution(self, spec, rate):
+        # the eigenmode start comes first: on 50 intervals the march of the
+        # stiff problem is unstable (h * 50 > 2 on the last intervals)
+        times = graded_mesh(TruncationConfig(t_end=10.0, mesh_points=50))
+        start = oracle_bvp._linear_start(spec, times)
+        assert np.abs(start[0] - spec.bc[0].value * np.exp(-rate * times)).max() <= 1e-15
+        assert not np.allclose(start, euler_march(spec, times))
 
     def test_costates_of_a_derived_spec_are_p_x(self):
         # the start of a derived system is the LQR trajectory: the costates are
@@ -614,26 +686,32 @@ class TestLinearStart:
         assert np.abs(riccati).max() <= 1e-12 * np.abs(q).max()
 
 
+def scaled_x0(problem, factor: float) -> OCProblem:
+    """The problem with every initial state multiplied by `factor`: a harder start."""
+    return OCProblem(tuple(replace(s, x0=s.x0 * factor) for s in problem.subsystems))
+
+
 class TestCoarseToFine:
-    """`solve_truncated` solves on a quarter of the intervals, then takes
-    Newton on the full mesh from the interpolant of that solution; if either
-    fails, it does the same from the direct solve on half the intervals, and
-    then solves directly on the full mesh."""
+    """`solve_truncated` makes the direct solve (Newton, then continuation if
+    it fails) on a quarter of the intervals, never fewer than
+    MIN_MESH_POINTS, then takes Newton on the full mesh from the interpolant
+    of that solution; if either fails, it solves directly on the full mesh."""
 
     @pytest.mark.parametrize(
         "problem, mesh",
         [
-            (builtin_problem_31, 2000),
-            (builtin_problem_32, 1200),
-            (builtin_problem_31, 50),
-            (builtin_problem_31, 51),  # odd: the coarse mesh is not nested
+            (builtin_problem_31(), 2000),
+            (builtin_problem_32(), 1200),
+            (builtin_problem_31(), 50),
+            (builtin_problem_31(), 51),  # odd: the coarse mesh is not nested
+            (scaled_x0(builtin_problem_31(), 8.0), 1200),  # continued on the coarse mesh
         ],
-        ids=["tp31-2000", "tp32-1200", "tp31-50", "tp31-51"],
+        ids=["tp31-2000", "tp32-1200", "tp31-50", "tp31-51", "tp31-x0x8-1200"],
     )
     def test_matches_the_direct_fine_solve(self, monkeypatch, problem, mesh):
         # against the direct solve polished far below NEWTON_TOL, so that the
         # bound measures the nested answer's own error, not the reference's
-        spec = derive_tpbvp(problem())
+        spec = derive_tpbvp(problem)
         cfg = TruncationConfig(t_end=40.0, mesh_points=mesh)
         traj = solve_truncated(spec, cfg)
         times = graded_mesh(cfg)
@@ -647,9 +725,47 @@ class TestCoarseToFine:
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
         assert np.abs(traj.values - reference).max() < 1e-9
 
+    def test_continues_on_the_coarse_mesh_from_a_hard_start(self, monkeypatch):
+        # tp31 with x0 x8: Newton from the linear start fails on 300 intervals,
+        # the continuation runs there, and the full mesh takes one Newton solve
+        spec = derive_tpbvp(scaled_x0(builtin_problem_31(), 8.0))
+        newton = oracle_bvp._newton
+        meshes = []
+
+        def recording(spec, times, z0, count):
+            meshes.append(len(times) - 1)
+            return newton(spec, times, z0, count)
+
+        monkeypatch.setattr(oracle_bvp, "_newton", recording)
+        traj = solve_truncated(spec, TruncationConfig(t_end=40.0, mesh_points=1200))
+        assert meshes == [300] * 5 + [1200]
+        assert traj.final_residual < oracle_bvp.NEWTON_TOL
+
+    @pytest.mark.parametrize("problem", [builtin_problem_31, builtin_problem_32], ids=["tp31", "tp32"])
+    def test_at_the_minimum_mesh_the_coarse_mesh_is_the_full_one(self, monkeypatch, problem):
+        # 50 // 4 is below the floor: the one solve is on the full mesh, and
+        # Newton there starts at its own answer, so it makes no band solve
+        newton = oracle_bvp._newton
+        steps = []
+
+        def recording(spec, times, z0, count):
+            before = count.solves
+            result = newton(spec, times, z0, count)
+            steps.append((len(times) - 1, count.solves - before))
+            return result
+
+        monkeypatch.setattr(oracle_bvp, "_newton", recording)
+        band_solves = log_band_solves(monkeypatch)
+        traj = solve_truncated(derive_tpbvp(problem()), TruncationConfig(t_end=40.0, mesh_points=50))
+        assert oracle_bvp.MIN_MESH_POINTS == 50
+        assert [mesh for mesh, _ in steps] == [50, 50] and steps[1][1] == 0
+        assert traj.factorizations == band_solves.count("dgbsv") == 1
+        assert traj.newton_iters == len(band_solves) == steps[0][1]
+        assert traj.final_residual < oracle_bvp.NEWTON_TOL
+
     @pytest.mark.parametrize("failing", ["coarse", "fine"])
     def test_a_failed_stage_falls_back_to_the_direct_fine_solve(self, monkeypatch, failing):
-        # every coarse solve fails, or both warm-started fine ones do
+        # every coarse solve fails, or the warm-started fine one does
         newton = oracle_bvp._newton
         cfg = TruncationConfig(t_end=40.0, mesh_points=400)
         calls = []
@@ -657,7 +773,7 @@ class TestCoarseToFine:
         def failing_stage(spec, times, z0, count):
             mesh = len(times) - 1
             calls.append(mesh)
-            fine_spoiled = mesh == 400 and calls.count(400) <= 2
+            fine_spoiled = mesh == 400 and calls.count(400) == 1
             if (failing == "coarse" and mesh < 400) or (failing == "fine" and fine_spoiled):
                 raise NewtonError("spoiled")
             return newton(spec, times, z0, count)
@@ -673,60 +789,59 @@ class TestCoarseToFine:
         assert traj.final_residual == rnorm
         assert traj.newton_iters == len(band_solves)
         assert traj.factorizations == band_solves.count("dgbsv")
-        if failing == "coarse":  # the quarter mesh's Newton, then the half
-            # mesh's first attempt and its first continuation stage
-            assert calls == [100, 200, 200, 400]
+        if failing == "coarse":  # the coarse mesh's Newton and its first
+            # continuation stage, then the direct solve's Newton
+            assert calls == [100, 100, 400]
             assert traj.newton_iters == iters
         else:
-            assert calls == [100, 400, 200, 400, 400]
+            assert calls == [100, 400, 400]
             assert traj.newton_iters > iters
 
-    @pytest.mark.parametrize("failing", ["quarter", "quarter-and-half"])
-    def test_a_failed_quarter_stage_falls_back_to_the_half_then_the_direct_solve(
-        self, monkeypatch, failing
+    @pytest.mark.parametrize(
+        "failed, meshes", [(1, [100] * 5 + [400]), (2, [100, 100, 400])],
+        ids=["newton", "newton-and-continuation"],
+    )
+    def test_a_failed_coarse_newton_continues_there_then_falls_back_to_the_direct_solve(
+        self, monkeypatch, failed, meshes
     ):
-        # the answer is the one of the first rung whose two stages both converge
+        # the coarse mesh's first Newton fails, then the continuation runs
+        # its four stages there and Newton runs on the full mesh from it; or
+        # its first stage fails too, and the direct solve runs on the full mesh
         spec = derive_tpbvp(builtin_problem_31())
         cfg = TruncationConfig(t_end=40.0, mesh_points=400)
         times = graded_mesh(cfg)
         newton = oracle_bvp._newton
         count = oracle_bvp._Count()
-        if failing == "quarter":
-            half_times = graded_mesh(TruncationConfig(t_end=40.0, mesh_points=200))
-            half, _ = oracle_bvp._solve_direct(spec, half_times, count)
-            start = MeshTrajectory(half_times, half, spec.rhs(half)).at(times)
+        if failed == 1:
+            coarse_times = graded_mesh(TruncationConfig(t_end=40.0, mesh_points=100))
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle_bvp, "_newton", spoil_first(newton, failed))
+                coarse, _ = oracle_bvp._solve_direct(spec, coarse_times, count)
+            start = MeshTrajectory(coarse_times, coarse, spec.rhs(coarse)).at(times)
             want, _ = newton(spec, times, start, count)
         else:
             want, _ = oracle_bvp._solve_direct(spec, times, count)
-        spoiled = {"quarter": {100}, "quarter-and-half": {100, 200}}[failing]
-        meshes = []
+        spoiled = spoil_first(newton, failed)
+        called = []
 
-        def failing_rungs(spec, times, z0, count):
-            mesh = len(times) - 1
-            meshes.append(mesh)
-            if mesh in spoiled:
-                raise NewtonError("spoiled")
-            return newton(spec, times, z0, count)
+        def recording(spec, times, z0, count):
+            called.append(len(times) - 1)
+            return spoiled(spec, times, z0, count)
 
-        monkeypatch.setattr(oracle_bvp, "_newton", failing_rungs)
+        monkeypatch.setattr(oracle_bvp, "_newton", recording)
         band_solves = log_band_solves(monkeypatch)
         traj = solve_truncated(spec, cfg)
-        # the half rung's first attempt, then (if it fails) its first
-        # continuation stage; then Newton on the full mesh
-        assert meshes == {"quarter": [100, 200, 400], "quarter-and-half": [100, 200, 200, 400]}[failing]
+        assert called == meshes
         assert np.array_equal(traj.values, want)
         assert traj.newton_iters == len(band_solves)
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
 
     @pytest.mark.parametrize(
-        "mesh, meshes", [(200, [50, 100, 200]), (400, [100, 400])], ids=["mesh200", "mesh400"]
+        "mesh, meshes", [(200, [50, 200]), (400, [100, 400])], ids=["mesh200", "mesh400"]
     )
-    def test_no_decaying_mode_converges_on_the_first_rung_that_does(self, monkeypatch, mesh, meshes):
-        # x' = x - x^3 from the ramp: Newton fails on 50 intervals, so at mesh
-        # 200 the half rung finishes; on 100 it converges, so mesh 400 (where a
-        # direct solve on 200 or 400 intervals fails) finishes on the quarter rung
-        spec = SystemSpec(dim=1, sigma=[[-1.0]], nonlinear=((MonomialTerm(1.0, (3,)),),),
-                          bc=(InitialValue(0.5),))
+    def test_no_decaying_mode_converges_from_its_march_on_the_coarse_mesh(self, monkeypatch, mesh, meshes):
+        # x' = x - x^3 from its Euler march: Newton converges on the coarse
+        # mesh, and then once on the full one
         newton = oracle_bvp._newton
         calls = []
 
@@ -737,29 +852,39 @@ class TestCoarseToFine:
                 calls.append(len(times) - 1)
 
         monkeypatch.setattr(oracle_bvp, "_newton", recording)
-        traj = solve_truncated(spec, TruncationConfig(t_end=10.0, mesh_points=mesh))
+        traj = solve_truncated(cubic_ivp_spec(), TruncationConfig(t_end=10.0, mesh_points=mesh))
         assert calls == meshes
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
 
+    def test_no_decaying_mode_converges_at_every_mesh(self):
+        # x = (1 + 3 e^{-2t})^{-1/2} rises from 0.5 towards 1
+        for mesh in range(50, 801, 25):
+            traj = solve_truncated(cubic_ivp_spec(), TruncationConfig(t_end=10.0, mesh_points=mesh))
+            exact = 1.0 / np.sqrt(1.0 + 3.0 * np.exp(-2.0 * traj.times))
+            assert traj.final_residual < oracle_bvp.NEWTON_TOL, mesh
+            assert np.abs(traj.values[0] - exact).max() < 1e-3, mesh
+
     def test_counts_the_factorizations_of_a_failed_coarse_solve(self, monkeypatch):
-        # every factorization on the quarter and the half mesh reports a zero
-        # pivot, so the quarter mesh's Newton, the half mesh's first attempt
-        # and its first continuation stage each fail after one; all count,
-        # with those of the direct solve on the full mesh that follows
+        # every factorization on the coarse mesh reports a zero pivot, so its
+        # Newton and its first continuation stage each fail after one; both
+        # count, with those of the direct solve on the full mesh that follows
         spec = derive_tpbvp(builtin_problem_31())
+        cfg = TruncationConfig(t_end=40.0, mesh_points=400)
+        count = oracle_bvp._Count()
+        oracle_bvp._solve_direct(spec, graded_mesh(cfg), count)
         real = oracle_bvp.dgbsv
 
-        def zero_pivot_on_the_coarse_meshes(l, u, ab, b, **kwargs):
-            if ab.shape[1] in (101 * spec.dim, 201 * spec.dim):
+        def zero_pivot_on_the_coarse_mesh(l, u, ab, b, **kwargs):
+            if ab.shape[1] == 101 * spec.dim:
                 return ab, np.zeros(len(b), dtype=np.int64), b, 1
             return real(l, u, ab, b, **kwargs)
 
-        monkeypatch.setattr(oracle_bvp, "dgbsv", zero_pivot_on_the_coarse_meshes)
+        monkeypatch.setattr(oracle_bvp, "dgbsv", zero_pivot_on_the_coarse_mesh)
         band_solves = log_band_solves(monkeypatch)
-        traj = solve_truncated(spec, TruncationConfig(t_end=40.0, mesh_points=400))
-        assert band_solves[:3] == ["dgbsv", "dgbsv", "dgbsv"]
-        assert traj.newton_iters == len(band_solves)
-        assert traj.factorizations == band_solves.count("dgbsv") > 3
+        traj = solve_truncated(spec, cfg)
+        assert band_solves[:2] == ["dgbsv", "dgbsv"]
+        assert traj.newton_iters == len(band_solves) == 2 + count.solves
+        assert traj.factorizations == band_solves.count("dgbsv") == 2 + count.factorizations
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
 
     @pytest.mark.parametrize("fallback", [False, True])
