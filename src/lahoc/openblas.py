@@ -1,4 +1,4 @@
-"""NumPy's bundled OpenBLAS, through ctypes: its thread count, and the five
+"""NumPy's bundled OpenBLAS, through ctypes: its thread count, and the eight
 LAPACK routines lahoc calls.
 
 NumPy's PyPI wheels for Linux install an ILP64 OpenBLAS (64-bit integers) in
@@ -86,7 +86,7 @@ def _routine(name: str, *argtypes):
     return routine
 
 
-# the hidden length of the CHARACTER argument TRANS (c_size_t) goes last
+# the hidden lengths of the CHARACTER arguments (c_size_t each) go last
 _dsterf = _routine("dsterf", _INT, _F64, _F64, _INT)
 _dgetrf = _routine("dgetrf", _INT, _INT, _F64, _INT, _I64, _INT)
 _dgetrs = _routine("dgetrs", ctypes.c_char_p, _INT, _INT, _F64, _INT, _I64, _F64, _INT, _INT,
@@ -94,6 +94,12 @@ _dgetrs = _routine("dgetrs", ctypes.c_char_p, _INT, _INT, _F64, _INT, _I64, _F64
 _dgbsv = _routine("dgbsv", _INT, _INT, _INT, _INT, _F64, _INT, _I64, _F64, _INT, _INT)
 _dgbtrs = _routine("dgbtrs", ctypes.c_char_p, _INT, _INT, _INT, _INT, _F64, _INT, _I64, _F64,
                    _INT, _INT, ctypes.c_size_t)
+_dgebrd = _routine("dgebrd", _INT, _INT, _F64, _INT, _F64, _F64, _F64, _F64, _F64, _INT, _INT)
+_dbdsdc = _routine("dbdsdc", ctypes.c_char_p, ctypes.c_char_p, _INT, _F64, _F64, _F64, _INT, _F64,
+                   _INT, _F64, _I64, _F64, _I64, _INT, ctypes.c_size_t, ctypes.c_size_t)
+_dormbr = _routine("dormbr", ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, _INT, _INT, _INT,
+                   _F64, _INT, _F64, _F64, _INT, _F64, _INT, _INT, ctypes.c_size_t, ctypes.c_size_t,
+                   ctypes.c_size_t)
 
 
 def _int(value: int):
@@ -212,3 +218,73 @@ def dgbtrs(ab, kl: int, ku: int, b, ipiv):
             _int(max(n, 1)), info, 1)
     return x, info.value
 
+
+def dgebrd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reduce a copy of the m x n matrix `a`, m >= n, to the upper bidiagonal
+    B = Q^T A P, as `dgesdd` does first. Returns (reflectors, d, e, tauq,
+    taup): the reduced copy, which holds the Householder vectors of Q and P
+    for `dormbr`, B's diagonal d and superdiagonal e, and the reflectors'
+    scalars. The reduction gets the workspace its LWORK = -1 query asks for,
+    as in `dgesdd`, so it runs on the same block size."""
+    a = _fortran(a)
+    if a.ndim != 2 or a.shape[0] < a.shape[1]:
+        raise ValueError(f"expected an m x n matrix with m >= n, got shape {a.shape}")
+    m, n = a.shape
+    d, e, tauq, taup = np.empty(n), np.empty(max(n - 1, 0)), np.empty(n), np.empty(n)
+    work, info = np.empty(1), ctypes.c_int64()
+    args = (_int(m), _int(n), a, _int(max(m, 1)), d, e, tauq, taup)
+    _dgebrd(*args, work, _int(-1), info)
+    work = np.empty(max(int(work[0]), 1))
+    _dgebrd(*args, work, _int(work.size), info)
+    if info.value:
+        raise np.linalg.LinAlgError(f"dgebrd: info {info.value}")
+    return a, d, e, tauq, taup
+
+
+def dbdsdc(d, e) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SVD B = U diag(s) V^T of the upper bidiagonal matrix with diagonal
+    d and superdiagonal e, by divide and conquer with COMPQ = 'I', as in
+    `dgesdd`. Returns (s, U, V^T): s descending, U and V^T n x n; d and e are
+    not overwritten. Raises LinAlgError if it does not converge."""
+    d, e = _fortran(d), _fortran(e)
+    n = d.size
+    if d.ndim != 1 or e.shape != (max(n - 1, 0),):
+        raise ValueError(f"d and e must be 1-D with len(e) = len(d) - 1, got {d.shape}, {e.shape}")
+    u, vt = np.empty((n, n), order="F"), np.empty((n, n), order="F")
+    work, iwork = np.empty(max(3 * n * n + 4 * n, 1)), np.empty(max(8 * n, 1), np.int64)
+    info = ctypes.c_int64()
+    # Q and IQ, the compact form's outputs, are not referenced with COMPQ = 'I'
+    _dbdsdc(b"U", b"I", _int(n), d, e, u, _int(max(n, 1)), vt, _int(max(n, 1)), np.empty(1),
+            np.empty(1, np.int64), work, iwork, info, 1, 1)
+    if info.value:
+        raise np.linalg.LinAlgError(f"dbdsdc: info {info.value}, the SVD did not converge")
+    return d, u, vt
+
+
+def dormbr(vect: str, reflectors, tau, c) -> np.ndarray:
+    """Q C (vect 'Q') or C P^T (vect 'P'), Q and P those of `dgebrd`'s
+    reduction A = Q B P^T: how `dgesdd` takes B's left and right singular
+    vectors back to A's. `reflectors` and `tau` are `dgebrd`'s reduced
+    matrix and its tauq or taup; C is not overwritten."""
+    if vect not in ("Q", "P"):
+        raise ValueError(f"expected vect Q or P, got {vect!r}")
+    reflectors, tau, c = _fortran(reflectors, in_place=True), _fortran(tau, in_place=True), _fortran(c)
+    if reflectors.ndim != 2 or c.ndim != 2 or tau.shape != (min(reflectors.shape),):
+        raise ValueError(f"expected 2-D reflectors and C, and min(reflectors.shape) scalars; got "
+                         f"{reflectors.shape}, {c.shape}, {tau.shape}")
+    rows, cols = reflectors.shape
+    m, n = c.shape
+    # Q (rows x rows) multiplies C from the left, P^T (cols x cols) from the right
+    side, trans, order, other = (b"L", b"N", m, n) if vect == "Q" else (b"R", b"T", n, m)
+    if order != (rows if vect == "Q" else cols):
+        raise ValueError(f"C of shape {c.shape} does not fit {vect} of a reduced {reflectors.shape}")
+    # the dormqr or dormlq that dormbr calls blocks at most 64 reflectors and
+    # wants room for a 65 x 64 tile besides, which dormbr's own LWORK = -1
+    # query leaves out; on less room they fall back to smaller blocks
+    work, info = np.empty((other + 65) * 64), ctypes.c_int64()
+    _dormbr(vect.encode(), side, trans, _int(m), _int(n), _int(cols if vect == "Q" else rows),
+            reflectors, _int(max(rows, 1)), tau, c, _int(max(m, 1)), work, _int(work.size), info,
+            1, 1, 1)
+    if info.value:
+        raise np.linalg.LinAlgError(f"dormbr: info {info.value}")
+    return c

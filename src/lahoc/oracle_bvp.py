@@ -8,15 +8,15 @@ system, the LQR trajectory and its costates; for an initial-value problem
 without one, its forward Euler march), with continuation in the nonlinear
 terms if Newton fails there, and then, from the interpolant of that
 solution, on the full mesh; if either fails, the same direct solve runs on
-the full mesh. The decay condition on costate components is imposed at
-t_end. The unknowns are ordered time-major and the residual rows run initial
-values, then one block of n rows per mesh interval, then the decay rows, so
-the analytic Jacobian is a band matrix 3n diagonals wide, factored in place
-with LAPACK's band LU and solved with again while the steps on it keep
-contracting the residual. Trajectories are read between mesh points through
-the cubic Hermite interpolant of the mesh values and their slopes f(z), as
-BVP4C and BVP5C read theirs. Used to cross-validate the spectral homotopy
-trajectories.
+the full mesh, unless the coarse mesh was the full one. The decay condition
+on costate components is imposed at t_end. The unknowns are ordered
+time-major and the residual rows run initial values, then one block of n
+rows per mesh interval, then the decay rows, so the analytic Jacobian is a
+band matrix 3n diagonals wide, factored in place with LAPACK's band LU and
+solved with again while the steps on it keep contracting the residual.
+Trajectories are read between mesh points through the cubic Hermite
+interpolant of the mesh values and their slopes f(z), as BVP4C and BVP5C
+read theirs. Used to cross-validate the spectral homotopy trajectories.
 """
 
 from __future__ import annotations
@@ -297,19 +297,23 @@ def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
     `graded_mesh(cfg)` then starts from the Hermite interpolant of that coarse
     solution, to the same tolerance (usually one step, and none when the two
     meshes are one). If either fails, the direct solve runs on the full mesh,
-    so the result is always the full-mesh Newton solution. The meshes need
-    not be nested. `newton_iters` counts every band solve made on both
-    meshes, the failed attempts' and every continuation stage's included,
-    and `factorizations` those that factored.
+    so the result is always the full-mesh Newton solution; when the two
+    meshes are one, a failed direct solve raises its NewtonError at once.
+    The meshes need not be nested. `newton_iters` counts every band solve
+    made on both meshes, the failed attempts' and every continuation stage's
+    included, and `factorizations` those that factored.
     """
     times = graded_mesh(cfg)
-    coarse_times = _graded(cfg.t_end, max(cfg.mesh_points // 4, MIN_MESH_POINTS))
+    coarse_points = max(cfg.mesh_points // 4, MIN_MESH_POINTS)
+    coarse_times = _graded(cfg.t_end, coarse_points)
     count = _Count()
     try:
         coarse, _ = _solve_direct(spec, coarse_times, count)
         start = MeshTrajectory(coarse_times, coarse, spec.rhs(coarse)).at(times)
         z, rnorm = _newton(spec, times, start, count)
     except NewtonError:
+        if coarse_points == cfg.mesh_points:  # the direct solve failed on the full mesh
+            raise
         z, rnorm = _solve_direct(spec, times, count)
     return MeshTrajectory(times, z, spec.rhs(z), count.solves, rnorm, count.factorizations)
 

@@ -48,7 +48,7 @@ PINV_RCOND = 1e-8
 COND_SWITCH = 1e15
 
 from . import openblas
-from .openblas import dgetrf, dgetrs
+from .openblas import dbdsdc, dgebrd, dgetrf, dgetrs, dormbr
 from .laguerre_basis import BasisConfig, BasisRule, build_rule, interpolate
 
 
@@ -347,7 +347,10 @@ def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
     time (`_block_svds`); otherwise they run one after another. The condition
     number, the LU / pseudo-inverse choice and the factors are formed on the
     calling thread once every block's spectrum is known, since the cutoff is
-    relative to the largest singular value of all blocks."""
+    relative to the largest singular value of all blocks. A block's SVD
+    (`_block_svd`) forms only the singular vectors above the block's own
+    cutoff, relative to its own largest singular value; the global cutoff
+    keeps all of them or a leading part."""
     npts = rule.n_points
     brows = np.array([r * npts + (0 if isinstance(tag, InitialValue) else npts - 1)
                       for r, tag in enumerate(spec.bc)])
@@ -369,8 +372,10 @@ def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
         return BlockOperator(brows, bvals, lu=lu)
     pinv = []
     for (rows, scale, _), (u, block_s, vt) in zip(blocks, svds):
-        keep = block_s > PINV_RCOND * s_max
-        pinv.append((rows, scale, vt[keep].T / block_s[keep], u[:, keep].T))
+        k = np.count_nonzero(block_s > PINV_RCOND * s_max)
+        # V_k S_k^-1 Fortran-ordered and U_k^T C-ordered, the layouts the
+        # solves' matrix-vector products have always read
+        pinv.append((rows, scale, np.divide(vt[:k].T, block_s[:k], order="F"), u[:, :k].T))
     return BlockOperator(brows, bvals, pinv=pinv)
 
 
@@ -408,8 +413,24 @@ def _equilibrated_blocks(
     return blocks
 
 
+def _block_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U_k, s, V_k^T) of the square `block`: all its singular values s,
+    descending, and the k leading left and right singular vectors, k
+    counting the values above PINV_RCOND times s[0]. These are `dgesdd`'s
+    steps, bidiagonal reduction, then the divide-and-conquer SVD of the
+    bidiagonal, then the reflectors applied to its singular vectors, so s
+    has the bits of `np.linalg.svd`; only the back-transformations run on
+    the k kept vectors alone. (`dgesdd` first scales a matrix whose largest
+    entry lies outside about [1e-138, 1e138]; an equilibrated block's is 1.)
+    U_k is Fortran-ordered n x k, V_k^T Fortran-ordered k x n."""
+    reflectors, d, e, tauq, taup = dgebrd(block)
+    s, u, vt = dbdsdc(d, e)
+    k = np.count_nonzero(s > PINV_RCOND * s[0])
+    return dormbr("Q", reflectors, tauq, u[:, :k]), s, dormbr("P", reflectors, taup, vt[:k])
+
+
 def _block_svds(blocks: list[np.ndarray]) -> list[tuple]:
-    """The SVD of each block matrix, in block order.
+    """`_block_svd` of each block matrix, in block order.
 
     With at least two blocks, at least two usable CPUs and NumPy's OpenBLAS
     on one thread, the blocks are factored at the same time: min(blocks,
@@ -417,11 +438,12 @@ def _block_svds(blocks: list[np.ndarray]) -> list[tuple]:
     the calling thread takes the others, and it then also takes, last first,
     every handed block no worker has started. Otherwise they run one after
     another; on more OpenBLAS threads, those would compete with the workers
-    for the cores. A worker runs only np.linalg.svd (LAPACK releases the
-    GIL), so no lahoc function runs off the calling thread. An error raised
+    for the cores. A worker runs only `_block_svd` and the `openblas`
+    bindings it calls (ctypes releases the GIL for each LAPACK call), so no
+    other lahoc function runs off the calling thread. An error raised
     in a worker is raised here; if one of the calling thread's blocks raises,
     that error is raised and the workers' results are dropped."""
-    svd = np.linalg.svd
+    svd = _block_svd
     cpus = _usable_cpus() if len(blocks) > 1 else 1
     if cpus < 2 or openblas.numpy_threads() != 1:
         return [svd(block) for block in blocks]

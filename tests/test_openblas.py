@@ -1,7 +1,10 @@
 """lahoc's LAPACK bindings to NumPy's OpenBLAS against the SciPy routines they
 replace, on the systems lahoc passes them: every result must be bit-equal.
 SciPy runs its own bundled OpenBLAS, so equal bits mean the same algorithm on
-the same input, not one library twice."""
+the same input, not one library twice. The three steps of the block SVD are
+checked against `np.linalg.svd`, whose `dgesdd` takes the same steps in the
+same library: bit-equal singular values, and singular vectors equal to
+round-off."""
 
 import ctypes
 
@@ -83,6 +86,52 @@ def test_dgbsv_and_dgbtrs_equal_scipy_lapack_on_the_paper_bands(problem, mesh):
     assert info == ref_info == 0 and same(got, want)
 
 
+@pytest.mark.parametrize(
+    "problem, n, beta",
+    [(builtin_problem_31, 100, 1.0), (builtin_problem_32, 50, 0.5), (builtin_problem_31, 120, 6.0)],
+    ids=["tp31", "tp32", "tp31-N120"],
+)
+def test_block_svd_equals_numpy_svd_on_the_pinv_blocks(monkeypatch, problem, n, beta):
+    # dgebrd, dbdsdc and dormbr on the k leading vectors are dgesdd's steps
+    block_svd = sham_engine._block_svd
+    blocks = record_calls(monkeypatch, sham_engine, "_block_svd")
+    rule = build_rule(BasisConfig(beta=beta, n_order=n))
+    op = sham_engine.assemble_operator(derive_tpbvp(problem()), rule)
+    assert op.pinv is not None and len(blocks) == len(op.pinv) > 1
+    for (block,) in blocks:
+        u, s, vt = block_svd(block)
+        ref_u, ref_s, ref_vt = np.linalg.svd(block)
+        k = int(np.sum(ref_s > sham_engine.PINV_RCOND * ref_s[0]))
+        assert same(s, ref_s)
+        assert u.shape == (len(block), k) and vt.shape == (k, len(block)) and k < len(block)
+        assert np.abs(u - ref_u[:, :k]).max() <= 1e-13
+        assert np.abs(vt - ref_vt[:k]).max() <= 1e-13
+        # all n vectors back-transformed: numpy's U and V^T
+        reflectors, d, e, tauq, taup = openblas.dgebrd(block)
+        _, bu, bvt = openblas.dbdsdc(d, e)
+        assert np.abs(openblas.dormbr("Q", reflectors, tauq, bu) - ref_u).max() <= 1e-13
+        assert np.abs(openblas.dormbr("P", reflectors, taup, bvt) - ref_vt).max() <= 1e-13
+
+
+def test_block_svd_steps_never_overwrite_their_inputs():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((9, 9))  # C-ordered: copied, not refused
+    a_in = a.copy()
+    reflectors, d, e, tauq, taup = openblas.dgebrd(a)
+    assert same(a, a_in) and reflectors is not a and reflectors.flags.f_contiguous
+    f_ordered = np.asfortranarray(a)
+    assert openblas.dgebrd(f_ordered)[0] is not f_ordered and same(f_ordered, a_in)
+    d_in, e_in = d.copy(), e.copy()
+    s, u, vt = openblas.dbdsdc(d, e)
+    assert same(d, d_in) and same(e, e_in) and s is not d
+    assert same(s, np.linalg.svd(a)[1])
+    for vect, tau, c in [("Q", tauq, u[:, :4]), ("P", taup, vt[:4])]:
+        c_in, reflectors_in, tau_in = c.copy(), reflectors.copy(), tau.copy()
+        out = openblas.dormbr(vect, reflectors, tau, c)
+        assert same(c, c_in) and same(reflectors, reflectors_in) and same(tau, tau_in)
+        assert out is not c and out.shape == c.shape
+
+
 def test_dgbsv_writes_in_place_only_where_allowed():
     spec = derive_tpbvp(builtin_problem_31())
     times = graded_mesh(TruncationConfig(t_end=40.0, mesh_points=400))
@@ -142,11 +191,24 @@ class TestErrors:
             lambda: openblas.dgetrs(np.eye(3), np.ones(3, np.int64), np.zeros(4)),
             lambda: openblas.dgetrf(np.zeros((2, 3))),
             lambda: openblas.dsterf(np.ones(3), np.ones(3)),
+            lambda: openblas.dgebrd(np.zeros((2, 3))),
+            lambda: openblas.dgebrd(np.zeros(3)),
+            lambda: openblas.dbdsdc(np.ones(3), np.ones(3)),
+            lambda: openblas.dbdsdc(np.ones((3, 1)), np.ones(2)),
+            lambda: openblas.dormbr("Q", np.eye(4), np.zeros(4), np.zeros((3, 2))),
+            lambda: openblas.dormbr("P", np.eye(4), np.zeros(4), np.zeros((2, 3))),
+            lambda: openblas.dormbr("Q", np.eye(4), np.zeros(3), np.zeros((4, 2))),
+            lambda: openblas.dormbr("Q", np.eye(4), np.zeros(4), np.zeros(4)),
+            lambda: openblas.dormbr("X", np.eye(4), np.zeros(4), np.zeros((4, 2))),
         ],
         ids=["band-rows", "gbsv-rhs", "gbtrs-pivots", "gbtrs-pivot-past-the-end",
-             "getrs-negative-pivot", "getrs-float-pivots", "getrs-rhs", "getrf-square", "sterf-e"],
+             "getrs-negative-pivot", "getrs-float-pivots", "getrs-rhs", "getrf-square", "sterf-e",
+             "gebrd-wide", "gebrd-1d", "bdsdc-e", "bdsdc-2d", "ormbr-q-rows", "ormbr-p-columns",
+             "ormbr-tau", "ormbr-1d", "ormbr-vect"],
     )
-    def test_mismatched_shapes_raise_before_the_call(self, call):
+    def test_mismatched_shapes_raise_before_the_call(self, monkeypatch, call):
+        for name in ("_dgebrd", "_dbdsdc", "_dormbr"):
+            monkeypatch.setattr(openblas, name, lambda *args: pytest.fail("LAPACK reached"))
         with pytest.raises(ValueError):
             call()
 

@@ -695,7 +695,8 @@ class TestCoarseToFine:
     """`solve_truncated` makes the direct solve (Newton, then continuation if
     it fails) on a quarter of the intervals, never fewer than
     MIN_MESH_POINTS, then takes Newton on the full mesh from the interpolant
-    of that solution; if either fails, it solves directly on the full mesh."""
+    of that solution; if either fails, it solves directly on the full mesh,
+    unless the coarse mesh was the full one."""
 
     @pytest.mark.parametrize(
         "problem, mesh",
@@ -762,6 +763,32 @@ class TestCoarseToFine:
         assert traj.factorizations == band_solves.count("dgbsv") == 1
         assert traj.newton_iters == len(band_solves) == steps[0][1]
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
+
+    def test_at_the_minimum_mesh_a_failed_direct_solve_raises_at_once(self, monkeypatch):
+        # x' = x^3 from 2 blows up at t = 1/8, so no solution spans [0, 10]:
+        # Newton and the first continuation stage each fail after
+        # MAX_NEWTON_ITERS band solves, on the one mesh, and that error is
+        # raised rather than the same two solves made again
+        spec = SystemSpec(dim=1, sigma=[[0.0]], nonlinear=((MonomialTerm(-1.0, (3,)),),),
+                          bc=(InitialValue(2.0),))
+        cfg = TruncationConfig(t_end=10.0, mesh_points=50)
+        with pytest.raises(NewtonError) as direct:
+            oracle_bvp._solve_direct(spec, graded_mesh(cfg), oracle_bvp._Count())
+        newton = oracle_bvp._newton
+        steps = []
+
+        def recording(spec, times, z0, count):
+            before = count.solves
+            try:
+                return newton(spec, times, z0, count)
+            finally:
+                steps.append((len(times) - 1, count.solves - before))
+
+        monkeypatch.setattr(oracle_bvp, "_newton", recording)
+        with pytest.raises(NewtonError) as raised:
+            solve_truncated(spec, cfg)
+        assert steps == [(50, oracle_bvp.MAX_NEWTON_ITERS)] * 2
+        assert str(raised.value) == str(direct.value)
 
     @pytest.mark.parametrize("failing", ["coarse", "fine"])
     def test_a_failed_stage_falls_back_to_the_direct_fine_solve(self, monkeypatch, failing):

@@ -242,7 +242,7 @@ class TestOperatorAssembly:
         def no_factorization(*args, **kwargs):
             raise AssertionError("factorization reached")
 
-        monkeypatch.setattr(np.linalg, "svd", no_factorization)
+        monkeypatch.setattr(sham_engine, "_block_svd", no_factorization)
         rule = build_rule(BasisConfig(beta=1.0, n_order=12))
         # no NumPy warning first: an infinite sigma_pq never meets a zero of I
         with warnings.catch_warnings():
@@ -1052,13 +1052,13 @@ class TestBlockFactorization:
 
     def test_a_fully_coupled_sigma_takes_one_svd(self, monkeypatch):
         calls = []
-        svd = np.linalg.svd
+        svd = sham_engine._block_svd
 
-        def counted(a, *args, **kwargs):
+        def counted(a):
             calls.append(a.shape)
-            return svd(a, *args, **kwargs)
+            return svd(a)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(sham_engine, "_block_svd", counted)
         rule = build_rule(BasisConfig(beta=1.0, n_order=12))
         assemble_operator(coupled_linear_spec(), rule)
         assert calls == [(2 * rule.n_points, 2 * rule.n_points)]
@@ -1097,12 +1097,13 @@ def one_block_after_another(monkeypatch):
 
 
 def gate_on_a_worker(svd, fail_in_worker=False, timeout=30.0):
-    """An np.linalg.svd whose calls on the main thread wait (up to `timeout`)
-    until a worker thread has entered it, so that a worker factors a block
-    however the threads are scheduled. It records the thread of every call."""
+    """A `sham_engine._block_svd` whose calls on the main thread wait (up to
+    `timeout`) until a worker thread has entered it, so that a worker factors
+    a block however the threads are scheduled. It records the thread of
+    every call."""
     entered = threading.Event()
 
-    def gated(a, *args, **kwargs):
+    def gated(a):
         gated.threads.append(threading.current_thread())
         if threading.current_thread() is threading.main_thread():
             entered.wait(timeout)
@@ -1110,7 +1111,7 @@ def gate_on_a_worker(svd, fail_in_worker=False, timeout=30.0):
             entered.set()
             if fail_in_worker:
                 raise np.linalg.LinAlgError("spoiled in a worker")
-        return svd(a, *args, **kwargs)
+        return svd(a)
 
     gated.threads = []
     return gated
@@ -1135,12 +1136,12 @@ class TestOverlappedBlockFactorization:
     ):
         spec = make_spec()
         rule = build_rule(BasisConfig(beta=beta, n_order=n))
-        svd = np.linalg.svd
+        svd = sham_engine._block_svd
         gated = gate_on_a_worker(svd)
         if blocks > 1:
-            monkeypatch.setattr(np.linalg, "svd", gated)
+            monkeypatch.setattr(sham_engine, "_block_svd", gated)
         overlapped = assemble_operator(spec, rule)
-        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(sham_engine, "_block_svd", svd)
         one_block_after_another(monkeypatch)
         serial = assemble_operator(spec, rule)
         assert overlapped.pinv is not None and len(overlapped.pinv) == len(serial.pinv) == blocks
@@ -1152,7 +1153,7 @@ class TestOverlappedBlockFactorization:
             assert pools_made() == 0
 
     def test_starts_one_worker_thread_on_two_cpus(self, overlap, monkeypatch):
-        monkeypatch.setattr(np.linalg, "svd", gate_on_a_worker(np.linalg.svd))
+        monkeypatch.setattr(sham_engine, "_block_svd", gate_on_a_worker(sham_engine._block_svd))
         before = threading.active_count()
         assemble_operator(*tp31_operator_inputs())
         assemble_operator(*tp31_operator_inputs())
@@ -1201,14 +1202,14 @@ class TestOverlappedBlockFactorization:
         # its one worker, and the calling thread takes any it has not started
         spec = derive_tpbvp(builtin_problem_32())
         rule = build_rule(BasisConfig(beta=0.5, n_order=50))
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", gate_on_a_worker(svd))
+        svd = sham_engine._block_svd
+        monkeypatch.setattr(sham_engine, "_block_svd", gate_on_a_worker(svd))
         assemble_operator(spec, rule)
         pool = sham_engine._workers(os.getpid())
         before = threading.active_count()
         monkeypatch.setattr(sham_engine, "_usable_cpus", lambda: 4)
         gated = gate_on_a_worker(svd)
-        monkeypatch.setattr(np.linalg, "svd", gated)
+        monkeypatch.setattr(sham_engine, "_block_svd", gated)
         assert assemble_operator(spec, rule).pinv is not None
         assert sham_engine._workers(os.getpid()) is pool and pools_made() == 1
         assert pool._max_workers == 1
@@ -1217,7 +1218,8 @@ class TestOverlappedBlockFactorization:
         assert any(t is not threading.main_thread() for t in gated.threads)
 
     def test_an_error_in_a_worker_reaches_the_caller(self, overlap, monkeypatch):
-        monkeypatch.setattr(np.linalg, "svd", gate_on_a_worker(np.linalg.svd, fail_in_worker=True))
+        gated = gate_on_a_worker(sham_engine._block_svd, fail_in_worker=True)
+        monkeypatch.setattr(sham_engine, "_block_svd", gated)
         with pytest.raises(OperatorSingularError, match="spoiled in a worker"):
             assemble_operator(*tp31_operator_inputs())
 
@@ -1228,12 +1230,12 @@ class TestOverlappedBlockFactorization:
         # the parent's pool has a thread when the child forks; the child's
         # copy of it has none, so the child must start its own worker
         spec, rule = tp31_operator_inputs()
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", gate_on_a_worker(svd))
+        svd = sham_engine._block_svd
+        monkeypatch.setattr(sham_engine, "_block_svd", gate_on_a_worker(svd))
         assemble_operator(spec, rule)
 
         def child():
-            np.linalg.svd = gated = gate_on_a_worker(svd, timeout=20.0)
+            sham_engine._block_svd = gated = gate_on_a_worker(svd, timeout=20.0)
             assert assemble_operator(spec, rule).pinv is not None
             assert any(t is not threading.main_thread() for t in gated.threads)
 
