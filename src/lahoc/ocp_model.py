@@ -1,15 +1,19 @@
 """Interconnected optimal control problems and their Pontryagin boundary value form.
 
 A problem is a list of subsystems (A_i, B_i, Q_i, R_i, polynomial coupling
-f_i over the full stacked state, initial state). `derive_tpbvp` produces the
-2n-dimensional state/costate system, `optimal_control` applies
-u* = -R^{-1} B^T lambda, `evaluate_cost` integrates the quadratic cost, and
-`hamiltonian` evaluates the Hamiltonian, zero along the optimum.
+f_i over the full stacked state, initial state); `OCProblem.blocks` stacks
+their matrices block-diagonally once. `derive_tpbvp` produces the
+2n-dimensional state/costate system, `optimal_control` applies the stacked
+gain u* = -R^{-1} B^T lambda, and `evaluate_cost` and `hamiltonian` read the
+running cost 1/2 (x^T Q x + lambda^T S lambda), S = B R^{-1} B^T, from the
+derived system alone: along u*, u^T R u = lambda^T S lambda. The
+Hamiltonian vanishes along the optimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -68,6 +72,10 @@ class SubsystemSpec:
         if self.b_mat.shape[0] != ni:
             raise ValueError("b_mat row count must match a_mat")
         mi = self.b_mat.shape[1]
+        if ni == 0:
+            raise ValueError("a subsystem needs at least one state")
+        if mi == 0:
+            raise ValueError("a subsystem needs at least one input")
         if self.q_mat.shape != (ni, ni) or self.r_mat.shape != (mi, mi):
             raise ValueError("q_mat/r_mat dimensions inconsistent with a_mat/b_mat")
         if self.x0.shape != (ni,):
@@ -92,6 +100,8 @@ class OCProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "subsystems", tuple(self.subsystems))
+        if not self.subsystems:
+            raise ValueError("a problem needs at least one subsystem")
         n = self.n_states
         for sub in self.subsystems:
             for row in sub.f_terms:
@@ -111,6 +121,14 @@ class OCProblem:
 
     def stacked_x0(self) -> np.ndarray:
         return np.concatenate([s.x0 for s in self.subsystems])
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Block-diagonal (A, B, Q, R) of the stacked state and input."""
+        return tuple(
+            _block_diag([getattr(s, name) for s in self.subsystems])
+            for name in ("a_mat", "b_mat", "q_mat", "r_mat")
+        )
 
 
 def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
@@ -138,11 +156,8 @@ def derive_tpbvp(problem: OCProblem) -> SystemSpec:
     differentiated monomial-by-monomial.
     """
     n = problem.n_states
-    a = _block_diag([s.a_mat for s in problem.subsystems])
-    b = _block_diag([s.b_mat for s in problem.subsystems])
-    q = _block_diag([s.q_mat for s in problem.subsystems])
-    rinv = _block_diag([np.linalg.inv(s.r_mat) for s in problem.subsystems])
-    s_mat = b @ rinv @ b.T
+    a, b, q, r = problem.blocks
+    s_mat = b @ np.linalg.inv(r) @ b.T
 
     sigma = np.zeros((2 * n, 2 * n))
     sigma[:n, :n] = -a
@@ -182,58 +197,47 @@ def derive_tpbvp(problem: OCProblem) -> SystemSpec:
 
 
 def optimal_control(problem: OCProblem, costates: np.ndarray) -> np.ndarray:
-    """u_i = -R_i^{-1} B_i^T lambda_i per subsystem at every column of costates.
+    """u = -R^{-1} B^T lambda, the stacked gain, at every column of costates.
 
     A stack of costate grids, shape (..., n, T), gives a stack of control
     grids in one call; each grid of the stack gets the same bits as alone."""
     costates = np.atleast_2d(np.asarray(costates, dtype=float))
     if costates.shape[-2] != problem.n_states:
         raise ValueError(f"expected {problem.n_states} costate rows, got {costates.shape[-2]}")
-    out = np.empty((*costates.shape[:-2], problem.n_inputs, costates.shape[-1]))
-    r = c = 0
-    for sub in problem.subsystems:
-        gain = -np.linalg.solve(sub.r_mat, sub.b_mat.T)
-        lam = costates[..., r : r + sub.n_states, :]
-        out[..., c : c + sub.n_inputs, :] = np.einsum("ij,...jt->...it", gain, lam)
-        r += sub.n_states
-        c += sub.n_inputs
-    return out
+    _, b, _, r = problem.blocks
+    return np.einsum("ij,...jt->...it", -np.linalg.solve(r, b.T), costates)
 
 
-def evaluate_cost(
-    problem: OCProblem, states: np.ndarray, controls: np.ndarray, rule: BasisRule
-) -> float | np.ndarray:
-    """Quadratic cost 1/2 integral of (x^T Q x + u^T R u), evaluated with the
-    unweighted node quadrature; trajectories must be sampled at rule nodes.
+def _running_cost(spec: SystemSpec, z: np.ndarray) -> np.ndarray:
+    """1/2 (x^T Q x + lambda^T S lambda) at each column of z = (x; lambda),
+    shape (..., 2n, T), for a spec from `derive_tpbvp`: Q is sigma[n:, :n]
+    and S = B R^-1 B^T is sigma[:n, n:]. With u = -R^-1 B^T lambda,
+    u^T R u = lambda^T S lambda, so this is the running cost of the problem."""
+    n = spec.dim // 2
+    x, lam = z[..., :n, :], z[..., n:, :]
+    quadratic = np.einsum("...it,ij,...jt->...t", x, spec.sigma[n:, :n], x)
+    quadratic += np.einsum("...it,ij,...jt->...t", lam, spec.sigma[:n, n:], lam)
+    return 0.5 * quadratic
 
-    Stacks of state and control grids, shapes (..., n, T) and (..., m, T),
-    give an array of costs in one call, each equal to its own single call."""
-    states = np.atleast_2d(states)
-    controls = np.atleast_2d(controls)
-    integrand = np.zeros((*states.shape[:-2], states.shape[-1]))
-    r = c = 0
-    for sub in problem.subsystems:
-        x = states[..., r : r + sub.n_states, :]
-        u = controls[..., c : c + sub.n_inputs, :]
-        integrand += np.einsum("...it,ij,...jt->...t", x, sub.q_mat, x)
-        integrand += np.einsum("...it,ij,...jt->...t", u, sub.r_mat, u)
-        r += sub.n_states
-        c += sub.n_inputs
-    return 0.5 * quadrature_unweighted(rule, integrand)
+
+def evaluate_cost(spec: SystemSpec, z: np.ndarray, rule: BasisRule) -> float | np.ndarray:
+    """Quadratic cost 1/2 integral of (x^T Q x + u^T R u) along the optimal
+    control of z = (x; lambda), evaluated with the unweighted node quadrature;
+    z must be sampled at the rule's nodes.
+
+    A stack of grids, shape (..., 2n, T), gives an array of costs in one
+    call, each equal to its own single call."""
+    return quadrature_unweighted(rule, _running_cost(spec, np.atleast_2d(z)))
 
 
 def hamiltonian(spec: SystemSpec, z: np.ndarray) -> np.ndarray:
     """H = 1/2 x^T Q x + 1/2 lambda^T S lambda + lambda^T x' at each column of
-    z = (x; lambda), shape (2n, T), for a spec from `derive_tpbvp`: Q is
-    sigma[n:, :n], S = B R^-1 B^T is sigma[:n, n:], and x' is the spec's
-    right-hand side. With u = -R^-1 B^T lambda this is
+    z = (x; lambda), shape (2n, T), for a spec from `derive_tpbvp`, x' being
+    the spec's right-hand side. With u = -R^-1 B^T lambda this is
     1/2 (x^T Q x + u^T R u) + lambda^T (A x + B u + f(x)), which vanishes
     along the optimum of an autonomous problem on an infinite horizon."""
     n = spec.dim // 2
-    x, lam = z[:n], z[n:]
-    quadratic = np.einsum("it,ij,jt->t", x, spec.sigma[n:, :n], x)
-    quadratic += np.einsum("it,ij,jt->t", lam, spec.sigma[:n, n:], lam)
-    return 0.5 * quadratic + np.einsum("it,it->t", lam, spec.rhs(z)[:n])
+    return _running_cost(spec, z) + np.einsum("it,it->t", z[n:], spec.rhs(z)[:n])
 
 
 @dataclass
@@ -270,8 +274,7 @@ def solve_ocp(
     n = problem.n_states
     # the cost of every partial sum in one stacked call; the last is the solution's
     sums = np.cumsum(result.series.orders, axis=0)
-    sum_controls = optimal_control(problem, sums[:, n:])
-    per_order_costs = evaluate_cost(problem, sums[:, :n], sum_controls, result.rule).tolist()
+    per_order_costs = evaluate_cost(spec, sums, result.rule).tolist()
 
     if report_times is None:
         report_times = result.rule.nodes

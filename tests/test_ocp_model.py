@@ -23,6 +23,7 @@ from lahoc import (
     load_problem,
     optimal_control,
     parse_problem,
+    quadrature_unweighted,
     solve_ocp,
 )
 from lahoc import ocp_model
@@ -124,26 +125,35 @@ class TestOptimalControl:
 
 
 class TestScalarLqr:
-    """x' = -x + u with unit weights: Riccati gives p = sqrt(2) - 1 and
-    J = p x0^2 / 2, with x(t) = x0 e^{-sqrt(2) t}."""
+    """x' = a x + u with unit weights: Riccati gives p = a + mu with
+    mu = sqrt(a^2 + 1), and J = p x0^2 / 2, with x(t) = x0 e^{-mu t}."""
 
-    def make_problem(self, x0=1.0):
+    def make_problem(self, a, x0=1.0):
         sub = SubsystemSpec(
-            a_mat=[[-1.0]], b_mat=[[1.0]], q_mat=[[1.0]], r_mat=[[1.0]],
+            a_mat=[[a]], b_mat=[[1.0]], q_mat=[[1.0]], r_mat=[[1.0]],
             f_terms=((),), x0=[x0],
         )
         return OCProblem(subsystems=(sub,))
 
-    def test_cost_and_trajectory(self):
-        p = math.sqrt(2.0) - 1.0
+    # a = +1 ends Converged on every grid here, but its cost reads 4.04 at
+    # N=50, beta=0.5 and 2.2e19 at N=20, beta=1 (ROADMAP item 2)
+    @pytest.mark.parametrize("a, n, beta", [
+        (-1.0, 40, 2.0),
+        (1.0, 100, 1.0),  # the CLI's default grid
+        pytest.param(1.0, 50, 0.5, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2")),
+        pytest.param(1.0, 20, 1.0, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2")),
+    ])
+    def test_cost_and_trajectory(self, a, n, beta):
+        mu = math.sqrt(a * a + 1.0)
+        p = a + mu
         cfg = SolverConfig(
-            hbar=-1.0, basis=BasisConfig(beta=2.0, n_order=40),
+            hbar=-1.0, basis=BasisConfig(beta=beta, n_order=n),
             max_order=10, tail_tol=1e-13,
         )
-        bundle = solve_ocp(self.make_problem(), cfg, report_times=np.linspace(0, 5, 40))
+        bundle = solve_ocp(self.make_problem(a), cfg, report_times=np.linspace(0, 5, 40))
         assert bundle.termination is Termination.CONVERGED
         assert bundle.cost == pytest.approx(0.5 * p, rel=1e-9)
-        exact = np.exp(-math.sqrt(2.0) * bundle.times)
+        exact = np.exp(-mu * bundle.times)
         assert np.abs(bundle.states[0] - exact).max() < 1e-9
         assert np.abs(bundle.costates[0] - p * exact).max() < 1e-9
         assert np.abs(bundle.controls[0] + p * exact).max() < 1e-9
@@ -261,6 +271,19 @@ class TestValidation:
         data[name] = np.full(np.shape(data[name]), bad)
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             SubsystemSpec(f_terms=((),), **data)
+
+    def test_rejects_a_problem_without_subsystems(self):
+        with pytest.raises(ValueError, match="^a problem needs at least one subsystem$"):
+            OCProblem(subsystems=())
+
+    @pytest.mark.parametrize("n_states, n_inputs, missing", [(0, 1, "state"), (1, 0, "input")])
+    def test_rejects_a_subsystem_without_states_or_inputs(self, n_states, n_inputs, missing):
+        with pytest.raises(ValueError, match=f"^a subsystem needs at least one {missing}$"):
+            SubsystemSpec(
+                a_mat=np.zeros((n_states, n_states)), b_mat=np.zeros((n_states, n_inputs)),
+                q_mat=np.zeros((n_states, n_states)), r_mat=np.eye(n_inputs),
+                f_terms=((),) * n_states, x0=np.zeros(n_states),
+            )
 
     def test_builtin_registry(self):
         assert set(BUILTIN_PROBLEMS) == {"tp31", "tp32"}
@@ -394,12 +417,10 @@ class TestPerOrderCosts:
         )
         bundle = solve_ocp(problem, cfg, report_times=[1.0])
         (result,) = runs
-        series, n_states = result.series, problem.n_states
+        series = result.series
         assert len(bundle.per_order_costs) == len(series.orders)
         for m, cost in enumerate(bundle.per_order_costs):
-            z = series.partial_sum(m)
-            u = optimal_control(problem, z[n_states:])
-            assert cost == evaluate_cost(problem, z[:n_states], u, result.rule)
+            assert cost == evaluate_cost(bundle.spec, series.partial_sum(m), result.rule)
 
     @pytest.mark.parametrize(
         "make, n",
@@ -407,14 +428,35 @@ class TestPerOrderCosts:
     )
     def test_stacked_calls_give_the_bits_of_single_calls(self, make, n):
         problem = make()
+        spec = derive_tpbvp(problem)
         rule = build_rule(BasisConfig(beta=1.0, n_order=n))
         rng = np.random.default_rng(4)
         stack = rng.normal(size=(7, 2 * problem.n_states, n + 1))
-        states, costates = stack[:, : problem.n_states], stack[:, problem.n_states :]
+        costates = stack[:, problem.n_states :]
         controls = optimal_control(problem, costates)
-        costs = evaluate_cost(problem, states, controls, rule)
+        costs = evaluate_cost(spec, stack, rule)
         assert controls.shape == (7, problem.n_inputs, n + 1) and costs.shape == (7,)
         for k in range(7):
             single = optimal_control(problem, np.ascontiguousarray(costates[k]))
             assert np.array_equal(controls[k], single)
-            assert costs[k] == evaluate_cost(problem, states[k].copy(), single, rule)
+            assert costs[k] == evaluate_cost(spec, stack[k].copy(), rule)
+
+    @pytest.mark.parametrize("make", [builtin_problem_31, builtin_problem_32, general_weights_problem])
+    def test_equals_the_state_control_form(self, make):
+        # 1/2 integral of (x^T Q x + u^T R u) per subsystem, u from optimal_control
+        problem = make()
+        n = problem.n_states
+        rule = build_rule(BasisConfig(beta=1.0, n_order=30))
+        z = np.random.default_rng(8).normal(size=(5, 2 * n, 31))
+        u = optimal_control(problem, z[:, n:])
+        integrand = np.zeros((5, 31))
+        r = c = 0
+        for sub in problem.subsystems:
+            x, ui = z[:, r : r + sub.n_states], u[:, c : c + sub.n_inputs]
+            integrand += np.einsum("kit,ij,kjt->kt", x, sub.q_mat, x)
+            integrand += np.einsum("kit,ij,kjt->kt", ui, sub.r_mat, ui)
+            r += sub.n_states
+            c += sub.n_inputs
+        expected = 0.5 * quadrature_unweighted(rule, integrand)
+        got = evaluate_cost(derive_tpbvp(problem), z, rule)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
