@@ -5,10 +5,8 @@ from .laguerre_basis import (
     BasisConstructionError,
     BasisRule,
     build_rule,
-    eval_laguerre,
     interpolate,
     quadrature_unweighted,
-    quadrature_weighted,
 )
 from .ocp_model import (
     BUILTIN_PROBLEMS,

@@ -1,8 +1,7 @@
 """Modified Laguerre bases on [0, inf).
 
-Provides scaled Laguerre polynomial evaluation, the Gauss-Laguerre-Radau (GLR)
-quadrature rule, its pseudo-spectral differentiation matrix, and barycentric
-interpolation on the resulting grid.
+Provides the Gauss-Laguerre-Radau (GLR) quadrature rule, its pseudo-spectral
+differentiation matrix, and barycentric interpolation on the resulting grid.
 """
 
 from __future__ import annotations
@@ -58,21 +57,6 @@ def _genlaguerre_pair(degree: int, alpha: float, x: np.ndarray) -> tuple[np.ndar
     for k in range(1, degree):
         p, p_prev = ((2 * k + alpha + 1 - x) * p - (k + alpha) * p_prev) / (k + 1), p
     return p_prev, p
-
-
-def eval_laguerre(beta: float, degree: int, t):
-    """Evaluate the scaled Laguerre polynomial of the given degree at t >= 0.
-
-    The family is orthogonal on [0, inf) with weight e^{-beta t} and is
-    normalized so every member equals 1 at t = 0.
-    """
-    if not (beta > 0):
-        raise ValueError(f"beta must be positive, got {beta}")
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    x = beta * np.asarray(t, dtype=float)
-    out = _genlaguerre_pair(degree, 0.0, x)[1] if degree else np.ones_like(x)
-    return float(out) if np.isscalar(t) else out
 
 
 def _golub_welsch_nodes(degree: int, alpha: float) -> np.ndarray:
@@ -175,15 +159,6 @@ def _diff_matrix(nodes: np.ndarray, ln1: np.ndarray, config: BasisConfig) -> np.
     np.fill_diagonal(d, beta / 2.0)
     d[0, 0] = -beta * n / 2.0
     return d
-
-
-def quadrature_weighted(rule: BasisRule, samples: np.ndarray) -> float:
-    """Sum of samples against the Christoffel weights: the integral of the
-    sampled function against e^{-beta t}, exact for polynomials of degree <= 2N."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != rule.nodes.shape:
-        raise ValueError(f"expected {rule.nodes.shape} samples, got {samples.shape}")
-    return float(rule.weights @ samples)
 
 
 def quadrature_unweighted(rule: BasisRule, samples: np.ndarray) -> float | np.ndarray:

@@ -9,7 +9,11 @@ without one, its forward Euler march), with continuation in the nonlinear
 terms if Newton fails there, and then, from the interpolant of that
 solution, on the full mesh; if either fails, the same direct solve runs on
 the full mesh, unless the coarse mesh was the full one. The decay condition
-on costate components is imposed at t_end. The unknowns are ordered
+is imposed at t_end as W z(t_end) = 0, the rows of W spanning the orthogonal
+complement of the linear part's decaying eigenvectors (for a derived
+optimality system, lambda(t_end) = P x(t_end) with P the Riccati solution of
+the linearised problem), or, where the decaying modes do not split off the
+initial values, as z = 0 on the decay components. The unknowns are ordered
 time-major and the residual rows run initial values, then one block of n
 rows per mesh interval, then the decay rows, so the analytic Jacobian is a
 band matrix 3n diagonals wide, factored in place with LAPACK's band LU and
@@ -22,7 +26,7 @@ read theirs. Used to cross-validate the spectral homotopy trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -36,12 +40,24 @@ class NewtonError(RuntimeError):
 
 
 @dataclass
-class _Count:
-    """The band solves one `solve_truncated` call made, fresh or on held
-    factors, and the factorizations among them, failed attempts included."""
+class _Call:
+    """What one `solve_truncated` call shares across its meshes and stages:
+    the split of its linear part (`_linear_split`), the rows W of its decay
+    condition W z(t_end) = 0, and the band solves it made, fresh or on held
+    factors, with the factorizations among them, failed attempts included."""
 
+    spec: InitVar[SystemSpec]
+    split: tuple | None = field(init=False)
+    end_rows: np.ndarray = field(init=False)
     solves: int = 0
     factorizations: int = 0
+
+    def __post_init__(self, spec):
+        initial, decay = _split_bc(spec)
+        self.split = _linear_split(spec)
+        self.end_rows = np.eye(spec.dim)[decay]
+        if self.split is not None:
+            self.end_rows[:, initial] = -self.split[2]
 
 
 NEWTON_TOL = 1e-11  # infinity norm of the collocation residual
@@ -126,32 +142,34 @@ def _split_bc(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(is_initial), np.flatnonzero(~is_initial)
 
 
-def _residual(spec: SystemSpec, times: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _residual(spec: SystemSpec, times: np.ndarray, z: np.ndarray, end_rows: np.ndarray) -> np.ndarray:
     """Collocation residual: initial-value rows, then n rows per mesh interval,
-    then the decay rows at t_end."""
-    initial, decay = _split_bc(spec)
+    then the decay rows at t_end, `end_rows @ z(t_end)`."""
+    initial, _ = _split_bc(spec)
     h = np.diff(times)
     zmid = 0.5 * (z[:, :-1] + z[:, 1:])
     interval = (z[:, 1:] - z[:, :-1]) - h * spec.rhs(zmid)
     values = np.array([spec.bc[r].value for r in initial])
-    return np.concatenate([z[initial, 0] - values, interval.T.ravel(), z[decay, -1]])
+    return np.concatenate([z[initial, 0] - values, interval.T.ravel(), end_rows @ z[:, -1]])
 
 
 def _banded_jacobian(
-    spec: SystemSpec, times: np.ndarray, z: np.ndarray
+    spec: SystemSpec, times: np.ndarray, z: np.ndarray, end_rows: np.ndarray
 ) -> tuple[tuple[int, int], np.ndarray]:
     """Jacobian of `_residual` in the band storage LAPACK's `gbsv` factors in place.
 
     Unknown (t, r) is column t*n + r. Interval i's rows k0 + i*n + (0..n-1),
     with k0 initial-value rows before them, touch columns i*n .. (i+2)*n - 1,
-    so the matrix has l = n - 1 + k0 sub- and u = 2n - 1 - k0 superdiagonals.
+    so the matrix has l = n - 1 + k0 sub- and u = 2n - 1 - k0 superdiagonals;
+    the n - k0 decay rows after them hold `end_rows` in the last n columns,
+    at offsets k0 - n + 1 .. n - 1, inside the same band.
     Entry (R, C) is stored at ab[l + u + R - C, C] below l rows of room for
     the pivoted factor, column-major, so that the left and the right n x n
     blocks of all intervals are each one strided view of the storage.
     """
     n = spec.dim
     m = len(times) - 1
-    initial, decay = _split_bc(spec)
+    initial, _ = _split_bc(spec)
     k0 = len(initial)
     l, u = n - 1 + k0, 2 * n - 1 - k0
     h = np.diff(times)
@@ -173,11 +191,12 @@ def _banded_jacobian(
     ab[diag, : m * n] -= 1.0
     ab[diag - n, n:] += 1.0
     ab[l + u + np.arange(k0) - initial, initial] = 1.0
-    ab[diag + np.arange(len(decay)) - decay, m * n + decay] = 1.0
+    j, c = np.indices(end_rows.shape)
+    ab[diag + j - c, m * n + c] = end_rows
     return (l, u), ab
 
 
-def _newton(spec, times, z0, count: _Count):
+def _newton(spec, times, z0, call: _Call):
     """Simplified Newton: each step solves with the band LU of the last
     Jacobian factored, for as long as the steps taken on it contract.
 
@@ -185,22 +204,22 @@ def _newton(spec, times, z0, count: _Count):
     only if it cuts the residual's infinity norm to REUSE_CONTRACTION of its
     value or less; one that does not lower the residual is discarded, and the
     Jacobian is factored at the same iterate. Returns (z, residual); every
-    band solve, fresh or reused, is added to `count` as it is made."""
+    band solve, fresh or reused, is added to `call` as it is made."""
     z = z0.copy()
-    res = _residual(spec, times, z)
+    res = _residual(spec, times, z, call.end_rows)
     rnorm = np.linalg.norm(res, ord=np.inf)
     lu = None  # `dgbtrs` arguments of the held factors; the only reference to them
     for _ in range(MAX_NEWTON_ITERS):
         if rnorm < NEWTON_TOL:
             return z, rnorm
-        count.solves += 1
+        call.solves += 1
         if lu is None:
-            count.factorizations += 1
-            z, res, rnorm, lu = _factored_step(spec, times, z, res, rnorm)
+            call.factorizations += 1
+            z, res, rnorm, lu = _factored_step(spec, times, z, res, rnorm, call.end_rows)
             continue
         delta, _ = dgbtrs(b=res, **lu)
         z_try = z - delta.reshape(len(times), spec.dim).T
-        res_try = _residual(spec, times, z_try)
+        res_try = _residual(spec, times, z_try, call.end_rows)
         rnorm_try = np.linalg.norm(res_try, ord=np.inf)
         if not rnorm_try <= REUSE_CONTRACTION * rnorm:
             lu = None  # freed before the next band is built
@@ -211,11 +230,11 @@ def _newton(spec, times, z0, count: _Count):
     return z, rnorm
 
 
-def _factored_step(spec, times, z, res, rnorm):
+def _factored_step(spec, times, z, res, rnorm, end_rows):
     """A Newton step on the Jacobian at z, factored by `dgbsv`, with a line
     search from the full step. Returns (z, res, rnorm, factors); the factors
     are the `dgbtrs` arguments if the full step was taken, else None."""
-    (l, u), ab = _banded_jacobian(spec, times, z)
+    (l, u), ab = _banded_jacobian(spec, times, z, end_rows)
     lub, piv, delta, info = dgbsv(l, u, ab, res, overwrite_ab=True)
     if info:  # info > 0: a zero pivot
         raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}")
@@ -225,7 +244,7 @@ def _factored_step(spec, times, z, res, rnorm):
     dz = delta.reshape(len(times), spec.dim).T
     while True:
         z_try = z - step * dz
-        res_try = _residual(spec, times, z_try)
+        res_try = _residual(spec, times, z_try, end_rows)
         rnorm_try = np.linalg.norm(res_try, ord=np.inf)
         if rnorm_try < (1 - 0.1 * step) * rnorm or step < 1e-4:
             break
@@ -234,28 +253,42 @@ def _factored_step(spec, times, z, res, rnorm):
     return z_try, res_try, rnorm_try, factors
 
 
-def _linear_start(spec: SystemSpec, times: np.ndarray) -> np.ndarray:
-    """The decaying solution of the linear part, dz/dt = -sigma z, on `times`:
-    the eigenmodes of -sigma with negative real part, fitted to the initial
-    values. For a spec from `derive_tpbvp` it is the LQR trajectory, with
-    costates P x. Where no such split exists (a count of decaying modes other
-    than of initial values, a singular fit, or non-finite values), an
-    initial-value problem (no decay rows) is marched by forward Euler on
-    `times`; otherwise, or if the march is not finite, the initial values
-    relax linearly to zero and the other components are zero."""
+def _linear_split(spec: SystemSpec) -> tuple | None:
+    """The decaying solution of the linear part, dz/dt = -sigma z, that meets
+    the initial values: (rates, modes, coupling), the eigenvalues of -sigma
+    with negative real part, their eigenvectors scaled by the fit to the
+    initial values, and the real matrix M with z[decay] = M z[initial] on
+    every such solution. None where there is no such split: a count of
+    decaying modes other than of initial values, or a singular fit."""
     initial, decay = _split_bc(spec)
     values = np.array([spec.bc[r].value for r in initial])
     try:
         rates, modes = np.linalg.eig(-spec.sigma)
         decaying = rates.real < 0
-        if np.count_nonzero(decaying) == len(initial):
-            rates, modes = rates[decaying], modes[:, decaying]
-            weights = np.linalg.solve(modes[initial], values)
-            z = ((modes * weights) @ np.exp(np.outer(rates, times))).real
-            if np.all(np.isfinite(z)):
-                return z
+        if np.count_nonzero(decaying) != len(initial):
+            return None
+        rates, modes = rates[decaying], modes[:, decaying]
+        weights = np.linalg.solve(modes[initial], values)
+        coupling = np.linalg.solve(modes[initial].T, modes[decay].T).T.real
     except np.linalg.LinAlgError:
-        pass
+        return None
+    return rates, modes * weights, coupling
+
+
+def _linear_start(spec: SystemSpec, times: np.ndarray, split: tuple | None) -> np.ndarray:
+    """The decaying solution of the linear part on `times`, from its split
+    (`_linear_split`); for a spec from `derive_tpbvp` it is the LQR
+    trajectory, with costates P x. Where there is no split, or its values
+    are not finite, an initial-value problem (no decay rows) is marched by
+    forward Euler on `times`; otherwise, or if the march is not finite, the
+    initial values relax linearly to zero and the other components are zero."""
+    initial, decay = _split_bc(spec)
+    values = np.array([spec.bc[r].value for r in initial])
+    if split is not None:
+        rates, modes, _ = split
+        z = (modes @ np.exp(np.outer(rates, times))).real
+        if np.all(np.isfinite(z)):
+            return z
     z = np.zeros((spec.dim, len(times)))
     if not len(decay):  # every component an initial value, in order
         z[:, 0] = values
@@ -268,15 +301,15 @@ def _linear_start(spec: SystemSpec, times: np.ndarray) -> np.ndarray:
     return z
 
 
-def _solve_direct(spec: SystemSpec, times: np.ndarray, count: _Count):
+def _solve_direct(spec: SystemSpec, times: np.ndarray, call: _Call):
     """Newton on `times` from the decaying solution of the linear part
     (`_linear_start`); if it fails, the nonlinear terms are continued from
     zero to full strength in four steps, from the same start, each a Newton
     solve of a copy of the spec whose monomial coefficients are scaled.
     Returns the last solve's (z, residual)."""
-    z = _linear_start(spec, times)
+    z = _linear_start(spec, times, call.split)
     try:
-        return _newton(spec, times, z, count)
+        return _newton(spec, times, z, call)
     except NewtonError:
         pass
     for scale in (0.25, 0.5, 0.75, 1.0):
@@ -284,7 +317,7 @@ def _solve_direct(spec: SystemSpec, times: np.ndarray, count: _Count):
             tuple(replace(t, coefficient=scale * t.coefficient) for t in eq)
             for eq in spec.nonlinear
         )
-        z, rnorm = _newton(replace(spec, nonlinear=nonlinear), times, z, count)
+        z, rnorm = _newton(replace(spec, nonlinear=nonlinear), times, z, call)
     return z, rnorm
 
 
@@ -306,16 +339,16 @@ def solve_truncated(spec: SystemSpec, cfg: TruncationConfig) -> MeshTrajectory:
     times = graded_mesh(cfg)
     coarse_points = max(cfg.mesh_points // 4, MIN_MESH_POINTS)
     coarse_times = _graded(cfg.t_end, coarse_points)
-    count = _Count()
+    call = _Call(spec)
     try:
-        coarse, _ = _solve_direct(spec, coarse_times, count)
+        coarse, _ = _solve_direct(spec, coarse_times, call)
         start = MeshTrajectory(coarse_times, coarse, spec.rhs(coarse)).at(times)
-        z, rnorm = _newton(spec, times, start, count)
+        z, rnorm = _newton(spec, times, start, call)
     except NewtonError:
         if coarse_points == cfg.mesh_points:  # the direct solve failed on the full mesh
             raise
-        z, rnorm = _solve_direct(spec, times, count)
-    return MeshTrajectory(times, z, spec.rhs(z), count.solves, rnorm, count.factorizations)
+        z, rnorm = _solve_direct(spec, times, call)
+    return MeshTrajectory(times, z, spec.rhs(z), call.solves, rnorm, call.factorizations)
 
 
 @dataclass

@@ -26,12 +26,14 @@ import enum
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 # Relative singular-value cutoff for the operator pseudo-inverse.  Singular
 # values below this fraction of the largest one correspond to directions the
@@ -463,7 +465,10 @@ def _workers(pid: int) -> ThreadPoolExecutor:
     inherited across fork has no threads, so each process id has its own.
     Two threads making the first call together may each make a pool; the
     one the cache does not keep is collected after that call, and its
-    threads then exit."""
+    threads then exit. `concurrent.futures` is imported here, so that
+    `import lahoc` loads no thread pool."""
+    from concurrent.futures import ThreadPoolExecutor
+
     return ThreadPoolExecutor(max(_usable_cpus() - 1, 1), thread_name_prefix="lahoc-block")
 
 

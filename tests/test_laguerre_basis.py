@@ -13,43 +13,34 @@ from lahoc import (
     BasisConfig,
     BasisConstructionError,
     build_rule,
-    eval_laguerre,
     interpolate,
     quadrature_unweighted,
-    quadrature_weighted,
 )
 from lahoc import laguerre_basis
 
 
-class TestEvalLaguerre:
-    def test_degree_zero_is_one(self):
-        assert eval_laguerre(1.0, 0, 3.7) == 1.0
+class TestGenlaguerrePair:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_degree_zero_is_one(self, alpha):
+        # the lower member of the degree-1 pair is L_0^(alpha) = 1
+        assert laguerre_basis._genlaguerre_pair(1, alpha, 3.7)[0] == 1.0
 
     def test_all_degrees_equal_one_at_origin(self):
-        for degree in range(12):
-            assert eval_laguerre(2.5, degree, 0.0) == pytest.approx(1.0, abs=1e-14)
+        # L_d(0) = 1 for alpha = 0, the normalization build_rule's weights use
+        for degree in range(1, 12):
+            pair = laguerre_basis._genlaguerre_pair(degree, 0.0, 0.0)
+            assert pair == pytest.approx((1.0, 1.0), abs=1e-14)
 
-    def test_matches_scipy_classical_family(self):
-        from scipy.special import eval_laguerre as scipy_laguerre
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_matches_scipy_classical_family(self, alpha):
+        from scipy.special import eval_genlaguerre
 
         t = np.linspace(0.0, 12.0, 40)
         for degree in (1, 2, 5, 9, 15):
-            ours = eval_laguerre(1.0, degree, t)
-            ref = scipy_laguerre(degree, t)
-            assert np.abs(ours - ref).max() < 1e-10 * np.abs(ref).max()
-
-    def test_beta_scaling(self):
-        # the scaled family is the classical one evaluated at beta * t
-        t = np.linspace(0.0, 5.0, 17)
-        assert np.allclose(
-            eval_laguerre(2.0, 7, t), eval_laguerre(1.0, 7, 2.0 * t), rtol=1e-12
-        )
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            eval_laguerre(-1.0, 3, 1.0)
-        with pytest.raises(ValueError):
-            eval_laguerre(1.0, -1, 1.0)
+            ours = laguerre_basis._genlaguerre_pair(degree, alpha, t)
+            for got, d in zip(ours, (degree - 1, degree), strict=True):
+                ref = eval_genlaguerre(d, alpha, t)
+                assert np.abs(got - ref).max() < 1e-10 * np.abs(ref).max()
 
 
 class TestConfigValidation:
@@ -82,7 +73,7 @@ class TestNodesAndWeights:
     def test_weights_integrate_the_weight_function(self, beta):
         # integral of e^{-beta t} over [0, inf) is 1/beta
         rule = build_rule(BasisConfig(beta=beta, n_order=25))
-        total = quadrature_weighted(rule, np.ones(rule.n_points))
+        total = float(rule.weights @ np.ones(rule.n_points))
         assert total == pytest.approx(1.0 / beta, rel=1e-13)
 
     def test_beta_rescales_nodes(self):
@@ -94,8 +85,9 @@ class TestNodesAndWeights:
         # quadrature of L_i L_j e^{-beta t}: diagonal 1/beta, off-diagonal 0
         beta, n = 1.5, 24
         rule = build_rule(BasisConfig(beta=beta, n_order=n))
+        x = beta * rule.nodes
         vander = np.array(
-            [eval_laguerre(beta, d, rule.nodes) for d in range(n + 1)]
+            [np.ones_like(x)] + [laguerre_basis._genlaguerre_pair(d, 0.0, x)[1] for d in range(1, n + 1)]
         )
         gram = (vander * rule.weights) @ vander.T
         dev = np.abs(gram - np.eye(n + 1) / beta).max()
@@ -189,14 +181,9 @@ class TestWeightedQuadrature:
         n = 12
         rule = build_rule(BasisConfig(beta=beta, n_order=n))
         for k in range(2 * n + 1):
-            got = quadrature_weighted(rule, rule.nodes**k)
+            got = float(rule.weights @ rule.nodes**k)
             exact = math.factorial(k) / beta ** (k + 1)
             assert got == pytest.approx(exact, rel=1e-11), f"k={k}"
-
-    def test_rejects_wrong_sample_count(self):
-        rule = build_rule(BasisConfig(beta=1.0, n_order=10))
-        with pytest.raises(ValueError):
-            quadrature_weighted(rule, np.ones(4))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -210,7 +197,7 @@ class TestWeightedQuadrature:
         coeffs = coeffs[: 2 * n + 1]
         samples = sum(c * rule.nodes**k for k, c in enumerate(coeffs))
         exact = sum(c * math.factorial(k) for k, c in enumerate(coeffs))
-        got = quadrature_weighted(rule, np.asarray(samples, dtype=float))
+        got = float(rule.weights @ np.asarray(samples, dtype=float))
         assert got == pytest.approx(exact, rel=1e-10, abs=1e-10)
 
 
@@ -239,6 +226,12 @@ class TestUnweightedQuadrature:
             got = quadrature_unweighted(rule, np.exp(-rule.nodes))
         assert got == pytest.approx(1.0, rel=1e-12)
 
+    def test_rejects_wrong_sample_count(self):
+        rule = build_rule(BasisConfig(beta=1.0, n_order=10))
+        for shape in [(4,), (3, 4), (rule.n_points, 1)]:
+            with pytest.raises(ValueError):
+                quadrature_unweighted(rule, np.ones(shape))
+
 
 class TestDifferentiationMatrix:
     @pytest.mark.parametrize("n, beta", [(1, 1.0), (4, 6.0), (31, 1.0), (100, 0.5)])
@@ -247,7 +240,7 @@ class TestDifferentiationMatrix:
         config = BasisConfig(beta=beta, n_order=n)
         rule = build_rule(config)
         t = rule.nodes[1:]
-        ln, ln1 = eval_laguerre(beta, n, t), eval_laguerre(beta, n + 1, t)
+        ln, ln1 = (laguerre_basis._genlaguerre_pair(d, 0.0, beta * t)[1] for d in (n, n + 1))
         assert np.array_equal(rule.weights[1:], 1.0 / (beta * (n + 1) * ln * ln1))
 
     @pytest.mark.parametrize("n", [4, 6, 8])

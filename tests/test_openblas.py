@@ -23,7 +23,7 @@ from lahoc import (
     openblas,
     sham_engine,
 )
-from lahoc.oracle_bvp import _banded_jacobian, _residual, graded_mesh
+from lahoc.oracle_bvp import _banded_jacobian, _Call, _residual, graded_mesh
 
 
 def same(a, b) -> bool:
@@ -74,8 +74,9 @@ def test_dgbsv_and_dgbtrs_equal_scipy_lapack_on_the_paper_bands(problem, mesh):
     spec = derive_tpbvp(problem())
     times = graded_mesh(TruncationConfig(t_end=40.0, mesh_points=mesh))
     z = np.outer(np.ones(spec.dim), np.exp(-times))
-    (l, u), ab = _banded_jacobian(spec, times, z)
-    res = _residual(spec, times, z)
+    end_rows = _Call(spec).end_rows
+    (l, u), ab = _banded_jacobian(spec, times, z, end_rows)
+    res = _residual(spec, times, z, end_rows)
     lu, piv, x, info = openblas.dgbsv(l, u, ab.copy(order="F"), res)
     ref_lu, ref_piv, ref_x, ref_info = lapack.dgbsv(l, u, ab.copy(order="F"), res)
     assert info == ref_info == 0
@@ -136,8 +137,9 @@ def test_dgbsv_writes_in_place_only_where_allowed():
     spec = derive_tpbvp(builtin_problem_31())
     times = graded_mesh(TruncationConfig(t_end=40.0, mesh_points=400))
     z = np.outer(np.ones(spec.dim), np.exp(-times))
-    (l, u), ab = _banded_jacobian(spec, times, z)
-    res = _residual(spec, times, z)
+    end_rows = _Call(spec).end_rows
+    (l, u), ab = _banded_jacobian(spec, times, z, end_rows)
+    res = _residual(spec, times, z, end_rows)
     ab_in, res_in = ab.copy(order="F"), res.copy()
     lu, _, x, _ = openblas.dgbsv(l, u, ab, res)
     assert same(ab, ab_in) and same(res, res_in) and lu is not ab and x is not res

@@ -121,6 +121,16 @@ class TestScalarLqrOracle:
         assert np.abs(got[0] - exact).max() < 1e-5
         assert np.abs(got[1] - (1.0 + math.sqrt(2.0)) * exact).max() < 1e-5
 
+    def test_a_short_horizon_keeps_the_infinite_horizon_answer(self):
+        # at t_end = 5 / mu the state is still e^-5: lambda(t_end) = 0 would
+        # bend the whole trajectory (3.9e-2 off), while the stable-subspace
+        # row lambda(t_end) = (1 + mu) x(t_end) leaves only the mesh error
+        mu = math.sqrt(2.0)
+        traj = solve_truncated(scalar_lqr_spec(1.0, 1.0, 1.0, 1.0, 1.0),
+                               TruncationConfig(t_end=5.0 / mu, mesh_points=400))
+        x = np.exp(-mu * traj.times)
+        assert np.abs(traj.values - np.array([x, (1.0 + mu) * x])).max() < 1e-4
+
 
 class TestNonlinearBenchmark:
     def test_converges_with_small_residual(self):
@@ -202,14 +212,14 @@ def refactor_every_step_newton(spec, times, z0, count):
     `_newton`'s (z, residual), with each band solve added to `count`."""
     n = spec.dim
     z = z0.copy()
-    res = _residual(spec, times, z)
+    res = _residual(spec, times, z, count.end_rows)
     rnorm = np.linalg.norm(res, ord=np.inf)
     for _ in range(oracle_bvp.MAX_NEWTON_ITERS):
         if rnorm < oracle_bvp.NEWTON_TOL:
             return z, rnorm
         count.solves += 1
         count.factorizations += 1
-        (l, u), ab = _banded_jacobian(spec, times, z)
+        (l, u), ab = _banded_jacobian(spec, times, z, count.end_rows)
         *_, delta, info = dgbsv(l, u, ab, res, overwrite_ab=True, overwrite_b=True)
         if info:
             raise NewtonError(f"Jacobian solve failed: LAPACK gbsv info {info}")
@@ -219,7 +229,7 @@ def refactor_every_step_newton(spec, times, z0, count):
         dz = delta.reshape(len(times), n).T
         while True:
             z_try = z - step * dz
-            res_try = _residual(spec, times, z_try)
+            res_try = _residual(spec, times, z_try, count.end_rows)
             rnorm_try = np.linalg.norm(res_try, ord=np.inf)
             if rnorm_try < (1 - 0.1 * step) * rnorm or step < 1e-4:
                 break
@@ -269,9 +279,10 @@ class TestBandedJacobian:
             tuple(replace(t, coefficient=0.7 * t.coefficient) for t in eq) for eq in spec.nonlinear
         )
         spec = replace(spec, nonlinear=nonlinear)
+        end_rows = oracle_bvp._Call(spec).end_rows
 
         def residual(x):
-            return _residual(spec, times, x.reshape(m + 1, n).T)
+            return _residual(spec, times, x.reshape(m + 1, n).T, end_rows)
 
         x = z.T.ravel()  # unknown (t, r) is entry t*n + r
         eps = 1e-6
@@ -281,7 +292,7 @@ class TestBandedJacobian:
             dx[k] = eps
             fd[:, k] = (residual(x + dx) - residual(x - dx)) / (2 * eps)
 
-        bands, ab = _banded_jacobian(spec, times, z)
+        bands, ab = _banded_jacobian(spec, times, z, end_rows)
         l, u = bands
         assert ab.shape == (2 * l + u + 1, x.size) and ab.flags.f_contiguous
         jac = dense_from_band(bands, ab)
@@ -290,8 +301,14 @@ class TestBandedJacobian:
     def test_is_bit_identical_to_a_dense_reference(self):
         # every entry written one at a time from the residual's definition:
         # the boundary rows, then per interval i the rows k0 + i*n + r with
-        # -I - h/2 J_f in the columns of t_i and I - h/2 J_f in those of t_{i+1}
+        # -I - h/2 J_f in the columns of t_i and I - h/2 J_f in those of
+        # t_{i+1}, then the decay rows W in the columns of t_end
         spec = interleaved_spec()
+        end_rows = oracle_bvp._Call(spec).end_rows
+        assert not np.isin(end_rows, [0.0, 1.0]).all()  # not unit rows
+        # W's rows are orthogonal to the decaying eigenvectors of -sigma
+        rates, vectors = np.linalg.eig(-spec.sigma)
+        assert np.abs(end_rows @ vectors[:, rates.real < 0]).max() < 1e-14
         n = spec.dim
         rng = np.random.default_rng(5)
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.6, size=9))])
@@ -313,10 +330,11 @@ class TestBandedJacobian:
                     unit = 1.0 if r == c else 0.0
                     dense[k0 + i * n + r, i * n + c] = -unit - half_h * jf[i, r, c]
                     dense[k0 + i * n + r, (i + 1) * n + c] = unit - half_h * jf[i, r, c]
-        for j, r in enumerate(decay):
-            dense[k0 + m * n + j, m * n + r] = 1.0
+        for j in range(len(decay)):
+            for c in range(n):
+                dense[k0 + m * n + j, m * n + c] = end_rows[j, c]
 
-        bands, ab = _banded_jacobian(spec, times, z)
+        bands, ab = _banded_jacobian(spec, times, z, end_rows)
         assert bands == (n - 1 + k0, 2 * n - 1 - k0)
         assert np.array_equal(dense_from_band(bands, ab), dense)
         assert not ab[: bands[0]].any()  # the room gbsv fills stays empty
@@ -388,8 +406,9 @@ class TestNewtonSolve:
         spec = interleaved_spec()
         times = graded_mesh(TruncationConfig(t_end=20.0, mesh_points=60))
         z = 0.1 * np.random.default_rng(8).standard_normal((spec.dim, len(times)))
-        res = _residual(spec, times, z)
-        bands, ab = _banded_jacobian(spec, times, z)
+        end_rows = oracle_bvp._Call(spec).end_rows
+        res = _residual(spec, times, z, end_rows)
+        bands, ab = _banded_jacobian(spec, times, z, end_rows)
         ref = np.linalg.solve(dense_from_band(bands, ab), res)
         *_, delta, info = oracle_bvp.dgbsv(*bands, ab, res, overwrite_ab=True)
         assert info == 0
@@ -488,10 +507,11 @@ class TestFactorReuse:
         spec = interleaved_spec()
         times = graded_mesh(TruncationConfig(t_end=20.0, mesh_points=60))
         z = scale * np.random.default_rng(8).standard_normal((spec.dim, len(times)))
-        res = _residual(spec, times, z)
+        end_rows = oracle_bvp._Call(spec).end_rows
+        res = _residual(spec, times, z, end_rows)
         rnorm = np.linalg.norm(res, ord=np.inf)
-        ref = np.linalg.solve(dense_from_band(*_banded_jacobian(spec, times, z)), res)
-        z_new, _, _, factors = oracle_bvp._factored_step(spec, times, z, res.copy(), rnorm)
+        ref = np.linalg.solve(dense_from_band(*_banded_jacobian(spec, times, z, end_rows)), res)
+        z_new, _, _, factors = oracle_bvp._factored_step(spec, times, z, res.copy(), rnorm, end_rows)
         step = np.abs(z - z_new).max() / np.abs(ref).max()
         if not held:
             assert factors is None and step <= 0.5
@@ -524,9 +544,9 @@ class TestFactorReuse:
             spoiled.append((len(band_solves) - 1, kwargs["b"].copy()))
             return spoil(x), info
 
-        def recording(spec, times, z):
-            factored_at.append(_residual(spec, times, z))
-            return jacobian(spec, times, z)
+        def recording(spec, times, z, end_rows):
+            factored_at.append(_residual(spec, times, z, end_rows))
+            return jacobian(spec, times, z, end_rows)
 
         monkeypatch.setattr(oracle_bvp, "dgbtrs", spoils_once)
         monkeypatch.setattr(oracle_bvp, "_banded_jacobian", recording)
@@ -578,6 +598,11 @@ def euler_march(spec, times) -> np.ndarray:
     return z
 
 
+def linear_start(spec, times) -> np.ndarray:
+    """Newton's start on `times`, from the split of the spec's linear part."""
+    return oracle_bvp._linear_start(spec, times, oracle_bvp._linear_split(spec))
+
+
 def ramp(spec, times) -> np.ndarray:
     """The start without a decaying split: initial values relaxing linearly
     to zero at the last time, every other component zero."""
@@ -610,7 +635,8 @@ class TestLinearStart:
         times = graded_mesh(TruncationConfig(t_end=40.0, mesh_points=400))
         x = x0 * np.exp(-mu * times)
         exact = np.array([x, p * x])
-        got = oracle_bvp._linear_start(scalar_lqr_spec(a, b, q, r, x0), times)
+        spec = scalar_lqr_spec(a, b, q, r, x0)
+        got = linear_start(spec, times)
         assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
 
     @pytest.mark.parametrize(
@@ -629,7 +655,7 @@ class TestLinearStart:
     def test_falls_back_to_the_ramp_and_converges(self, spec, t_end):
         cfg = TruncationConfig(t_end=t_end, mesh_points=200)
         times = graded_mesh(cfg)
-        assert np.array_equal(oracle_bvp._linear_start(spec, times), ramp(spec, times))
+        assert np.array_equal(linear_start(spec, times), ramp(spec, times))
         traj = solve_truncated(spec, cfg)
         assert traj.final_residual < oracle_bvp.NEWTON_TOL
 
@@ -637,7 +663,7 @@ class TestLinearStart:
     def test_an_initial_value_problem_without_the_split_is_marched(self, spec):
         cfg = TruncationConfig(t_end=10.0, mesh_points=200)
         times = graded_mesh(cfg)
-        start = oracle_bvp._linear_start(spec, times)
+        start = linear_start(spec, times)
         assert np.array_equal(start, euler_march(spec, times))
         assert not np.array_equal(start, ramp(spec, times))
         traj = solve_truncated(spec, cfg)
@@ -651,7 +677,7 @@ class TestLinearStart:
         times = graded_mesh(TruncationConfig(t_end=10.0, mesh_points=200))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            start = oracle_bvp._linear_start(spec, times)
+            start = linear_start(spec, times)
         assert np.array_equal(start, ramp(spec, times))
 
     @pytest.mark.parametrize(
@@ -661,7 +687,7 @@ class TestLinearStart:
         # the eigenmode start comes first: on 50 intervals the march of the
         # stiff problem is unstable (h * 50 > 2 on the last intervals)
         times = graded_mesh(TruncationConfig(t_end=10.0, mesh_points=50))
-        start = oracle_bvp._linear_start(spec, times)
+        start = linear_start(spec, times)
         assert np.abs(start[0] - spec.bc[0].value * np.exp(-rate * times)).max() <= 1e-15
         assert not np.allclose(start, euler_march(spec, times))
 
@@ -678,7 +704,7 @@ class TestLinearStart:
         n = spec.dim // 2
         a, s, q = -spec.sigma[:n, :n], spec.sigma[:n, n:], spec.sigma[n:, :n]
         times = graded_mesh(TruncationConfig(t_end=40.0, mesh_points=200))
-        z = oracle_bvp._linear_start(spec, times)
+        z = linear_start(spec, times)
         x, costates = z[:n], z[n:]
         p = np.linalg.lstsq(x.T, costates.T, rcond=None)[0].T
         assert np.abs(p @ x - costates).max() <= 1e-12 * np.abs(costates).max()
@@ -716,7 +742,7 @@ class TestCoarseToFine:
         cfg = TruncationConfig(t_end=40.0, mesh_points=mesh)
         traj = solve_truncated(spec, cfg)
         times = graded_mesh(cfg)
-        count = oracle_bvp._Count()
+        count = oracle_bvp._Call(spec)
         direct, _ = oracle_bvp._solve_direct(spec, times, count)
         with monkeypatch.context() as patch:
             patch.setattr(oracle_bvp, "NEWTON_TOL", 1e-13)
@@ -773,7 +799,7 @@ class TestCoarseToFine:
                           bc=(InitialValue(2.0),))
         cfg = TruncationConfig(t_end=10.0, mesh_points=50)
         with pytest.raises(NewtonError) as direct:
-            oracle_bvp._solve_direct(spec, graded_mesh(cfg), oracle_bvp._Count())
+            oracle_bvp._solve_direct(spec, graded_mesh(cfg), oracle_bvp._Call(spec))
         newton = oracle_bvp._newton
         steps = []
 
@@ -806,7 +832,7 @@ class TestCoarseToFine:
             return newton(spec, times, z0, count)
 
         spec = derive_tpbvp(builtin_problem_31())
-        count = oracle_bvp._Count()
+        count = oracle_bvp._Call(spec)
         direct, rnorm = oracle_bvp._solve_direct(spec, graded_mesh(cfg), count)
         iters = count.solves
         monkeypatch.setattr(oracle_bvp, "_newton", failing_stage)
@@ -838,7 +864,7 @@ class TestCoarseToFine:
         cfg = TruncationConfig(t_end=40.0, mesh_points=400)
         times = graded_mesh(cfg)
         newton = oracle_bvp._newton
-        count = oracle_bvp._Count()
+        count = oracle_bvp._Call(spec)
         if failed == 1:
             coarse_times = graded_mesh(TruncationConfig(t_end=40.0, mesh_points=100))
             with monkeypatch.context() as patch:
@@ -897,7 +923,7 @@ class TestCoarseToFine:
         # count, with those of the direct solve on the full mesh that follows
         spec = derive_tpbvp(builtin_problem_31())
         cfg = TruncationConfig(t_end=40.0, mesh_points=400)
-        count = oracle_bvp._Count()
+        count = oracle_bvp._Call(spec)
         oracle_bvp._solve_direct(spec, graded_mesh(cfg), count)
         real = oracle_bvp.dgbsv
 
