@@ -147,7 +147,16 @@ def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
             raise InputError("--compare-tol must be non-negative")
         oracle_config = TruncationConfig(t_end=args.t_end, mesh_points=args.mesh)
     t0 = time.perf_counter()
-    bundle = solve_ocp(problem, config, report_times=times)
+    try:
+        bundle = solve_ocp(problem, config, report_times=times)
+    except ValueError as exc:  # a report time past the grid's last node t_N
+        if args.times is not None:
+            source = "--times"
+        elif args.builtin:
+            source = "the builtin table times (set --times)"
+        else:
+            source = "the default report times, up to --t-end"
+        raise InputError(f"{source}: {exc}") from None
     solver_seconds = time.perf_counter() - t0
 
     lines = [

@@ -18,13 +18,12 @@ class BasisConstructionError(RuntimeError):
     pass
 
 
-# From N = 363 on, the three-term recurrence for L_{N+1} overflows at the
-# largest node (x = beta t_N = 1414.18), and x does not depend on beta, so no
-# beta builds a rule of higher degree; build_rule rejects one before its
-# O(N^2) work. At moderate beta the weights overflow sooner (past N = 185 for
-# beta from 0.5 to 6), but that limit moves with beta (N = 191 at beta = 1e-10,
-# 179 at 1e10), so the weight check decides it.
-MAX_N_ORDER = 362
+# From N = 185 on, the largest node x_N = beta t_N (710.67 at N = 185, a
+# root of L_N^(1), so the same for every beta) passes ln(DBL_MAX) = 709.78,
+# and e^(beta t_N), which quadrature_unweighted divides out of the weights,
+# overflows whatever beta; build_rule rejects such a degree before its
+# O(N^2) work.
+MAX_N_ORDER = 184
 
 
 class QuadratureOverflowWarning(RuntimeWarning):
@@ -187,7 +186,9 @@ def interpolate(rule: BasisRule, samples: np.ndarray, t_query) -> float | np.nda
     denominator to cancel in the far part of the grid (Higham, IMA J. Numer.
     Anal. 24, 2004). l(t) is taken in log scale, base 2: the product of the
     np.frexp mantissas of t - t_k, and the exact sum of their exponents.
-    Queries coinciding with a node return the node sample exactly.
+    Queries coinciding with a node return the node sample exactly. Queries
+    outside the grid [0, t_N] are rejected: past t_N the interpolant is an
+    extrapolation, which grows like t^N.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim not in (1, 2) or samples.shape[-1] != rule.n_points:
@@ -196,6 +197,8 @@ def interpolate(rule: BasisRule, samples: np.ndarray, t_query) -> float | np.nda
             f"got {samples.shape}"
         )
     tq = np.atleast_1d(np.asarray(t_query, dtype=float))
+    if not np.all((tq >= 0.0) & (tq <= rule.nodes[-1])):  # NaN fails too
+        raise ValueError(f"query times must lie in [0, t_N] = [0, {rule.nodes[-1]:g}]")
     dt = tq[:, None] - rule.nodes[None, :]
     mant, expo = np.frexp(dt)
     with np.errstate(divide="ignore", invalid="ignore"):

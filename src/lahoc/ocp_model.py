@@ -258,7 +258,7 @@ class SolutionBundle:
     spec: SystemSpec  # the optimality system `derive_tpbvp` derived and `run_sham` solved
 
     def at(self, times) -> np.ndarray:
-        """Interpolated (states; costates) stack at arbitrary times >= 0."""
+        """Interpolated (states; costates) stack at times in the grid [0, t_N]."""
         return interpolate(self.rule, self.solution, np.atleast_1d(times))
 
 

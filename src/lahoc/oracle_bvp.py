@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .openblas import dgbsv, dgbtrs
-from .sham_engine import InitialValue, SystemSpec
+from .sham_engine import SystemSpec
 
 
 class NewtonError(RuntimeError):
@@ -43,8 +43,9 @@ class NewtonError(RuntimeError):
 class _Call:
     """What one `solve_truncated` call shares across its meshes and stages:
     the split of its linear part (`_linear_split`), the rows W of its decay
-    condition W z(t_end) = 0, and the band solves it made, fresh or on held
-    factors, with the factorizations among them, failed attempts included."""
+    condition W z(t_end) = 0, one per decaying component of `spec.bc_split`,
+    and the band solves it made, fresh or on held factors, with the
+    factorizations among them, failed attempts included."""
 
     spec: InitVar[SystemSpec]
     split: tuple | None = field(init=False)
@@ -53,7 +54,7 @@ class _Call:
     factorizations: int = 0
 
     def __post_init__(self, spec):
-        initial, decay = _split_bc(spec)
+        initial, decay, _ = spec.bc_split
         self.split = _linear_split(spec)
         self.end_rows = np.eye(spec.dim)[decay]
         if self.split is not None:
@@ -136,20 +137,13 @@ def _monomial_jacobian(spec: SystemSpec, z: np.ndarray) -> np.ndarray:
     return jac.transpose(2, 0, 1)
 
 
-def _split_bc(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the initial-value and of the decaying components, ascending."""
-    is_initial = np.array([isinstance(tag, InitialValue) for tag in spec.bc])
-    return np.flatnonzero(is_initial), np.flatnonzero(~is_initial)
-
-
 def _residual(spec: SystemSpec, times: np.ndarray, z: np.ndarray, end_rows: np.ndarray) -> np.ndarray:
     """Collocation residual: initial-value rows, then n rows per mesh interval,
     then the decay rows at t_end, `end_rows @ z(t_end)`."""
-    initial, _ = _split_bc(spec)
+    initial, _, values = spec.bc_split
     h = np.diff(times)
     zmid = 0.5 * (z[:, :-1] + z[:, 1:])
     interval = (z[:, 1:] - z[:, :-1]) - h * spec.rhs(zmid)
-    values = np.array([spec.bc[r].value for r in initial])
     return np.concatenate([z[initial, 0] - values, interval.T.ravel(), end_rows @ z[:, -1]])
 
 
@@ -169,7 +163,7 @@ def _banded_jacobian(
     """
     n = spec.dim
     m = len(times) - 1
-    initial, _ = _split_bc(spec)
+    initial = spec.bc_split[0]
     k0 = len(initial)
     l, u = n - 1 + k0, 2 * n - 1 - k0
     h = np.diff(times)
@@ -260,8 +254,7 @@ def _linear_split(spec: SystemSpec) -> tuple | None:
     initial values, and the real matrix M with z[decay] = M z[initial] on
     every such solution. None where there is no such split: a count of
     decaying modes other than of initial values, or a singular fit."""
-    initial, decay = _split_bc(spec)
-    values = np.array([spec.bc[r].value for r in initial])
+    initial, decay, values = spec.bc_split
     try:
         rates, modes = np.linalg.eig(-spec.sigma)
         decaying = rates.real < 0
@@ -282,8 +275,7 @@ def _linear_start(spec: SystemSpec, times: np.ndarray, split: tuple | None) -> n
     are not finite, an initial-value problem (no decay rows) is marched by
     forward Euler on `times`; otherwise, or if the march is not finite, the
     initial values relax linearly to zero and the other components are zero."""
-    initial, decay = _split_bc(spec)
-    values = np.array([spec.bc[r].value for r in initial])
+    initial, decay, values = spec.bc_split
     if split is not None:
         rates, modes, _ = split
         z = (modes @ np.exp(np.outer(rates, times))).real

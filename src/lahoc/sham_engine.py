@@ -126,7 +126,7 @@ def chain_table(
 @dataclass(frozen=True)
 class SystemSpec:
     """Linear coupling sigma, per-equation monomial lists, and one boundary
-    tag per component."""
+    tag per component, decoded once into `bc_split`."""
 
     dim: int
     sigma: np.ndarray
@@ -148,8 +148,18 @@ class SystemSpec:
                     raise ValueError(
                         f"monomial exponents length {len(term.exponents)} != dim {self.dim}"
                     )
-        if not any(isinstance(tag, InitialValue) for tag in self.bc):
+        if not len(self.bc_split[0]):
             raise ValueError("at least one component needs an InitialValue tag")
+
+    @cached_property
+    def bc_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(initial, decay, values): the ascending indices of the initial-value
+        and of the decaying components, and the initial values, in the order
+        of `initial`. The one place the tags are read."""
+        is_initial = np.array([isinstance(tag, InitialValue) for tag in self.bc], dtype=bool)
+        initial = np.flatnonzero(is_initial)
+        values = np.array([self.bc[r].value for r in initial], dtype=float)
+        return initial, np.flatnonzero(~is_initial), values
 
     @cached_property
     def _monomial_table(self) -> tuple[int, list[tuple], np.ndarray]:
@@ -353,11 +363,11 @@ def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
     (`_block_svd`) forms only the singular vectors above the block's own
     cutoff, relative to its own largest singular value; the global cutoff
     keeps all of them or a leading part."""
-    npts = rule.n_points
-    brows = np.array([r * npts + (0 if isinstance(tag, InitialValue) else npts - 1)
-                      for r, tag in enumerate(spec.bc)])
-    bvals = np.array([tag.value if isinstance(tag, InitialValue) else 0.0 for tag in spec.bc],
-                     dtype=float)
+    initial, decay, values = spec.bc_split
+    brows = np.arange(spec.dim) * rule.n_points
+    brows[decay] += rule.n_points - 1
+    bvals = np.zeros(spec.dim)
+    bvals[initial] = values
     blocks = _equilibrated_blocks(spec, rule, brows)
     try:
         svds = _block_svds([block for _, _, block in blocks])
@@ -571,7 +581,7 @@ class ShamResult:
         return self.series.tail_norms
 
     def at(self, times) -> np.ndarray:
-        """Interpolate the converged partial sums at arbitrary times."""
+        """Interpolate the converged partial sums at times in the grid [0, t_N]."""
         return interpolate(self.rule, self.solution, np.atleast_1d(times))
 
 

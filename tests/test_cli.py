@@ -269,6 +269,30 @@ class TestReportTimes:
         assert (captured.out, captured.err) == ("", "error: --t-end must be finite and positive\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            # tp31 at N=100, beta=1 (t_N = 376.94) wrote x1 = 4.6e90 at t = 500
+            (("--builtin", "tp31", "--times", "0.5,500"),
+             "--times: query times must lie in [0, t_N] = [0, 376.936]"),
+            # t_N = 34.19 at N=20, beta=2: below tp32's last table time 38.855 ...
+            (("--builtin", "tp32", "--n", "20", "--beta", "2"),
+             "the builtin table times (set --times): query times must lie in [0, t_N] = [0, 34.1885]"),
+            # ... and below a problem file's default last report time, --t-end = 40
+            (("--problem", "PROBLEM", "--n", "20", "--beta", "2"),
+             "the default report times, up to --t-end: query times must lie in [0, t_N] = [0, 34.1885]"),
+        ],
+        ids=["times", "builtin-table", "problem-default"],
+    )
+    def test_times_past_the_grid_exit_one_without_output(self, tmp_path, capsys, extra, message):
+        path = tmp_path / "one.txt"
+        path.write_text(ONE_SUBSYSTEM)
+        code, out = run_cli(tmp_path, *[str(path) if a == "PROBLEM" else a for a in extra])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_zero_is_a_report_time(self, tmp_path):
         code, out = run_cli(
             tmp_path, "--builtin", "tp31", "--n", "20", "--beta", "6", "--orders", "20",
@@ -615,6 +639,24 @@ class TestSolverErrors:
         (row,) = read_csv(out / "sweep.csv")
         assert row["termination"] == "error: invalid weights for N=200000, beta=1.0"
         assert time.perf_counter() - start < 1.0
+
+    def test_the_first_degree_whose_cost_overflows_exits_one(self, tmp_path, capsys):
+        # N = 185 used to end Converged with `cost: inf`: e^(beta t_N) = e^710.67
+        code, out = run_cli(
+            tmp_path, "--builtin", "tp31", "--n", "185", "--beta", "6", "--orders", "150",
+            "--tol", "1e-13",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: invalid weights for N=185, beta=6.0\n"
+        assert not out.exists()
+        code, out = run_cli(
+            tmp_path, "--builtin", "tp31", "--beta", "6", "--orders", "150", "--tol", "1e-13",
+            "--sweep", "n=184,185",
+        )
+        assert code == 0
+        largest, past = read_csv(out / "sweep.csv")
+        assert largest["termination"] == "Converged" and np.isfinite(float(largest["cost"]))
+        assert past["termination"] == "error: invalid weights for N=185, beta=6.0"
 
     def test_overflowing_nodes_are_named(self, tmp_path, capsys):
         # t = x / beta is infinite at beta = 1e-308

@@ -141,23 +141,27 @@ class TestNewtonPolish:
 
 
 class TestLargestDegree:
-    @pytest.mark.parametrize("beta", [0.5, 6.0])
+    @pytest.mark.parametrize("beta", [1e-10, 0.5, 6.0])
     def test_the_largest_degree_that_builds_is_accepted_and_the_next_rejected(self, beta):
-        rule = build_rule(BasisConfig(beta=beta, n_order=185))
+        # N = 185 built at these beta (its weights are finite), but its cost
+        # quadrature overflowed: e^(beta t_N) = e^710.67
+        rule = build_rule(BasisConfig(beta=beta, n_order=184))
         assert np.all(np.isfinite(rule.weights)) and np.all(rule.weights > 0)
-        with pytest.raises(BasisConstructionError, match=f"invalid weights for N=186, beta={beta}"):
-            build_rule(BasisConfig(beta=beta, n_order=186))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quadrature_unweighted(rule, np.exp(-beta * rule.nodes))
+        assert got == pytest.approx(1.0 / beta, rel=1e-12)
+        with pytest.raises(BasisConstructionError, match=f"invalid weights for N=185, beta={beta}"):
+            build_rule(BasisConfig(beta=beta, n_order=185))
 
     def test_the_cap_is_the_degree_no_beta_passes(self):
-        # a tiny beta keeps the weights finite up to the cap ...
+        # the largest node beta t_N is the largest root of L_N^(1), the same
+        # for every beta: below ln(DBL_MAX) at the cap, above it one past
         cap = laguerre_basis.MAX_N_ORDER
-        build_rule(BasisConfig(beta=1e-305, n_order=cap))
-        # ... and one degree past it the recurrence overflows at the largest
-        # node, which does not depend on beta
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = laguerre_basis._golub_welsch_nodes(cap + 1, alpha=1.0)
-            ln, ln1 = laguerre_basis._genlaguerre_pair(cap + 2, 0.0, x)
-        assert not (np.all(np.isfinite(ln)) and np.all(np.isfinite(ln1)))
+        largest = [laguerre_basis._golub_welsch_nodes(n, alpha=1.0)[-1] for n in (cap, cap + 1)]
+        assert largest[0] < math.log(np.finfo(float).max) < largest[1]
+        rule = build_rule(BasisConfig(beta=1.0, n_order=cap))
+        assert rule.nodes[-1] == pytest.approx(largest[0], rel=1e-12)
 
     @pytest.mark.parametrize("n", [laguerre_basis.MAX_N_ORDER + 1, 20000, 10**6])
     def test_degrees_past_the_cap_are_rejected_at_once(self, n):
@@ -325,6 +329,16 @@ class TestInterpolation:
         out = interpolate(rule, np.ones(rule.n_points), 0.5)
         assert isinstance(out, float)
         assert out == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [-1e-12, "next", 500.0, 1e6, math.inf, math.nan])
+    def test_queries_outside_the_grid_are_rejected(self, t):
+        # past t_N = 376.94 the interpolant is an extrapolation: tp31's x1
+        # read 4.6e90 at t = 500 and NaN at t = 1e6
+        rule = build_rule(BasisConfig(beta=1.0, n_order=100))
+        if t == "next":
+            t = np.nextafter(rule.nodes[-1], math.inf)
+        with pytest.raises(ValueError, match=r"query times must lie in \[0, t_N\] = \[0, 376.936\]"):
+            interpolate(rule, np.ones((2, rule.n_points)), [0.5, t])
 
 
 def interpolate_per_query(rule, samples, t):

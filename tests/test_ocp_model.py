@@ -240,6 +240,17 @@ class TestSolutionBundle:
         assert np.allclose(stacked[:2], bundle.states, atol=1e-13)
         assert np.allclose(stacked[2:], bundle.costates, atol=1e-13)
 
+    def test_at_rejects_times_past_the_grid(self):
+        # t_N = 34.19 at N=20, beta=2: the interpolant is not read past it
+        cfg = SolverConfig(hbar=-0.6, basis=BasisConfig(beta=2.0, n_order=20), max_order=5)
+        bundle = solve_ocp(builtin_problem_31(), cfg, report_times=[])
+        assert bundle.at(bundle.rule.nodes[-1]).shape == (4, 1)
+        for times in ([0.5, 40.0], [-1e-9], [math.nan]):
+            with pytest.raises(ValueError, match=r"query times must lie in \[0, t_N\]"):
+                bundle.at(times)
+        with pytest.raises(ValueError, match=r"query times must lie in \[0, t_N\]"):
+            solve_ocp(builtin_problem_31(), cfg, report_times=[0.5, 40.0])
+
     def test_per_order_costs_track_series_length(self):
         cfg = SolverConfig(
             hbar=-0.6, basis=BasisConfig(beta=6.0, n_order=20),

@@ -178,6 +178,25 @@ def interleaved_spec() -> SystemSpec:
     )
 
 
+class TestBoundarySplit:
+    @pytest.mark.parametrize("make_spec", [decay_first_spec, interleaved_spec])
+    def test_initial_and_end_rows_follow_the_split(self, make_spec):
+        # the residual's initial rows, then its decay rows at t_end, one per
+        # tag of each kind in component order, whatever order the tags take
+        spec = make_spec()
+        initial = [r for r, tag in enumerate(spec.bc) if isinstance(tag, InitialValue)]
+        decay = [r for r, tag in enumerate(spec.bc) if not isinstance(tag, InitialValue)]
+        assert [spec.bc_split[0].tolist(), spec.bc_split[1].tolist()] == [initial, decay]
+        end_rows = oracle_bvp._Call(spec).end_rows
+        assert np.array_equal(end_rows[:, decay], np.eye(len(decay)))
+        times = graded_mesh(TruncationConfig(t_end=5.0, mesh_points=50))
+        z = np.random.default_rng(3).standard_normal((spec.dim, len(times)))
+        res = _residual(spec, times, z, end_rows)
+        values = [spec.bc[r].value for r in initial]
+        assert np.array_equal(res[: len(initial)], z[initial, 0] - values)
+        assert np.array_equal(res[len(res) - len(decay) :], end_rows @ z[:, -1])
+
+
 def dense_from_band(bands, ab):
     """The full matrix whose LAPACK `gbsv` band storage is `ab`: entry (R, C)
     at ab[l + u + R - C, C], below l rows of room for the pivoted factor."""

@@ -191,6 +191,18 @@ class TestOperatorAssembly:
                 assert scale[local] == 1.0
                 assert np.array_equal(block[local], np.eye(len(rows))[local])
 
+    def test_boundary_rows_follow_the_split(self):
+        # the tags interleave: initial value, decay at infinity, initial value
+        spec = fully_coupled_spec()
+        initial, decay, values = spec.bc_split
+        assert (initial.tolist(), decay.tolist(), values.tolist()) == ([0, 2], [1], [1.0, -0.5])
+        rule = build_rule(BasisConfig(beta=1.0, n_order=10))
+        npts = rule.n_points
+        op = assemble_operator(spec, rule)
+        # the t_0 row for an initial value, the t_N row for decay at infinity
+        assert op.boundary_rows.tolist() == [0, 2 * npts - 1, 2 * npts]
+        assert op.boundary_values.tolist() == [1.0, 0.0, -0.5]
+
     @pytest.mark.parametrize(
         "make_spec, n, beta",
         [
