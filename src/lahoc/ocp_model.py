@@ -273,8 +273,7 @@ def solve_ocp(
     result = run_sham(spec, config)
     n = problem.n_states
     # the cost of every partial sum in one stacked call; the last is the solution's
-    sums = np.cumsum(result.series.orders, axis=0)
-    per_order_costs = evaluate_cost(spec, sums, result.rule).tolist()
+    per_order_costs = evaluate_cost(spec, result.partial_sums, result.rule).tolist()
 
     if report_times is None:
         report_times = result.rule.nodes

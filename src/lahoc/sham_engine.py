@@ -12,12 +12,13 @@ Cauchy products of the previous orders, each extended by one coefficient per
 order.
 
 Both the series and the system's right-hand side read the monomials through
-one chain table (`chain_table`): every factor sequence a monomial needs, and
-its prefixes, is one row, filled depth by depth from its parent row and its
-last component. `SystemSpec.rhs` fills one such table from z and contracts it
-with the (dim, rows) coefficient matrix K, whose entry (r, row) sums the
-coefficients of equation r's monomials with that factor sequence (a degree-1
-monomial lands in its component's column).
+one chain table (`chain_table`), built once per system (`SystemSpec.chains`):
+every factor sequence a monomial needs, and its prefixes, is one row, filled
+depth by depth from its parent row and its last component. `SystemSpec.rhs`
+fills the table's rows from z and contracts them with the (dim, rows)
+coefficient matrix K, whose entry (r, row) sums the coefficients of equation
+r's monomials with that factor sequence (a degree-1 monomial lands in its
+component's column); the series' store rows are the same rows, per order.
 """
 
 from __future__ import annotations
@@ -162,27 +163,32 @@ class SystemSpec:
         return initial, np.flatnonzero(~is_initial), values
 
     @cached_property
-    def _monomial_table(self) -> tuple[int, list[tuple], np.ndarray]:
-        """(rows, per-depth (store rows, parent rows, last components), K) of
-        the monomials' chain table, K being the (dim, rows) coefficient matrix."""
-        rows, depths = chain_table(self.dim, [t.factors for eq in self.nonlinear for t in eq])
+    def chains(self) -> tuple[dict[tuple[int, ...], int], list[tuple]]:
+        """The chain table (`chain_table`) of the monomials' factor sequences,
+        built once; `rhs` and the homotopy series both read it."""
+        return chain_table(self.dim, [t.factors for eq in self.nonlinear for t in eq])
+
+    @cached_property
+    def _coefficients(self) -> np.ndarray:
+        """K, the (dim, rows) coefficient matrix over the rows of `chains`."""
+        rows, _ = self.chains
         coefficients = np.zeros((self.dim, len(rows)))
         for r, terms in enumerate(self.nonlinear):
             for t in terms:
                 coefficients[r, rows[t.factors]] += t.coefficient
-        return len(rows), depths, coefficients
+        return coefficients
 
     def rhs(self, z: np.ndarray) -> np.ndarray:
         """dz/dt = -sigma z - g(z), column-wise; z has shape (n,) or (n, T).
 
         g(z) = K P, P holding z in its first n rows and below them every
         chain's product, one multiply per chain depth."""
-        n_rows, depths, coefficients = self._monomial_table
-        products = np.empty((n_rows, *z.shape[1:]))
+        table, depths = self.chains
+        products = np.empty((len(table), *z.shape[1:]))
         products[: self.dim] = z
         for rows, parents, last in depths:
             np.multiply(products[parents], z[last], out=products[rows])
-        return -(self.sigma @ z) - coefficients @ products
+        return -(self.sigma @ z) - self._coefficients @ products
 
 
 @dataclass(frozen=True)
@@ -214,8 +220,9 @@ class HomotopySeries:
     L = 2, the component row of c_1). Coefficient k of a chain is
     P[k] = sum_{i<=k} P_parent[i] * Z_{c_L}[k-i], which reads orders 0..k only,
     so each order adds one coefficient per chain, parents before children.
-    The chains of `products` and their prefixes are registered at
-    construction, and the table holds no other.
+    The rows are those of the chain table `chains` (`chain_table`, for a
+    system `SystemSpec.chains`), fixed at construction; without one the store
+    holds the component rows alone.
 
     The chain rows run one depth (chain length) after another. Each depth
     keeps one (capacity, 2 * chains at that depth, N+1) history: its parents'
@@ -229,14 +236,14 @@ class HomotopySeries:
         orders: Sequence[np.ndarray],
         tail_norms: Sequence[float] = (),
         max_order: int | None = None,
-        products: Sequence[tuple[int, ...]] = (),
+        chains: tuple[dict[tuple[int, ...], int], list[tuple]] | None = None,
     ):
         if len(orders) == 0:
             raise ValueError("a homotopy series needs its order-0 term")
         capacity = len(orders) if max_order is None else max(len(orders), max_order + 1)
         n, n_points = np.shape(orders[0])
         self._dim = n
-        self._rows, depths = chain_table(n, products)
+        self._rows, depths = chains or ({(c,): c for c in range(n)}, [])
         self._depths = []  # (store rows, chains, gathered store rows, history)
         for rows, parents, last in depths:
             # parent rows, then last components: one gather fills both halves
@@ -271,10 +278,6 @@ class HomotopySeries:
             raise ValueError(f"order {last_order} out of range for {self._count} stored orders")
         self._count = last_order + 1
         del self.tail_norms[self._count :]
-
-    def partial_sum(self, up_to: int | None = None) -> np.ndarray:
-        take = self.orders if up_to is None else self.orders[: up_to + 1]
-        return np.sum(take, axis=0)
 
     def _fill_order(self, k: int) -> None:
         s = self._store[k]
@@ -573,8 +576,13 @@ class ShamResult:
     series: HomotopySeries
     rule: BasisRule
     operator: BlockOperator
-    solution: np.ndarray  # partial sum at nodes, shape (n, N+1)
+    partial_sums: np.ndarray  # sums of orders 0..m at nodes, shape (orders, n, N+1)
     termination: Termination
+
+    @property
+    def solution(self) -> np.ndarray:
+        """The last partial sum at nodes, shape (n, N+1)."""
+        return self.partial_sums[-1]
 
     @property
     def tail_norms(self) -> list[float]:
@@ -591,10 +599,7 @@ def run_sham(spec: SystemSpec, config: SolverConfig) -> ShamResult:
     rule = build_rule(config.basis)
     operator = assemble_operator(spec, rule)
     z0 = initial_guess(spec, rule, operator)
-    products = [term.factors for terms in spec.nonlinear for term in terms]
-    series = HomotopySeries(
-        [z0], [tail_norm(rule, z0)], max_order=config.max_order, products=products
-    )
+    series = HomotopySeries([z0], [tail_norm(rule, z0)], config.max_order, spec.chains)
 
     termination = Termination.MAX_ORDER
     best_order = 0
@@ -622,4 +627,4 @@ def run_sham(spec: SystemSpec, config: SolverConfig) -> ShamResult:
         # still inspect the (possibly useful) low-order result
         series.truncate(best_order)
 
-    return ShamResult(series, rule, operator, series.partial_sum(), termination)
+    return ShamResult(series, rule, operator, np.cumsum(series.orders, axis=0), termination)

@@ -30,6 +30,7 @@ from lahoc import (
     solve_ocp,
     solve_truncated,
 )
+from lahoc.sham_engine import chain_table
 
 from conftest import coupled_linear_spec, linear_decay_spec
 
@@ -281,7 +282,7 @@ class TestCriterion9CauchyProductOracle:
                 exps = (1,) + exps[1:]
             term = MonomialTerm(float(rng.normal()), exps)
             order = int(rng.integers(1, n_orders + 1))
-            series = HomotopySeries(orders, products=[term.factors])
+            series = HomotopySeries(orders, chains=chain_table(dim, [term.factors]))
 
             got = cauchy_order_term(series, term, order)
             ref = brute_force_coefficient(series, term, order - 1)

@@ -26,7 +26,7 @@ from lahoc import (
     quadrature_unweighted,
     solve_ocp,
 )
-from lahoc import ocp_model
+from lahoc import ocp_model, sham_engine
 from lahoc.ocp_model import ProblemFormatError
 
 
@@ -157,6 +157,31 @@ class TestScalarLqr:
         assert np.abs(bundle.states[0] - exact).max() < 1e-9
         assert np.abs(bundle.costates[0] - p * exact).max() < 1e-9
         assert np.abs(bundle.controls[0] + p * exact).max() < 1e-9
+
+
+class TestPaperRunsOnTodaysOperator:
+    """Runs today's operator gets wrong (ROADMAP item 2): tp31 reports 4.3408
+    at its paper configuration and tp32 1.0162478, and tp31 at N=20, beta=6
+    ends Diverged at order 14. Item 2's D-hat operator gave 0.2109402066,
+    0.9988147902 and convergence at order 67."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    @pytest.mark.parametrize("make, n, beta, hbar, max_order, reference", [
+        (builtin_problem_31, 100, 1.0, -0.6, 100, 0.2109381732),
+        (builtin_problem_32, 50, 0.5, -1.0, 20, 0.998814768467),
+    ], ids=["tp31", "tp32"])
+    def test_cost_at_the_paper_configuration(self, make, n, beta, hbar, max_order, reference):
+        cfg = SolverConfig(hbar=hbar, basis=BasisConfig(beta=beta, n_order=n), max_order=max_order)
+        bundle = solve_ocp(make(), cfg, report_times=[])
+        assert abs(bundle.cost - reference) <= 1e-5
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_tp31_converges_at_n20_beta6(self):
+        cfg = SolverConfig(
+            hbar=-0.6, basis=BasisConfig(beta=6.0, n_order=20), max_order=150, tail_tol=1e-13
+        )
+        bundle = solve_ocp(builtin_problem_31(), cfg, report_times=[])
+        assert bundle.termination is Termination.CONVERGED
 
 
 class TestHamiltonian:
@@ -409,6 +434,19 @@ def general_weights_problem() -> OCProblem:
     return OCProblem(tuple(subs))
 
 
+class TestOneChainTablePerSolve:
+    def test_solve_ocp_builds_the_chain_table_once(self, monkeypatch):
+        # the series, the right-hand side and the Hamiltonian read one table
+        calls = []
+        inner = sham_engine.chain_table
+        monkeypatch.setattr(
+            sham_engine, "chain_table", lambda *args: calls.append(args) or inner(*args)
+        )
+        cfg = SolverConfig(hbar=-1.0, basis=BasisConfig(beta=0.5, n_order=20), max_order=5)
+        solve_ocp(builtin_problem_32(), cfg)
+        assert len(calls) == 1
+
+
 class TestPerOrderCosts:
     @pytest.mark.parametrize("n, max_order", [(40, 100), (20, 150)])
     def test_each_cost_is_the_cost_of_its_partial_sum(self, monkeypatch, n, max_order):
@@ -431,7 +469,8 @@ class TestPerOrderCosts:
         series = result.series
         assert len(bundle.per_order_costs) == len(series.orders)
         for m, cost in enumerate(bundle.per_order_costs):
-            assert cost == evaluate_cost(bundle.spec, series.partial_sum(m), result.rule)
+            partial_sum = np.sum(series.orders[: m + 1], axis=0)
+            assert cost == evaluate_cost(bundle.spec, partial_sum, result.rule)
 
     @pytest.mark.parametrize(
         "make, n",

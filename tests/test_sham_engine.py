@@ -35,7 +35,13 @@ from lahoc import (
 from lahoc import openblas, sham_engine
 from lahoc.openblas import dgetrs
 from lahoc.oracle_bvp import TruncationConfig, solve_truncated
-from lahoc.sham_engine import COND_SWITCH, OperatorSingularError, component_groups, tail_norm
+from lahoc.sham_engine import (
+    COND_SWITCH,
+    OperatorSingularError,
+    chain_table,
+    component_groups,
+    tail_norm,
+)
 
 from conftest import coupled_linear_spec, linear_decay_spec, solver_config
 
@@ -304,7 +310,8 @@ class TestCauchyProducts:
         rng = np.random.default_rng(3)
         term = MonomialTerm(1.7, (2, 1))
         series = HomotopySeries(
-            orders=[rng.normal(size=(2, 5)) for _ in range(4)], products=[term.factors]
+            orders=[rng.normal(size=(2, 5)) for _ in range(4)],
+            chains=chain_table(2, [term.factors]),
         )
         for order in range(1, 5):
             got = cauchy_order_term(series, term, order)
@@ -338,7 +345,7 @@ class TestCauchyProducts:
         rng = np.random.default_rng(seed)
         orders = [rng.normal(size=(2, 3)) for _ in range(6)]
         term = MonomialTerm(float(rng.normal()), exps)
-        series = HomotopySeries(orders, products=[term.factors])
+        series = HomotopySeries(orders, chains=chain_table(2, [term.factors]))
         got = cauchy_order_term(series, term, order)
         ref = self.brute_force(series, term, order - 1)
         assert np.abs(got - ref).max() <= 1e-13 * (1 + np.abs(ref).max())
@@ -496,7 +503,7 @@ class TestNonlinearTermOfTheDeformationStep:
         op = assemble_operator(spec, rule)
         products = [term.factors for eq in spec.nonlinear for term in eq]
         series = HomotopySeries(
-            [initial_guess(spec, rule, op)], max_order=cfg.max_order, products=products
+            [initial_guess(spec, rule, op)], max_order=cfg.max_order, chains=spec.chains
         )
         rhs = []
         solve = op.solve
@@ -522,7 +529,7 @@ class TestHomotopySeriesStorage:
         series = HomotopySeries(
             orders=[rng.normal(size=(2, 4)) for _ in range(3)],
             max_order=5,
-            products=[term.factors],
+            chains=chain_table(2, [term.factors]),
         )
         cauchy_order_term(series, term, 3)
         series.truncate(0)
@@ -534,7 +541,7 @@ class TestHomotopySeriesStorage:
 
     def test_reading_an_unregistered_chain_raises(self):
         series = HomotopySeries(
-            orders=[np.ones((2, 3)), np.ones((2, 3))], products=[(0, 0, 1)]
+            orders=[np.ones((2, 3)), np.ones((2, 3))], chains=chain_table(2, [(0, 0, 1)])
         )
         assert np.array_equal(series.product_coefficient((0, 0), 1), np.full(3, 2.0))
         with pytest.raises(ValueError, match=r"chain \(0, 1\) was not registered"):
@@ -543,7 +550,9 @@ class TestHomotopySeriesStorage:
             cauchy_order_term(series, MonomialTerm(1.0, (1, 1)), 1)
 
     def test_negative_coefficient_index_raises(self):
-        series = HomotopySeries(orders=[np.ones((2, 3))], max_order=4, products=[(0, 1)])
+        series = HomotopySeries(
+            orders=[np.ones((2, 3))], max_order=4, chains=chain_table(2, [(0, 1)])
+        )
         for factors in [(0,), (0, 1)]:
             with pytest.raises(ValueError, match="out of range"):
                 series.product_coefficient(factors, -1)
@@ -554,7 +563,9 @@ class TestHomotopySeriesStorage:
         # chains (0, 0), (0, 0, 1) and (1, 1): shared prefixes are stored once
         rng = np.random.default_rng(4)
         series = HomotopySeries(
-            [rng.normal(size=(2, 3))], max_order=3, products=[(0, 0, 1), (0, 0), (1, 1), (1,)]
+            [rng.normal(size=(2, 3))],
+            max_order=3,
+            chains=chain_table(2, [(0, 0, 1), (0, 0), (1, 1), (1,)]),
         )
         store = series._store
         assert store.shape == (4, 2 + 3, 3)
@@ -637,7 +648,8 @@ class TestChainTable:
         products = [term.factors for eq in nonlinear for term in eq] + [extra.factors]
         rng = np.random.default_rng(seed)
         draws = [rng.normal(size=(n, 3)) for _ in range(14)]
-        series = HomotopySeries(draws[:1], max_order=8, products=products)
+        chains = chain_table(n, products)
+        series = HomotopySeries(draws[:1], max_order=8, chains=chains)
         for m in range(1, 8):
             series.append(draws[m], 1.0)
             assert_rows_match(
@@ -651,7 +663,7 @@ class TestChainTable:
         # truncating and appending other orders gives what a fresh series
         # holding the same orders gives, bit for bit
         series.truncate(cut)
-        fresh = HomotopySeries(draws[: cut + 1], max_order=8, products=products)
+        fresh = HomotopySeries(draws[: cut + 1], max_order=8, chains=chains)
         for m in range(cut + 1, 8):
             series.append(draws[m + 6], 1.0)
             fresh.append(draws[m + 6], 1.0)
@@ -695,7 +707,8 @@ class TestMonomialTableRhs:
             (MonomialTerm(2.0, (0, 0, 3)), shared),
         )
         spec = SystemSpec(3, np.arange(9.0).reshape(3, 3) / 9, nonlinear, (InitialValue(1.0),) * 3)
-        _, depths, coefficients = spec._monomial_table
+        _, depths = spec.chains
+        coefficients = spec._coefficients
         # columns: z0, z1, z2, then chains (0, 1), (2, 2), (0, 1, 1), (2, 2, 2)
         assert [len(parents) for _, parents, _ in depths] == [2, 2]
         assert coefficients.shape == (3, 7)
@@ -885,9 +898,8 @@ class TestReducedDeformationStep:
         op = assemble_operator(spec, rule)
         assert op.lu is not None
         matrix, _ = dense_reference(spec, rule)
-        products = [term.factors for eq in spec.nonlinear for term in eq]
         series = HomotopySeries(
-            [initial_guess(spec, rule, op)], max_order=cfg.max_order, products=products
+            [initial_guess(spec, rule, op)], max_order=cfg.max_order, chains=spec.chains
         )
         for m in range(1, cfg.max_order + 1):
             got = deformation_step(spec, rule, op, series, cfg, m)
