@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import openblas
-from .laguerre_basis import BasisConfig, BasisConstructionError
+from .laguerre_basis import BasisConfig, BasisConstructionError, build_rule
 from .ocp_model import (
     BUILTIN_PROBLEMS,
     BUILTIN_REPORT_TIMES,
@@ -76,9 +76,10 @@ def _horizon(args) -> float:
     return args.t_end
 
 
-def _report_times(args) -> np.ndarray:
+def _report_times(args, t_n: float) -> np.ndarray:
     t_end = _horizon(args)
     if args.times is not None:  # `--times=` too: an empty list is a bad value
+        source = "--times"
         try:
             times = np.array([float(v) for v in args.times.split(",")])
         except ValueError:
@@ -88,11 +89,16 @@ def _report_times(args) -> np.ndarray:
         if times.min() < 0:
             raise InputError("--times values must be non-negative")
     elif args.builtin:
+        source = "the builtin table times (set --times)"
         times = np.array(BUILTIN_REPORT_TIMES[args.builtin])
     else:
+        source = "the default report times, up to --t-end"
         times = np.geomspace(t_end / 1000.0, t_end, 20)
     if args.compare and times.max() > t_end:
         raise InputError(f"report times must lie in [0, {t_end}] when comparing")
+    # past t_N the interpolant is an extrapolation: `interpolate` rejects it
+    if times.max() > t_n:
+        raise InputError(f"{source}: query times must lie in [0, t_N] = [0, {t_n:g}]")
     return times
 
 
@@ -138,7 +144,8 @@ def _write_convergence(path: Path, bundle) -> None:
 
 
 def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
-    times = _report_times(args)
+    # the nodes `solve_ocp` interpolates on, so both checks agree bit for bit
+    times = _report_times(args, build_rule(config.basis).nodes[-1])
     oracle_config = None
     if args.compare:
         if args.mesh < MIN_MESH_POINTS:
@@ -147,16 +154,7 @@ def _run_single(args, problem: OCProblem, config: SolverConfig) -> int:
             raise InputError("--compare-tol must be non-negative")
         oracle_config = TruncationConfig(t_end=args.t_end, mesh_points=args.mesh)
     t0 = time.perf_counter()
-    try:
-        bundle = solve_ocp(problem, config, report_times=times)
-    except ValueError as exc:  # a report time past the grid's last node t_N
-        if args.times is not None:
-            source = "--times"
-        elif args.builtin:
-            source = "the builtin table times (set --times)"
-        else:
-            source = "the default report times, up to --t-end"
-        raise InputError(f"{source}: {exc}") from None
+    bundle = solve_ocp(problem, config, report_times=times)
     solver_seconds = time.perf_counter() - t0
 
     lines = [
@@ -271,11 +269,15 @@ def main(argv=None) -> int:
     with openblas.one_thread_unless_set():
         try:
             args = _build_parser().parse_args(argv)
+            # the directory is made only after the solve; a file in its place is known now
+            if args.out.exists() and not args.out.is_dir():
+                raise InputError(f"--out {args.out} exists and is not a directory")
             problem = _load(args)
             if args.sweep is not None:
                 return _run_sweep(args, problem)
             return _run_single(args, problem, _solver_config(args))
-        except (InputError, BasisConstructionError, OperatorSingularError) as exc:
+        except (InputError, BasisConstructionError, OperatorSingularError, OSError) as exc:
+            # an OSError: --out could not be made, or a file in it written
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except MemoryError as exc:  # e.g. an oracle --mesh too large to allocate

@@ -284,7 +284,11 @@ class TestReportTimes:
         ],
         ids=["times", "builtin-table", "problem-default"],
     )
-    def test_times_past_the_grid_exit_one_without_output(self, tmp_path, capsys, extra, message):
+    def test_times_past_the_grid_exit_one_without_output(
+        self, tmp_path, capsys, monkeypatch, extra, message
+    ):
+        # t_N = x_N / beta is known from N and beta alone, before any solve
+        monkeypatch.setattr(cli, "solve_ocp", self.no_solve)
         path = tmp_path / "one.txt"
         path.write_text(ONE_SUBSYSTEM)
         code, out = run_cli(tmp_path, *[str(path) if a == "PROBLEM" else a for a in extra])
@@ -302,6 +306,50 @@ class TestReportTimes:
         rows = read_csv(out / "trajectories.csv")
         assert [float(r["time"]) for r in rows] == [0.0, 0.5]
         assert float(rows[0]["x2"]) == pytest.approx(0.8, abs=1e-12)
+
+
+class TestOutDirectory:
+    """--out is made only after the solve, so that an input the solver rejects
+    leaves no directory; one that cannot be made or written exits 1 with one
+    line, not a traceback."""
+
+    RUN = ("--builtin", "tp31", "--n", "20", "--beta", "6", "--orders", "2")
+
+    @staticmethod
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_ocp ran before --out was checked")
+
+    @pytest.mark.parametrize("sweep", [(), ("--sweep", "n=20")], ids=["single", "sweep"])
+    def test_an_existing_file_exits_one_before_the_solve(self, tmp_path, capsys, monkeypatch, sweep):
+        monkeypatch.setattr(cli, "solve_ocp", self.no_solve)
+        target = tmp_path / "F"
+        target.write_text("kept\n")
+        code = main([*self.RUN, *sweep, "--out", str(target)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: --out {target} exists and is not a directory\n"
+        )
+        assert target.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("sweep", [(), ("--sweep", "n=20")], ids=["single", "sweep"])
+    def test_a_directory_that_cannot_be_made_exits_one(self, tmp_path, capsys, sweep):
+        # a path below a regular file: `exists()` is False, `mkdir` fails
+        (tmp_path / "F").write_text("")
+        target = tmp_path / "F" / "out"
+        code = main([*self.RUN, *sweep, "--out", str(target)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 20] Not a directory: '{target}'\n"
+
+    def test_a_file_that_cannot_be_written_exits_one(self, tmp_path, capsys):
+        (tmp_path / "out" / "summary.txt").mkdir(parents=True)
+        code, out = run_cli(tmp_path, *self.RUN)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 21] Is a directory: '{out / 'summary.txt'}'\n"
 
 
 class TestCompareMode:
@@ -667,14 +715,16 @@ class TestSolverErrors:
 
     def test_r_whose_inverse_overflows_exits_one_with_one_line(self, tmp_path):
         # R = 1e-320 is positive definite but its inverse is inf in sigma; a
-        # fresh interpreter shows any NumPy warning printed before the error
+        # fresh interpreter shows any NumPy warning printed before the error.
+        # --t-end 30 keeps the default report times inside t_N = 34.19, so the
+        # report-time check passes and the solve runs
         path = tmp_path / "tiny_r.txt"
         path.write_text(ONE_SUBSYSTEM.replace("R 1\n", "R 1e-320\n"))
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
         run = subprocess.run(
             [sys.executable, "-m", "lahoc.cli", "--problem", str(path), "--n", "20", "--beta", "2",
-             "--orders", "5", "--out", str(tmp_path / "out")],
+             "--t-end", "30", "--orders", "5", "--out", str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert run.returncode == 1
