@@ -372,8 +372,9 @@ def _parse_matrix(value: str, line: int) -> np.ndarray:
 def parse_problem(text: str) -> OCProblem:
     """Parse the `lahoc-problem v1` key-value format.
 
-    Per subsystem: `dim`, `inputs`, row-major `A`, `B`, `Q`, `R`, `x0`, and
-    zero or more `f <row> <coefficient> : <exponent list over stacked state>`.
+    Per subsystem: `dim`, `inputs`, row-major `A`, `B`, `Q`, `R`, `x0`, each
+    at most once, and zero or more
+    `f <row> <coefficient> : <exponent list over stacked state>`.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != "lahoc-problem v1":
@@ -392,6 +393,8 @@ def parse_problem(text: str) -> OCProblem:
         if cur is None:
             raise ProblemFormatError(idx, "expected 'subsystem' before fields")
         key, _, value = stripped.partition(" ")
+        if key in ("dim", "inputs", "A", "B", "Q", "R", "x0") and key in cur:
+            raise ProblemFormatError(idx, f"repeated key {key!r}")
         if key in ("dim", "inputs"):
             try:
                 cur[key] = int(value)
@@ -468,5 +471,12 @@ def parse_problem(text: str) -> OCProblem:
 
 
 def load_problem(path) -> OCProblem:
-    with open(path) as fh:
-        return parse_problem(fh.read())
+    """Parse the UTF-8 problem file at `path`, whatever the locale."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ProblemFormatError(line, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_problem(text)

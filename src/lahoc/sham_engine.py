@@ -210,9 +210,9 @@ class SolverConfig:
 
 
 class HomotopySeries:
-    """Per-order grid matrices Z_m (n x N+1 each), their weighted tail norms,
-    and the truncated Cauchy products the nonlinear terms read, all in one
-    preallocated (capacity, n + chains, N+1) store.
+    """Per-order grid matrices Z_m (n x N+1 each) and the truncated Cauchy
+    products the nonlinear terms read, all in one preallocated
+    (capacity, n + chains, N+1) store that only grows.
 
     Rows 0..n-1 of order k hold Z_k. Every further row is a chain: the
     node-wise product of the component series named by a factor sequence
@@ -234,7 +234,6 @@ class HomotopySeries:
     def __init__(
         self,
         orders: Sequence[np.ndarray],
-        tail_norms: Sequence[float] = (),
         max_order: int | None = None,
         chains: tuple[dict[tuple[int, ...], int], list[tuple]] | None = None,
     ):
@@ -255,29 +254,19 @@ class HomotopySeries:
         for k in range(len(orders)):
             self._fill_order(k)
         self._count = len(orders)
-        self.tail_norms = list(tail_norms)
 
     @property
     def orders(self) -> np.ndarray:
         """The stored orders, a (count, n, N+1) view."""
         return self._store[: self._count, : self._dim]
 
-    def append(self, z: np.ndarray, norm: float) -> None:
+    def append(self, z: np.ndarray) -> None:
         """Store the next order and fill that coefficient of every chain."""
         if self._count == len(self._store):
             raise ValueError(f"series is full at {self._count} orders")
         self._store[self._count, : self._dim] = z
         self._fill_order(self._count)
         self._count += 1
-        self.tail_norms.append(norm)
-
-    def truncate(self, last_order: int) -> None:
-        """Keep orders 0..last_order; the orders appended after it refill
-        the chain coefficients they replace."""
-        if not 0 <= last_order < self._count:
-            raise ValueError(f"order {last_order} out of range for {self._count} stored orders")
-        self._count = last_order + 1
-        del self.tail_norms[self._count :]
 
     def _fill_order(self, k: int) -> None:
         s = self._store[k]
@@ -573,20 +562,21 @@ def tail_norm(rule: BasisRule, z: np.ndarray) -> float:
 
 @dataclass
 class ShamResult:
+    """A run's kept orders: all of them, or for a Diverged run orders 0..best,
+    the best order being the one of least tail norm. `series` holds every
+    order computed, so for a Diverged run also the orders past the best."""
+
     series: HomotopySeries
     rule: BasisRule
     operator: BlockOperator
-    partial_sums: np.ndarray  # sums of orders 0..m at nodes, shape (orders, n, N+1)
+    partial_sums: np.ndarray  # sums of orders 0..m at nodes, shape (kept, n, N+1)
+    tail_norms: list[float]  # weighted norm of each kept order
     termination: Termination
 
     @property
     def solution(self) -> np.ndarray:
         """The last partial sum at nodes, shape (n, N+1)."""
         return self.partial_sums[-1]
-
-    @property
-    def tail_norms(self) -> list[float]:
-        return self.series.tail_norms
 
     def at(self, times) -> np.ndarray:
         """Interpolate the converged partial sums at times in the grid [0, t_N]."""
@@ -599,32 +589,36 @@ def run_sham(spec: SystemSpec, config: SolverConfig) -> ShamResult:
     rule = build_rule(config.basis)
     operator = assemble_operator(spec, rule)
     z0 = initial_guess(spec, rule, operator)
-    series = HomotopySeries([z0], [tail_norm(rule, z0)], config.max_order, spec.chains)
+    series = HomotopySeries([z0], config.max_order, spec.chains)
+    tail_norms = [tail_norm(rule, z0)]
 
     termination = Termination.MAX_ORDER
     best_order = 0
-    best_tail = series.tail_norms[0]
-    for m in range(1, config.max_order + 1):
-        try:
-            zm = deformation_step(spec, rule, operator, series, config, m)
-        except DivergenceError:
-            termination = Termination.DIVERGED
-            break
-        norm = tail_norm(rule, zm)
-        series.append(zm, norm)
-        if not math.isfinite(norm) or (best_tail > 0 and norm > 1e6 * best_tail):
-            termination = Termination.DIVERGED
-            break
-        if norm < best_tail:
-            best_tail = norm
-            best_order = m
-        if norm < config.tail_tol:
-            termination = Termination.CONVERGED
-            break
+    best_tail = tail_norms[0]
+    # an order that overflows ends the run Diverged, by the finiteness tests
+    # on its right-hand side and its tail norm, not with a warning
+    with np.errstate(over="ignore"):
+        for m in range(1, config.max_order + 1):
+            try:
+                zm = deformation_step(spec, rule, operator, series, config, m)
+            except DivergenceError:
+                termination = Termination.DIVERGED
+                break
+            norm = tail_norm(rule, zm)
+            series.append(zm)
+            tail_norms.append(norm)
+            if not math.isfinite(norm) or (best_tail > 0 and norm > 1e6 * best_tail):
+                termination = Termination.DIVERGED
+                break
+            if norm < best_tail:
+                best_tail = norm
+                best_order = m
+            if norm < config.tail_tol:
+                termination = Termination.CONVERGED
+                break
 
-    if termination is Termination.DIVERGED:
-        # keep the best partial sum reached before the blow-up so callers can
-        # still inspect the (possibly useful) low-order result
-        series.truncate(best_order)
-
-    return ShamResult(series, rule, operator, np.cumsum(series.orders, axis=0), termination)
+    # a Diverged run keeps the best partial sum reached before the blow-up,
+    # so callers can still inspect the (possibly useful) low-order result
+    kept = best_order + 1 if termination is Termination.DIVERGED else len(tail_norms)
+    partial_sums = np.cumsum(series.orders[:kept], axis=0)
+    return ShamResult(series, rule, operator, partial_sums, tail_norms[:kept], termination)

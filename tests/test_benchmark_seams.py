@@ -52,3 +52,18 @@ def test_one_solve_builds_one_rule_and_one_operator(spans, modules):
     names = [s.name for s in tracer.spans]
     assert names.count("sham_engine.build_rule") == 1
     assert names.count("sham_engine.assemble_operator") == 1
+
+
+def test_the_order_counter_reads_the_kept_orders_of_a_diverged_run(spans, modules):
+    # N=20 at beta=6 diverges; its best partial sum is order 14
+    tracer = spans.Tracer()
+    tracer.install(modules)
+    try:
+        config = SolverConfig(hbar=-0.6, basis=BasisConfig(beta=6.0, n_order=20),
+                              max_order=150, tail_tol=1e-13)
+        with tracer.operation(0):
+            solve_ocp(builtin_problem_31(), config)
+    finally:
+        tracer.uninstall()
+    (run,) = [s for s in tracer.spans if s.name == "ocp_model.run_sham"]
+    assert run.counts == {"sham_engine.orders": 14}

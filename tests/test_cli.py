@@ -202,8 +202,9 @@ class TestBadProblemData:
             ("inputs 1", "inputs 0", "line 4: inputs must be >= 1, got 0"),
             ("Q 1", "Q nan", "line 2: q_mat must be finite"),
             ("A 1", "A inf", "line 2: a_mat must be finite"),
+            ("A 1", "A 1\nA 5", "line 6: repeated key 'A'"),
         ],
-        ids=["x0-nan", "f-nan", "dim-minus-1", "dim-0", "inputs-0", "Q-nan", "A-inf"],
+        ids=["x0-nan", "f-nan", "dim-minus-1", "dim-0", "inputs-0", "Q-nan", "A-inf", "A-twice"],
     )
     def test_exits_one_with_one_error_line_and_no_output(
         self, tmp_path, capsys, line, bad, message
@@ -214,6 +215,16 @@ class TestBadProblemData:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_a_file_that_is_not_utf8_exits_one_with_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        code, out = run_cli(tmp_path, "--problem", str(path))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: line 1: not UTF-8 text: invalid start byte at byte 0\n"
         assert captured.out == ""
         assert not out.exists()
 

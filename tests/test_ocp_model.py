@@ -418,6 +418,26 @@ class TestParseProblem:
         with pytest.raises(ProblemFormatError):
             parse_problem("lahoc-problem v1\n")
 
+    @pytest.mark.parametrize("key", ["dim", "inputs", "A", "B", "Q", "R", "x0"])
+    def test_repeated_key_reports_the_repeat(self, key):
+        # the key's line in the second subsystem, written twice
+        lines = COUPLED_SCALAR_TEXT.splitlines()
+        second = lines.index("subsystem", 2)
+        first = next(i for i in range(second, len(lines)) if lines[i].split()[0] == key)
+        lines.insert(first + 1, lines[first])
+        with pytest.raises(ProblemFormatError) as err:
+            parse_problem("\n".join(lines))
+        assert err.value.line == first + 2
+        assert str(err.value) == f"line {first + 2}: repeated key {key!r}"
+
+    def test_file_that_is_not_utf8_reports_the_line_of_the_first_bad_byte(self, tmp_path):
+        path = tmp_path / "problem.txt"
+        path.write_bytes(b"lahoc-problem v1\nsubsystem\n# \xce\xb2 = 1\ndim \xff1\n")
+        with pytest.raises(ProblemFormatError) as err:
+            load_problem(path)
+        assert err.value.line == 4
+        assert str(err.value) == "line 4: not UTF-8 text: invalid start byte at byte 40"
+
 
 def general_weights_problem() -> OCProblem:
     """Two linear subsystems with dense, non-diagonal B, Q and R."""
@@ -467,7 +487,7 @@ class TestPerOrderCosts:
         bundle = solve_ocp(problem, cfg, report_times=[1.0])
         (result,) = runs
         series = result.series
-        assert len(bundle.per_order_costs) == len(series.orders)
+        assert len(bundle.per_order_costs) == len(result.tail_norms)
         for m, cost in enumerate(bundle.per_order_costs):
             partial_sum = np.sum(series.orders[: m + 1], axis=0)
             assert cost == evaluate_cost(bundle.spec, partial_sum, result.rule)

@@ -396,6 +396,17 @@ class TestRunSham:
         assert np.all(np.isfinite(result.solution))
         assert result.tail_norms[-1] == min(result.tail_norms)
 
+    def test_an_order_that_overflows_ends_diverged_without_a_warning(self):
+        # hbar = 1e300 overflows order 1's tail norm; only order 0 is kept
+        spec = derive_tpbvp(builtin_problem_31())
+        cfg = solver_config(beta=6.0, n=20, hbar=1e300, max_order=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sham(spec, cfg)
+        assert result.termination is Termination.DIVERGED
+        assert len(result.tail_norms) == len(result.partial_sums) == 1
+        assert np.all(np.isfinite(result.solution))
+
     def test_hbar_insensitivity_of_converged_solution(self):
         spec = derive_tpbvp(builtin_problem_31())
         t = np.linspace(0.0, 6.0, 60)
@@ -480,9 +491,10 @@ class TestIncrementalProductsInsideRunSham:
         result, calls = self.checked_run(monkeypatch, spec, cfg)
         n_terms = sum(len(eq) for eq in spec.nonlinear)
         assert len(calls) >= 10 * n_terms
-        # N=20 diverges: the series keeps only the best partial sum
+        # N=20 diverges: the result keeps only the best partial sum, the
+        # series every order computed
         assert result.termination is Termination.DIVERGED
-        assert len(result.series.orders) == len(result.tail_norms)
+        assert len(result.partial_sums) == len(result.tail_norms) < len(result.series.orders)
 
     def test_random_three_component_cubic(self, monkeypatch):
         spec = random_cubic_spec(11)
@@ -518,27 +530,11 @@ class TestNonlinearTermOfTheDeformationStep:
             ref = ref.ravel()
             ref[op.boundary_rows] = 0.0
             assert np.abs(rhs[-1] - ref).max() <= 1e-13 * np.abs(ref).max(), f"order {m}"
-            series.append(got, tail_norm(rule, got))
+            series.append(got)
         assert len(rhs) == cfg.max_order
 
 
 class TestHomotopySeriesStorage:
-    def test_truncation_drops_products_that_read_later_orders(self):
-        rng = np.random.default_rng(9)
-        term = MonomialTerm(1.0, (2, 1))
-        series = HomotopySeries(
-            orders=[rng.normal(size=(2, 4)) for _ in range(3)],
-            max_order=5,
-            chains=chain_table(2, [term.factors]),
-        )
-        cauchy_order_term(series, term, 3)
-        series.truncate(0)
-        for order in range(1, 6):
-            series.append(rng.normal(size=(2, 4)), 1.0)
-            got = cauchy_order_term(series, term, order + 1)
-            ref = TestCauchyProducts.brute_force(series, term, order)
-            assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
-
     def test_reading_an_unregistered_chain_raises(self):
         series = HomotopySeries(
             orders=[np.ones((2, 3)), np.ones((2, 3))], chains=chain_table(2, [(0, 0, 1)])
@@ -570,15 +566,15 @@ class TestHomotopySeriesStorage:
         store = series._store
         assert store.shape == (4, 2 + 3, 3)
         for _ in range(3):
-            series.append(rng.normal(size=(2, 3)), 1.0)
+            series.append(rng.normal(size=(2, 3)))
             series.product_coefficient((0, 0, 1), len(series.orders) - 1)
         assert series._store is store
 
     def test_preallocated_capacity_is_enforced(self):
         series = HomotopySeries(orders=[np.ones((1, 3))], max_order=1)
-        series.append(np.ones((1, 3)), 0.0)
+        series.append(np.ones((1, 3)))
         with pytest.raises(ValueError):
-            series.append(np.ones((1, 3)), 0.0)
+            series.append(np.ones((1, 3)))
 
 
 @st.composite
@@ -628,30 +624,25 @@ def assert_equals_per_chain_einsum(series, chains):
 class TestChainTable:
     def test_each_depth_equals_the_per_chain_einsum_on_tp32(self):
         # 57 chains of depths 2 and 3 over 12 components: every coefficient, bit
-        # for bit, also after a truncation and other orders appended
+        # for bit
         spec = derive_tpbvp(builtin_problem_32())
         series = run_sham(spec, solver_config(beta=0.5, n=50, hbar=-1.0, max_order=20)).series
         chains = [key for key in series._rows if len(key) > 1]
         assert len(chains) == 57 and {len(key) for key in chains} == {2, 3}
         assert_equals_per_chain_einsum(series, chains)
-        orders = series.orders.copy()
-        series.truncate(7)
-        for z in orders[8:]:
-            series.append(0.5 * z, 1.0)
-        assert_equals_per_chain_einsum(series, chains)
 
     @settings(max_examples=40, deadline=None)
-    @given(eqs=random_equations(), seed=st.integers(0, 2**31), cut=st.integers(0, 5))
-    def test_per_order_terms_match_brute_force(self, eqs, seed, cut):
+    @given(eqs=random_equations(), seed=st.integers(0, 2**31))
+    def test_per_order_terms_match_brute_force(self, eqs, seed):
         n, nonlinear = eqs
         extra = MonomialTerm(0.5, (2,) + (1,) * (n - 1))  # a chain no equation reads
         products = [term.factors for eq in nonlinear for term in eq] + [extra.factors]
         rng = np.random.default_rng(seed)
-        draws = [rng.normal(size=(n, 3)) for _ in range(14)]
+        draws = [rng.normal(size=(n, 3)) for _ in range(8)]
         chains = chain_table(n, products)
         series = HomotopySeries(draws[:1], max_order=8, chains=chains)
         for m in range(1, 8):
-            series.append(draws[m], 1.0)
+            series.append(draws[m])
             assert_rows_match(
                 per_order_terms(series, nonlinear, m), brute_force_terms(series, nonlinear, m)
             )
@@ -659,21 +650,6 @@ class TestChainTable:
                 got = cauchy_order_term(series, extra, 3)
                 ref = TestCauchyProducts.brute_force(series, extra, 2)
                 assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
-
-        # truncating and appending other orders gives what a fresh series
-        # holding the same orders gives, bit for bit
-        series.truncate(cut)
-        fresh = HomotopySeries(draws[: cut + 1], max_order=8, chains=chains)
-        for m in range(cut + 1, 8):
-            series.append(draws[m + 6], 1.0)
-            fresh.append(draws[m + 6], 1.0)
-        for m in range(1, 9):
-            assert np.array_equal(
-                per_order_terms(series, nonlinear, m), per_order_terms(fresh, nonlinear, m)
-            ), f"order {m}"
-            assert np.array_equal(
-                cauchy_order_term(series, extra, m), cauchy_order_term(fresh, extra, m)
-            ), f"order {m}"
 
 
 def rhs_term_by_term(spec, z):
@@ -873,7 +849,7 @@ class TestRunShamBitIdentity:
         assert getattr(op, path) is not None
         assert result.termination is reference_termination is termination
         assert len(tails) == kept
-        assert np.array_equal(result.series.orders, orders)
+        assert np.array_equal(result.series.orders[:kept], orders)
         assert np.array_equal(result.tail_norms, tails)
         assert np.array_equal(result.solution, np.sum(orders, axis=0))
 
@@ -913,7 +889,7 @@ class TestReducedDeformationStep:
             rhs[op.boundary_rows] = 0.0
             full = op.solve(rhs).reshape(got.shape)
             assert np.abs(got - full).max() <= 1e-11 * np.abs(full).max(), f"order {m}"
-            series.append(got, tail_norm(rule, got))
+            series.append(got)
 
     @pytest.mark.parametrize("n", [16, 60], ids=["lu", "pinv"])
     def test_linear_systems_give_exactly_zero_corrections(self, n):
