@@ -27,7 +27,6 @@ from .ocp_model import (
 from .oracle_bvp import MeshTrajectory, TruncationConfig, compare, solve_truncated
 from .sham_engine import (
     DecayAtInfinity,
-    DivergenceError,
     HomotopySeries,
     InitialValue,
     MonomialTerm,

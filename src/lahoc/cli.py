@@ -59,10 +59,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", action="store_true", help="also run the oracle and compare")
     p.add_argument("--compare-tol", type=float, default=1e-4,
                    help="max allowed deviation vs the oracle (exit 3 beyond it)")
-    p.add_argument("--t-end", type=float, default=40.0, help="oracle truncation horizon")
+    p.add_argument("--t-end", type=float, default=40.0,
+                   help="oracle truncation horizon, and for --problem the last "
+                   "default report time")
     p.add_argument("--mesh", type=int, default=2000, help="oracle mesh intervals")
     p.add_argument("--times", type=str, default=None,
-                   help="comma-separated report times (default: builtin table times)")
+                   help="comma-separated report times (default: the builtin table "
+                   "times; for --problem, 20 geometric times over [t_end/1000, t_end])")
     p.add_argument("--out", type=Path, default=Path("lahoc_out"), help="output directory")
     p.add_argument("--sweep", type=str, default=None,
                    help="sweep axis, e.g. hbar=-1.0,-0.6,-0.2 or n=40,80,120 or beta=0.5,1")

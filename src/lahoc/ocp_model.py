@@ -272,8 +272,12 @@ def solve_ocp(
     spec = derive_tpbvp(problem)
     result = run_sham(spec, config)
     n = problem.n_states
-    # the cost of every partial sum in one stacked call; the last is the solution's
-    per_order_costs = evaluate_cost(spec, result.partial_sums, result.rule).tolist()
+    # the cost of every partial sum in one stacked call, the last being the
+    # solution's; a Diverged run's costs and H may overflow, and then read
+    # inf or nan without a warning, as in run_sham's loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_order_costs = evaluate_cost(spec, result.partial_sums, result.rule).tolist()
+        max_hamiltonian = float(np.abs(hamiltonian(spec, result.solution)).max())
 
     if report_times is None:
         report_times = result.rule.nodes
@@ -293,7 +297,7 @@ def solve_ocp(
         per_order_costs=per_order_costs,
         tail_norms=list(result.tail_norms),
         termination=result.termination,
-        max_hamiltonian=float(np.abs(hamiltonian(spec, result.solution)).max()),
+        max_hamiltonian=max_hamiltonian,
         solution=result.solution,
         rule=result.rule,
         spec=spec,

@@ -37,6 +37,14 @@ def coupled_linear_spec() -> SystemSpec:
     )
 
 
+# x' = -x + u - x^3 from x0 = 1e103: x0^3 overflows a double, so order 1's
+# right-hand side is inf and the run ends Diverged with order 0 kept
+OVERFLOWING_CUBIC = (
+    "lahoc-problem v1\nsubsystem\ndim 1\ninputs 1\nA -1\nB 1\nQ 1\nR 1\n"
+    "x0 1e103\nf 0 -1 : 3\n"
+)
+
+
 def solver_config(beta=1.0, n=30, hbar=-1.0, max_order=30, tail_tol=1e-12):
     return SolverConfig(
         hbar=hbar,

@@ -28,6 +28,8 @@ from lahoc.cli import main
 from lahoc.oracle_bvp import ComparisonResult, NewtonError
 from lahoc.sham_engine import OperatorSingularError
 
+from conftest import OVERFLOWING_CUBIC
+
 
 def run_cli(tmp_path, *extra):
     out = tmp_path / "out"
@@ -725,24 +727,41 @@ class TestSolverErrors:
         assert not out.exists()
 
     def test_r_whose_inverse_overflows_exits_one_with_one_line(self, tmp_path):
-        # R = 1e-320 is positive definite but its inverse is inf in sigma; a
-        # fresh interpreter shows any NumPy warning printed before the error.
+        # R = 1e-320 is positive definite but its inverse is inf in sigma.
         # --t-end 30 keeps the default report times inside t_N = 34.19, so the
         # report-time check passes and the solve runs
         path = tmp_path / "tiny_r.txt"
         path.write_text(ONE_SUBSYSTEM.replace("R 1\n", "R 1e-320\n"))
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-        run = subprocess.run(
-            [sys.executable, "-m", "lahoc.cli", "--problem", str(path), "--n", "20", "--beta", "2",
-             "--t-end", "30", "--orders", "5", "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        run = fresh_cli(tmp_path, "--problem", str(path), "--n", "20", "--beta", "2",
+                        "--t-end", "30", "--orders", "5")
         assert run.returncode == 1
         assert run.stdout == ""
         assert run.stderr.startswith("error: operator has a zero or non-finite row")
         assert len(run.stderr.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    def test_an_overflowing_order_exits_two_with_nothing_on_stderr(self, tmp_path):
+        # x0^3 overflows order 1's right-hand side, and x^3 overflows H at order 0
+        path = tmp_path / "cubic.txt"
+        path.write_text(OVERFLOWING_CUBIC)
+        run = fresh_cli(tmp_path, "--problem", str(path), "--n", "40", "--beta", "2",
+                        "--orders", "20")
+        assert run.returncode == 2
+        assert run.stderr == ""
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert "termination: Diverged" in summary
+        assert "max |H| at nodes: nan" in summary
+
+
+def fresh_cli(tmp_path, *argv):
+    """`lahoc *argv --out tmp_path/out` in a fresh interpreter, which shows
+    on its stderr any NumPy warning the run prints."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "lahoc.cli", *argv, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 # Runs `main` in a fresh interpreter and prints, as JSON, its exit code and

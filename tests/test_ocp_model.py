@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from lahoc import (
 )
 from lahoc import ocp_model, sham_engine
 from lahoc.ocp_model import ProblemFormatError
+
+from conftest import OVERFLOWING_CUBIC
 
 
 def eval_system_rhs(spec, z):
@@ -251,6 +254,17 @@ class TestHamiltonian:
         assert diverged.max_hamiltonian > 1.0
         assert converged.termination is Termination.CONVERGED
         assert converged.max_hamiltonian < 1e-3
+
+    def test_an_overflowing_diverged_run_is_reported_without_a_warning(self):
+        # order 0 is kept: its cost is finite, but x^3 overflows in H, which reads nan
+        cfg = SolverConfig(hbar=-0.6, basis=BasisConfig(beta=2.0, n_order=40), max_order=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bundle = solve_ocp(parse_problem(OVERFLOWING_CUBIC), cfg, report_times=())
+        assert bundle.termination is Termination.DIVERGED
+        assert len(bundle.tail_norms) == len(bundle.per_order_costs) == 1
+        assert math.isfinite(bundle.cost)
+        assert math.isnan(bundle.max_hamiltonian)
 
 
 class TestSolutionBundle:

@@ -30,6 +30,7 @@ from lahoc import (
     deformation_step,
     derive_tpbvp,
     initial_guess,
+    parse_problem,
     run_sham,
 )
 from lahoc import openblas, sham_engine
@@ -43,7 +44,7 @@ from lahoc.sham_engine import (
     tail_norm,
 )
 
-from conftest import coupled_linear_spec, linear_decay_spec, solver_config
+from conftest import OVERFLOWING_CUBIC, coupled_linear_spec, linear_decay_spec, solver_config
 
 
 class TestMonomialTerm:
@@ -396,16 +397,26 @@ class TestRunSham:
         assert np.all(np.isfinite(result.solution))
         assert result.tail_norms[-1] == min(result.tail_norms)
 
-    def test_an_order_that_overflows_ends_diverged_without_a_warning(self):
-        # hbar = 1e300 overflows order 1's tail norm; only order 0 is kept
-        spec = derive_tpbvp(builtin_problem_31())
-        cfg = solver_config(beta=6.0, n=20, hbar=1e300, max_order=5)
+    @pytest.mark.parametrize(
+        "problem, cfg",
+        [
+            # hbar = 1e300 overflows order 1's step
+            (builtin_problem_31(), solver_config(beta=6.0, n=20, hbar=1e300, max_order=5)),
+            # x0^3 overflows order 1's right-hand side; its block solve spreads the inf
+            (parse_problem(OVERFLOWING_CUBIC),
+             solver_config(beta=2.0, n=40, hbar=-0.6, max_order=20)),
+        ],
+        ids=["hbar-1e300", "cubic-x0-1e103"],
+    )
+    def test_an_order_that_overflows_ends_diverged_without_a_warning(self, problem, cfg):
+        # the tail-norm test stops order 1 before it is stored: only order 0 is kept
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = run_sham(spec, cfg)
+            result = run_sham(derive_tpbvp(problem), cfg)
         assert result.termination is Termination.DIVERGED
         assert len(result.tail_norms) == len(result.partial_sums) == 1
-        assert np.all(np.isfinite(result.solution))
+        assert len(result.series.orders) == 1
+        assert np.all(np.isfinite(result.series.orders))
 
     def test_hbar_insensitivity_of_converged_solution(self):
         spec = derive_tpbvp(builtin_problem_31())
@@ -806,17 +817,16 @@ def plain_recurrence(spec, cfg):
         for r, terms in enumerate(spec.nonlinear):
             for term in terms:
                 q[r] += term.coefficient * coefficient(term.factors, m - 1)
-        if not np.all(np.isfinite(q)):
-            termination = Termination.DIVERGED
-            break
         q = q.ravel()
         q[op.boundary_rows] = 0.0
         step = cfg.hbar * solve(q).reshape(spec.dim, rule.n_points)
-        orders.append(step if m == 1 else (1.0 + cfg.hbar) * orders[m - 1] + step)
-        tails.append(norm(orders[m]))
-        if not math.isfinite(tails[m]) or (best_tail > 0 and tails[m] > 1e6 * best_tail):
+        zm = step if m == 1 else (1.0 + cfg.hbar) * orders[m - 1] + step
+        tail = norm(zm)
+        if not math.isfinite(tail) or (best_tail > 0 and tail > 1e6 * best_tail):
             termination = Termination.DIVERGED
             break
+        orders.append(zm)
+        tails.append(tail)
         if tails[m] < best_tail:
             best_tail, best_order = tails[m], m
         if tails[m] < cfg.tail_tol:
