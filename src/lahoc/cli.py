@@ -112,8 +112,6 @@ def _load(args) -> OCProblem:
         return load_problem(args.problem)
     except ProblemFormatError as exc:
         raise InputError(f"{args.problem}: {exc}") from exc
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
 
 
 def _solver_config(args) -> SolverConfig:
@@ -280,7 +278,7 @@ def main(argv=None) -> int:
                 return _run_sweep(args, problem)
             return _run_single(args, problem, _solver_config(args))
         except (InputError, BasisConstructionError, OperatorSingularError, OSError) as exc:
-            # an OSError: --out could not be made, or a file in it written
+            # an OSError: the problem file could not be read, --out made, or a file in it written
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except MemoryError as exc:  # e.g. an oracle --mesh too large to allocate

@@ -111,7 +111,8 @@ class MeshTrajectory:
 
     def at(self, times) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        if times.min() < self.times[0] - 1e-12 or times.max() > self.times[-1] + 1e-12:
+        # a NaN fails both comparisons; no query at all passes, and reads (n, 0)
+        if not np.all((times >= self.times[0] - 1e-12) & (times <= self.times[-1] + 1e-12)):
             raise ValueError(
                 f"query times must lie in [{self.times[0]}, {self.times[-1]}]"
             )

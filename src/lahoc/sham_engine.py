@@ -212,8 +212,10 @@ class HomotopySeries:
     P[k] = sum_{i<=k} P_parent[i] * Z_{c_L}[k-i], which reads orders 0..k only,
     so each order adds one coefficient per chain, parents before children.
     The rows are those of the chain table `chains` (`chain_table`, for a
-    system `SystemSpec.chains`), fixed at construction; without one the store
-    holds the component rows alone.
+    system `SystemSpec.chains`), fixed at construction.
+
+    The series is built from its order-0 term z0 with room for orders
+    0..max_order, and `append` is the one writer of an order, z0's included.
 
     The chain rows run one depth (chain length) after another. Each depth
     keeps one (capacity, 2 * chains at that depth, N+1) history: its parents'
@@ -224,16 +226,14 @@ class HomotopySeries:
 
     def __init__(
         self,
-        orders: Sequence[np.ndarray],
-        max_order: int | None = None,
-        chains: tuple[dict[tuple[int, ...], int], list[tuple]] | None = None,
+        z0: np.ndarray,
+        max_order: int,
+        chains: tuple[dict[tuple[int, ...], int], list[tuple]],
     ):
-        if len(orders) == 0:
-            raise ValueError("a homotopy series needs its order-0 term")
-        capacity = len(orders) if max_order is None else max(len(orders), max_order + 1)
-        n, n_points = np.shape(orders[0])
+        capacity = max_order + 1
+        n, n_points = np.shape(z0)
         self._dim = n
-        self._rows, depths = chains or ({(c,): c for c in range(n)}, [])
+        self._rows, depths = chains
         self._depths = []  # (store rows, chains, gathered store rows, history)
         for rows, parents, last in depths:
             # parent rows, then last components: one gather fills both halves
@@ -241,10 +241,8 @@ class HomotopySeries:
             history = np.empty((capacity, len(gathered), n_points))
             self._depths.append((rows, len(parents), gathered, history))
         self._store = np.empty((capacity, len(self._rows), n_points))
-        self._store[: len(orders), :n] = orders
-        for k in range(len(orders)):
-            self._fill_order(k)
-        self._count = len(orders)
+        self._count = 0
+        self.append(z0)
 
     @property
     def orders(self) -> np.ndarray:
@@ -508,14 +506,10 @@ def cauchy_order_term(series: HomotopySeries, term: MonomialTerm, order: int) ->
 
 
 def deformation_step(
-    spec: SystemSpec,
-    rule: BasisRule,
-    operator: BlockOperator,
-    series: HomotopySeries,
-    config: SolverConfig,
-    order: int,
+    spec: SystemSpec, operator: BlockOperator, series: HomotopySeries, hbar: float
 ) -> np.ndarray:
-    """One order of the deformation recurrence.
+    """The next order m = len(series.orders) of the deformation recurrence;
+    the series always holds z_0, so m >= 1.
 
     With the linear operator L taken as the whole linear part and homogeneous
     boundary rows, L[z_m - chi_m z_{m-1}] = hbar (L[z_{m-1}] + Q_{m-1})
@@ -526,19 +520,19 @@ def deformation_step(
     L z_{m-1} on the interior rows and zero on the boundary rows, and A^{-1}
     maps it back to z_{m-1}.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order = len(series.orders)
+    shape = series.orders[0].shape
     # one flat right-hand side, summed row by row through a (dim, N+1) view
-    q = np.zeros(spec.dim * rule.n_points)
-    for row, terms in zip(q.reshape(spec.dim, rule.n_points), spec.nonlinear):
+    q = np.zeros(math.prod(shape))
+    for row, terms in zip(q.reshape(shape), spec.nonlinear):
         for term in terms:
             row += cauchy_order_term(series, term, order)
     q[operator.boundary_rows] = 0.0
-    step = operator.solve(q).reshape(spec.dim, rule.n_points)
-    step *= config.hbar
+    step = operator.solve(q).reshape(shape)
+    step *= hbar
     if order > 1:
         # step + (1 + hbar) z_{m-1} has the bits of (1 + hbar) z_{m-1} + step
-        step += (1.0 + config.hbar) * series.orders[order - 1]
+        step += (1.0 + hbar) * series.orders[order - 1]
     return step
 
 
@@ -577,9 +571,8 @@ def run_sham(spec: SystemSpec, config: SolverConfig) -> ShamResult:
     deformation orders until the weighted tail norm drops below tail_tol."""
     rule = build_rule(config.basis)
     operator = assemble_operator(spec, rule)
-    z0 = initial_guess(spec, rule, operator)
-    series = HomotopySeries([z0], config.max_order, spec.chains)
-    tail_norms = [tail_norm(rule, z0)]
+    series = HomotopySeries(initial_guess(spec, rule, operator), config.max_order, spec.chains)
+    tail_norms = [tail_norm(rule, series.orders[0])]
 
     termination = Termination.MAX_ORDER
     best_order = 0
@@ -590,7 +583,7 @@ def run_sham(spec: SystemSpec, config: SolverConfig) -> ShamResult:
     # is stored, and the overflow warns nothing
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, config.max_order + 1):
-            zm = deformation_step(spec, rule, operator, series, config, m)
+            zm = deformation_step(spec, operator, series, config.hbar)
             norm = tail_norm(rule, zm)
             if not math.isfinite(norm) or (best_tail > 0 and norm > 1e6 * best_tail):
                 termination = Termination.DIVERGED

@@ -4,6 +4,7 @@ import pytest
 from lahoc import (
     BasisConfig,
     DecayAtInfinity,
+    HomotopySeries,
     InitialValue,
     SolverConfig,
     SystemSpec,
@@ -43,6 +44,15 @@ OVERFLOWING_CUBIC = (
     "lahoc-problem v1\nsubsystem\ndim 1\ninputs 1\nA -1\nB 1\nQ 1\nR 1\n"
     "x0 1e103\nf 0 -1 : 3\n"
 )
+
+
+def series_of(orders, chains) -> HomotopySeries:
+    """A homotopy series holding exactly `orders`, built from the first and
+    filled by `append`, on the chain table `chains`."""
+    series = HomotopySeries(orders[0], len(orders) - 1, chains)
+    for z in orders[1:]:
+        series.append(z)
+    return series
 
 
 def solver_config(beta=1.0, n=30, hbar=-1.0, max_order=30, tail_tol=1e-12):

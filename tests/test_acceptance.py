@@ -13,7 +13,6 @@ import pytest
 
 from lahoc import (
     BasisConfig,
-    HomotopySeries,
     MonomialTerm,
     OCProblem,
     SolverConfig,
@@ -32,7 +31,7 @@ from lahoc import (
 )
 from lahoc.sham_engine import chain_table
 
-from conftest import coupled_linear_spec, linear_decay_spec
+from conftest import coupled_linear_spec, linear_decay_spec, series_of
 
 
 # Published benchmark table for the coupled-scalar problem: (x1, x2, l1, l2)
@@ -282,7 +281,7 @@ class TestCriterion9CauchyProductOracle:
                 exps = (1,) + exps[1:]
             term = MonomialTerm(float(rng.normal()), exps)
             order = int(rng.integers(1, n_orders + 1))
-            series = HomotopySeries(orders, chains=chain_table(dim, [term.factors]))
+            series = series_of(orders, chain_table(dim, [term.factors]))
 
             got = cauchy_order_term(series, term, order)
             ref = brute_force_coefficient(series, term, order - 1)

@@ -1038,12 +1038,18 @@ class TestMeshInterpolant:
         midpoints = 0.5 * (traj.times[:-1] + traj.times[1:])
         assert error(midpoints) <= 1.1 * error(traj.times)
 
-    @pytest.mark.parametrize("query", [-1e-6, 5.0 + 1e-6, [1.0, 6.0]])
+    @pytest.mark.parametrize("query", [-1e-6, 5.0 + 1e-6, [1.0, 6.0], [math.nan]])
     def test_queries_outside_the_mesh_raise(self, query):
         times = np.linspace(0.0, 5.0, 11)
         traj = gradient_trajectory(times, np.vstack([np.exp(-times), np.cos(times)]))
         with pytest.raises(ValueError, match="query times"):
             traj.at(query)
+
+    def test_no_query_reads_one_empty_column_block(self):
+        # as the spectral solution's `at([])` does
+        times = np.linspace(0.0, 5.0, 11)
+        traj = gradient_trajectory(times, np.vstack([np.exp(-times), np.cos(times)]))
+        assert traj.at([]).shape == (2, 0)
 
 
 class TestCompare:

@@ -44,7 +44,9 @@ from lahoc.sham_engine import (
     tail_norm,
 )
 
-from conftest import OVERFLOWING_CUBIC, coupled_linear_spec, linear_decay_spec, solver_config
+from conftest import (
+    OVERFLOWING_CUBIC, coupled_linear_spec, linear_decay_spec, series_of, solver_config,
+)
 
 
 class TestMonomialTerm:
@@ -310,9 +312,8 @@ class TestCauchyProducts:
         # deformation order m consumes the q^(m-1) coefficient
         rng = np.random.default_rng(3)
         term = MonomialTerm(1.7, (2, 1))
-        series = HomotopySeries(
-            orders=[rng.normal(size=(2, 5)) for _ in range(4)],
-            chains=chain_table(2, [term.factors]),
+        series = series_of(
+            [rng.normal(size=(2, 5)) for _ in range(4)], chain_table(2, [term.factors])
         )
         for order in range(1, 5):
             got = cauchy_order_term(series, term, order)
@@ -321,13 +322,13 @@ class TestCauchyProducts:
 
     def test_linear_term_is_direct_lookup(self):
         rng = np.random.default_rng(5)
-        series = HomotopySeries(orders=[rng.normal(size=(3, 4)) for _ in range(3)])
+        series = series_of([rng.normal(size=(3, 4)) for _ in range(3)], chain_table(3, []))
         term = MonomialTerm(-2.0, (0, 1, 0))
         got = cauchy_order_term(series, term, 3)
         assert np.allclose(got, -2.0 * series.orders[2][1], rtol=1e-14)
 
     def test_rejects_out_of_range_order(self):
-        series = HomotopySeries(orders=[np.ones((1, 3))])
+        series = HomotopySeries(np.ones((1, 3)), 0, chain_table(1, []))
         term = MonomialTerm(1.0, (1,))
         with pytest.raises(ValueError):
             cauchy_order_term(series, term, 0)
@@ -346,7 +347,7 @@ class TestCauchyProducts:
         rng = np.random.default_rng(seed)
         orders = [rng.normal(size=(2, 3)) for _ in range(6)]
         term = MonomialTerm(float(rng.normal()), exps)
-        series = HomotopySeries(orders, chains=chain_table(2, [term.factors]))
+        series = series_of(orders, chain_table(2, [term.factors]))
         got = cauchy_order_term(series, term, order)
         ref = self.brute_force(series, term, order - 1)
         assert np.abs(got - ref).max() <= 1e-13 * (1 + np.abs(ref).max())
@@ -382,10 +383,7 @@ class TestRunSham:
         cfg = solver_config(beta=6.0, n=40, hbar=-0.6, max_order=100, tail_tol=1e-12)
         result = run_sham(spec, cfg)
         assert result.termination is Termination.CONVERGED
-        extra = deformation_step(
-            spec, result.rule, result.operator, result.series, cfg,
-            len(result.series.orders),
-        )
+        extra = deformation_step(spec, result.operator, result.series, cfg.hbar)
         assert tail_norm(result.rule, extra) < 10 * cfg.tail_tol
 
     def test_divergence_truncates_to_best_partial_sum(self):
@@ -489,7 +487,7 @@ class TestIncrementalProductsInsideRunSham:
         monkeypatch.setattr(sham_engine, "cauchy_order_term", recording)
         result = run_sham(spec, cfg)
         for orders, term, order, got in calls:
-            prefix = HomotopySeries(orders=list(orders))
+            prefix = series_of(orders, chain_table(spec.dim, []))
             ref = TestCauchyProducts.brute_force(prefix, term, order - 1)
             assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max()), (
                 f"{term} at order {order}"
@@ -525,15 +523,13 @@ class TestNonlinearTermOfTheDeformationStep:
         rule = build_rule(cfg.basis)
         op = assemble_operator(spec, rule)
         products = [term.factors for eq in spec.nonlinear for term in eq]
-        series = HomotopySeries(
-            [initial_guess(spec, rule, op)], max_order=cfg.max_order, chains=spec.chains
-        )
+        series = HomotopySeries(initial_guess(spec, rule, op), cfg.max_order, spec.chains)
         rhs = []
         solve = op.solve
         monkeypatch.setattr(op, "solve", lambda b: rhs.append(b.copy()) or solve(b))
         assert len(products) == 42 and len(series._rows) == spec.dim + 57
         for m in range(1, cfg.max_order + 1):
-            got = deformation_step(spec, rule, op, series, cfg, m)
+            got = deformation_step(spec, op, series, cfg.hbar)
             ref = np.zeros((spec.dim, rule.n_points))
             for r, terms in enumerate(spec.nonlinear):
                 for term in terms:
@@ -547,9 +543,7 @@ class TestNonlinearTermOfTheDeformationStep:
 
 class TestHomotopySeriesStorage:
     def test_reading_an_unregistered_chain_raises(self):
-        series = HomotopySeries(
-            orders=[np.ones((2, 3)), np.ones((2, 3))], chains=chain_table(2, [(0, 0, 1)])
-        )
+        series = series_of([np.ones((2, 3)), np.ones((2, 3))], chain_table(2, [(0, 0, 1)]))
         assert np.array_equal(series.product_coefficient((0, 0), 1), np.full(3, 2.0))
         with pytest.raises(ValueError, match=r"chain \(0, 1\) was not registered"):
             series.product_coefficient((0, 1), 1)
@@ -557,9 +551,7 @@ class TestHomotopySeriesStorage:
             cauchy_order_term(series, MonomialTerm(1.0, (1, 1)), 1)
 
     def test_negative_coefficient_index_raises(self):
-        series = HomotopySeries(
-            orders=[np.ones((2, 3))], max_order=4, chains=chain_table(2, [(0, 1)])
-        )
+        series = HomotopySeries(np.ones((2, 3)), 4, chain_table(2, [(0, 1)]))
         for factors in [(0,), (0, 1)]:
             with pytest.raises(ValueError, match="out of range"):
                 series.product_coefficient(factors, -1)
@@ -570,9 +562,7 @@ class TestHomotopySeriesStorage:
         # chains (0, 0), (0, 0, 1) and (1, 1): shared prefixes are stored once
         rng = np.random.default_rng(4)
         series = HomotopySeries(
-            [rng.normal(size=(2, 3))],
-            max_order=3,
-            chains=chain_table(2, [(0, 0, 1), (0, 0), (1, 1), (1,)]),
+            rng.normal(size=(2, 3)), 3, chain_table(2, [(0, 0, 1), (0, 0), (1, 1), (1,)])
         )
         store = series._store
         assert store.shape == (4, 2 + 3, 3)
@@ -582,7 +572,7 @@ class TestHomotopySeriesStorage:
         assert series._store is store
 
     def test_preallocated_capacity_is_enforced(self):
-        series = HomotopySeries(orders=[np.ones((1, 3))], max_order=1)
+        series = HomotopySeries(np.ones((1, 3)), 1, chain_table(1, []))
         series.append(np.ones((1, 3)))
         with pytest.raises(ValueError):
             series.append(np.ones((1, 3)))
@@ -651,7 +641,7 @@ class TestChainTable:
         rng = np.random.default_rng(seed)
         draws = [rng.normal(size=(n, 3)) for _ in range(8)]
         chains = chain_table(n, products)
-        series = HomotopySeries(draws[:1], max_order=8, chains=chains)
+        series = HomotopySeries(draws[0], 8, chains)
         for m in range(1, 8):
             series.append(draws[m])
             assert_rows_match(
@@ -884,11 +874,9 @@ class TestReducedDeformationStep:
         op = assemble_operator(spec, rule)
         assert op.lu is not None
         matrix, _ = dense_reference(spec, rule)
-        series = HomotopySeries(
-            [initial_guess(spec, rule, op)], max_order=cfg.max_order, chains=spec.chains
-        )
+        series = HomotopySeries(initial_guess(spec, rule, op), cfg.max_order, spec.chains)
         for m in range(1, cfg.max_order + 1):
-            got = deformation_step(spec, rule, op, series, cfg, m)
+            got = deformation_step(spec, op, series, cfg.hbar)
             q = np.zeros((spec.dim, rule.n_points))
             for r, terms in enumerate(spec.nonlinear):
                 for term in terms:
