@@ -358,6 +358,8 @@ def compare(traj_a, traj_b, times) -> ComparisonResult:
     given times, plus the time attaining each maximum. Both trajectories must
     expose `.at(times) -> (n, len(times))`."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not times.size:
+        raise ValueError("compare needs at least one time; the time list is empty")
     a = np.atleast_2d(traj_a.at(times))
     b = np.atleast_2d(traj_b.at(times))
     if a.shape != b.shape:

@@ -305,26 +305,38 @@ class BlockOperator:
     entry per block, holding the global rows it owns and its row scales, then
     either its LU factors (`lu`) or its (V_k S_k^-1, U_k^T) pair (`pinv`).
     The condition number and the truncation are still those of the whole
-    equilibrated operator, whose SVD is the union of the blocks' SVDs."""
+    equilibrated operator, whose SVD is the union of the blocks' SVDs.
 
-    boundary_rows: np.ndarray
-    boundary_values: np.ndarray
+    The operator owns its boundary rows: `solve` takes the equation values
+    and the initial values and writes those rows itself, so no caller knows
+    which rows the boundary conditions replace."""
+
+    _initial_rows: np.ndarray  # t_0 rows of the initial-value components, bc_split order
+    _decay_rows: np.ndarray  # t_N rows of the decaying components
     lu: list[tuple] | None = None  # (rows, scale, LU factors) per block
     pinv: list[tuple] | None = None  # (rows, scale, V_k S_k^-1, U_k^T) per block
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rhs, dtype=float)
+    def solve(self, equations: np.ndarray, initial_values) -> np.ndarray:
+        """The (dim, N+1) grid that meets `equations`, the (dim, N+1) values
+        of the linear part, on the interior rows, takes `initial_values` (in
+        `SystemSpec.bc_split` order) at t_0 and decays to zero at t_N. The
+        boundary rows of `equations` are not read."""
+        rhs = np.array(equations, dtype=float)
+        flat = rhs.reshape(-1)
+        flat[self._initial_rows] = initial_values
+        flat[self._decay_rows] = 0.0
+        out = np.empty_like(flat)
         if self.lu is not None:
             for rows, scale, lu in self.lu:
-                block_rhs = rhs[rows]  # a gathered copy, divided in place
+                block_rhs = flat[rows]  # a gathered copy, divided in place
                 block_rhs /= scale
                 out[rows] = dgetrs(*lu, block_rhs)
         else:
             for rows, scale, v_scaled, u_t in self.pinv:
-                block_rhs = rhs[rows]
+                block_rhs = flat[rows]
                 block_rhs /= scale
                 out[rows] = v_scaled @ (u_t @ block_rhs)
-        return out
+        return out.reshape(rhs.shape)
 
 
 def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
@@ -344,12 +356,10 @@ def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
     (`_block_svd`) forms only the singular vectors above the block's own
     cutoff, relative to its own largest singular value; the global cutoff
     keeps all of them or a leading part."""
-    initial, decay, values = spec.bc_split
-    brows = np.arange(spec.dim) * rule.n_points
-    brows[decay] += rule.n_points - 1
-    bvals = np.zeros(spec.dim)
-    bvals[initial] = values
-    blocks = _equilibrated_blocks(spec, rule, brows)
+    initial, decay, _ = spec.bc_split
+    npts = rule.n_points
+    initial_rows, decay_rows = initial * npts, decay * npts + npts - 1
+    blocks = _equilibrated_blocks(spec, rule, np.concatenate([initial_rows, decay_rows]))
     try:
         svds = _block_svds([block for _, _, block in blocks])
     except np.linalg.LinAlgError as exc:
@@ -362,14 +372,14 @@ def assemble_operator(spec: SystemSpec, rule: BasisRule) -> BlockOperator:
         )
     if s_max / s_min <= COND_SWITCH:
         lu = [(rows, scale, dgetrf(block)) for rows, scale, block in blocks]
-        return BlockOperator(brows, bvals, lu=lu)
+        return BlockOperator(initial_rows, decay_rows, lu=lu)
     pinv = []
     for (rows, scale, _), (u, block_s, vt) in zip(blocks, svds):
         k = np.count_nonzero(block_s > PINV_RCOND * s_max)
         # V_k S_k^-1 Fortran-ordered and U_k^T C-ordered, the layouts the
         # solves' matrix-vector products have always read
         pinv.append((rows, scale, np.divide(vt[:k].T, block_s[:k], order="F"), u[:, :k].T))
-    return BlockOperator(brows, bvals, pinv=pinv)
+    return BlockOperator(initial_rows, decay_rows, pinv=pinv)
 
 
 def _equilibrated_blocks(
@@ -494,9 +504,7 @@ def component_groups(sigma: np.ndarray) -> list[list[int]]:
 
 def initial_guess(spec: SystemSpec, rule: BasisRule, operator: BlockOperator) -> np.ndarray:
     """Order-0 term: solve the linear part against the boundary values alone."""
-    rhs = np.zeros(spec.dim * rule.n_points)
-    rhs[operator.boundary_rows] = operator.boundary_values
-    return operator.solve(rhs).reshape(spec.dim, rule.n_points)
+    return operator.solve(np.zeros((spec.dim, rule.n_points)), spec.bc_split[2])
 
 
 def cauchy_order_term(series: HomotopySeries, term: MonomialTerm, order: int) -> np.ndarray:
@@ -521,14 +529,11 @@ def deformation_step(
     maps it back to z_{m-1}.
     """
     order = len(series.orders)
-    shape = series.orders[0].shape
-    # one flat right-hand side, summed row by row through a (dim, N+1) view
-    q = np.zeros(math.prod(shape))
-    for row, terms in zip(q.reshape(shape), spec.nonlinear):
+    q = np.zeros(series.orders[0].shape)
+    for row, terms in zip(q, spec.nonlinear):
         for term in terms:
             row += cauchy_order_term(series, term, order)
-    q[operator.boundary_rows] = 0.0
-    step = operator.solve(q).reshape(shape)
+    step = operator.solve(q, np.zeros_like(spec.bc_split[2]))
     step *= hbar
     if order > 1:
         # step + (1 + hbar) z_{m-1} has the bits of (1 + hbar) z_{m-1} + step

@@ -1071,6 +1071,12 @@ class TestCompare:
         assert result.max_dev[1] == pytest.approx(0.01, rel=1e-6)
         assert result.argmax_time[1] == pytest.approx(2.0, abs=0.01)
 
+    def test_an_empty_time_list_is_named(self):
+        t = np.linspace(0.0, 5.0, 50)
+        traj = gradient_trajectory(t, np.vstack([np.exp(-t), np.cos(t)]))
+        with pytest.raises(ValueError, match=r"^compare needs at least one time; the time list is empty$"):
+            compare(traj, traj, [])
+
     def test_shape_mismatch_rejected(self):
         t = np.linspace(0.0, 5.0, 50)
         a = gradient_trajectory(t, np.exp(-t)[None, :])

@@ -135,11 +135,39 @@ def dense_reference(spec, rule):
                 block[:] = rule.diff + spec.sigma[p, q] * np.eye(npts)
             elif spec.sigma[p, q] != 0.0:
                 block[:] = spec.sigma[p, q] * np.eye(npts)
-    for r, tag in enumerate(spec.bc):
-        row = r * npts + (0 if isinstance(tag, InitialValue) else npts - 1)
+    for row in np.concatenate(reference_boundary_rows(spec, rule)):
         matrix[row] = 0.0
         matrix[row, row] = 1.0
     return matrix, np.abs(matrix).max(axis=1)
+
+
+def reference_boundary_rows(spec, rule):
+    """The rows dense_reference replaces: the t_0 row of each initial-value
+    component, then the t_N row of each decaying one, in component order."""
+    npts = rule.n_points
+    initial = [r * npts for r, tag in enumerate(spec.bc) if isinstance(tag, InitialValue)]
+    decay = [r * npts + npts - 1 for r, tag in enumerate(spec.bc) if isinstance(tag, DecayAtInfinity)]
+    return np.array(initial, dtype=int), np.array(decay, dtype=int)
+
+
+def flat_boundary(spec, rule, equations, initial_values):
+    """The flat right-hand side a solve meets: a copy of the (dim, N+1)
+    equations with the reference's boundary rows written, the initial values
+    at t_0 and zero at t_N."""
+    initial, decay = reference_boundary_rows(spec, rule)
+    rhs = np.array(equations, dtype=float).ravel()
+    rhs[initial] = initial_values
+    rhs[decay] = 0.0
+    return rhs
+
+
+def flat_solve(op, spec, rule, rhs):
+    """op.solve of a flat right-hand side that holds its own boundary values:
+    its t_0 rows go in as the initial values, and its t_N rows of decaying
+    components must hold zero, the value the operator writes there."""
+    initial, decay = reference_boundary_rows(spec, rule)
+    assert not rhs[decay].any()
+    return op.solve(rhs.reshape(spec.dim, rule.n_points), rhs[initial]).ravel()
 
 
 def fully_coupled_spec() -> SystemSpec:
@@ -181,22 +209,24 @@ class TestOperatorAssembly:
         matrix, _ = dense_reference(spec, rule)
         rng = np.random.default_rng(7)
         x = rng.normal(size=matrix.shape[0])
+        # the operator writes zero in the decay rows, so x decays to zero
+        x[reference_boundary_rows(spec, rule)[1]] = 0.0
         rhs = matrix @ x
-        got = op.solve(rhs)
+        got = flat_solve(op, spec, rule, rhs)
         assert np.abs(got - x).max() < 1e-9 * np.abs(x).max() + 1e-12
 
     def test_boundary_rows_replaced(self):
         rule = build_rule(BasisConfig(beta=1.0, n_order=10))
         spec = coupled_linear_spec()
-        op = assemble_operator(spec, rule)
         matrix, _ = dense_reference(spec, rule)
-        assert len(op.boundary_rows) == spec.dim
-        for row in op.boundary_rows:
+        boundary_rows = np.concatenate(reference_boundary_rows(spec, rule))
+        assert len(boundary_rows) == spec.dim
+        for row in boundary_rows:
             unit = np.zeros(matrix.shape[1])
             unit[row] = 1.0
             assert np.array_equal(matrix[row], unit)
-        for rows, scale, block in sham_engine._equilibrated_blocks(spec, rule, op.boundary_rows):
-            for local in np.flatnonzero(np.isin(rows, op.boundary_rows)):
+        for rows, scale, block in sham_engine._equilibrated_blocks(spec, rule, boundary_rows):
+            for local in np.flatnonzero(np.isin(rows, boundary_rows)):
                 assert scale[local] == 1.0
                 assert np.array_equal(block[local], np.eye(len(rows))[local])
 
@@ -208,9 +238,20 @@ class TestOperatorAssembly:
         rule = build_rule(BasisConfig(beta=1.0, n_order=10))
         npts = rule.n_points
         op = assemble_operator(spec, rule)
-        # the t_0 row for an initial value, the t_N row for decay at infinity
-        assert op.boundary_rows.tolist() == [0, 2 * npts - 1, 2 * npts]
-        assert op.boundary_values.tolist() == [1.0, 0.0, -0.5]
+        # the t_0 row for an initial value, the t_N row for decay at infinity:
+        # the solve reads every row of the equations but those
+        initial_rows, decay_rows = reference_boundary_rows(spec, rule)
+        assert (initial_rows.tolist(), decay_rows.tolist()) == ([0, 2 * npts], [2 * npts - 1])
+        equations = np.random.default_rng(5).normal(size=(spec.dim, npts))
+        base = op.solve(equations, values)
+        for row in range(equations.size):
+            moved = equations.copy()
+            moved.flat[row] += 1.0
+            ignored = np.array_equal(op.solve(moved, values), base)
+            assert ignored == (row in [0, 2 * npts - 1, 2 * npts]), f"row {row}"
+        # the initial values in the split's order, zero at t_N
+        z = op.solve(np.zeros((spec.dim, npts)), values)
+        assert [z[0, 0], z[1, -1], z[2, 0]] == [1.0, 0.0, -0.5]
 
     @pytest.mark.parametrize(
         "make_spec, n, beta",
@@ -230,7 +271,7 @@ class TestOperatorAssembly:
         rule = build_rule(BasisConfig(beta=beta, n_order=n))
         matrix, row_scale = dense_reference(spec, rule)
         equilibrated = matrix / row_scale[:, None]
-        brows = assemble_operator(spec, rule).boundary_rows
+        brows = np.concatenate(reference_boundary_rows(spec, rule))
         blocks = sham_engine._equilibrated_blocks(spec, rule, brows)
         assert len(blocks) == len(component_groups(spec.sigma))
         owned = np.zeros(len(matrix), dtype=int)
@@ -270,6 +311,45 @@ class TestOperatorAssembly:
             warnings.simplefilter("error")
             with pytest.raises(OperatorSingularError, match="zero or non-finite row"):
                 assemble_operator(spec, rule)
+
+
+class TestSolveSeam:
+    @pytest.mark.parametrize(
+        "make_spec, n, switch, path",
+        [
+            (fully_coupled_spec, 12, COND_SWITCH, "lu"),
+            (fully_coupled_spec, 12, 0.0, "pinv"),
+            (lambda: derive_tpbvp(builtin_problem_31()), 100, COND_SWITCH, "pinv"),
+        ],
+        ids=["fully-coupled-lu", "fully-coupled-pinv", "tp31-N100-pinv"],
+    )
+    def test_the_operator_writes_its_own_boundary_rows(self, monkeypatch, make_spec, n, switch, path):
+        # a switch of 0 sends the small fully coupled operator down the
+        # pseudo-inverse path; there the boundary values are met to 9.6e-17
+        # of the solution's largest magnitude (tp31 at N=100: 1.6e-18)
+        monkeypatch.setattr(sham_engine, "COND_SWITCH", switch)
+        spec = make_spec()
+        rule = build_rule(BasisConfig(beta=1.0, n_order=n))
+        op = assemble_operator(spec, rule)
+        assert getattr(op, path) is not None
+        initial, decay, _ = spec.bc_split
+        rng = np.random.default_rng(n)
+        equations = rng.normal(size=(spec.dim, rule.n_points))
+        initial_values = rng.normal(size=len(initial))
+        z = op.solve(equations, initial_values)
+        # whatever the boundary rows of the equations hold is not read
+        kept = equations.copy()
+        boundary = np.concatenate(reference_boundary_rows(spec, rule))
+        for scale in [1.0, 1e6, 1e-300]:
+            moved = equations.copy()
+            moved.flat[boundary] = scale * rng.normal(size=len(boundary))
+            assert np.array_equal(op.solve(moved, initial_values), z)
+        assert np.array_equal(equations, kept)
+        if path == "lu":
+            assert np.array_equal(z[initial, 0], initial_values) and not z[decay, -1].any()
+        else:
+            error = max(np.abs(z[initial, 0] - initial_values).max(), np.abs(z[decay, -1]).max())
+            assert error <= 1e-14 * np.abs(z).max()
 
 
 class TestInitialGuess:
@@ -516,8 +596,9 @@ class TestIncrementalProductsInsideRunSham:
 class TestNonlinearTermOfTheDeformationStep:
     def test_tp32_equals_the_per_term_sum_of_cauchy_order_terms(self, monkeypatch):
         # 42 monomials over 12 components, 57 chains: the right-hand side
-        # deformation_step hands to the solve, against the sum of every
-        # monomial's own term with the boundary rows zeroed
+        # the solve meets, from the equations and initial values
+        # deformation_step hands it, against the sum of every monomial's own
+        # term with the boundary rows zeroed
         spec = derive_tpbvp(builtin_problem_32())
         cfg = solver_config(beta=0.5, n=50, hbar=-1.0, max_order=6)
         rule = build_rule(cfg.basis)
@@ -526,7 +607,12 @@ class TestNonlinearTermOfTheDeformationStep:
         series = HomotopySeries(initial_guess(spec, rule, op), cfg.max_order, spec.chains)
         rhs = []
         solve = op.solve
-        monkeypatch.setattr(op, "solve", lambda b: rhs.append(b.copy()) or solve(b))
+
+        def recorded(equations, initial_values):
+            rhs.append(flat_boundary(spec, rule, equations, initial_values))
+            return solve(equations, initial_values)
+
+        monkeypatch.setattr(op, "solve", recorded)
         assert len(products) == 42 and len(series._rows) == spec.dim + 57
         for m in range(1, cfg.max_order + 1):
             got = deformation_step(spec, op, series, cfg.hbar)
@@ -534,8 +620,7 @@ class TestNonlinearTermOfTheDeformationStep:
             for r, terms in enumerate(spec.nonlinear):
                 for term in terms:
                     ref[r] += cauchy_order_term(series, term, m)
-            ref = ref.ravel()
-            ref[op.boundary_rows] = 0.0
+            ref = flat_boundary(spec, rule, ref, 0.0)
             assert np.abs(rhs[-1] - ref).max() <= 1e-13 * np.abs(ref).max(), f"order {m}"
             series.append(got)
         assert len(rhs) == cfg.max_order
@@ -797,8 +882,8 @@ def plain_recurrence(spec, cfg):
             known.append(np.einsum("ij,ij->j", parent, last[::-1]))
         return known[k]
 
-    rhs = np.zeros(spec.dim * rule.n_points)
-    rhs[op.boundary_rows] = op.boundary_values
+    initial_values = [tag.value for tag in spec.bc if isinstance(tag, InitialValue)]
+    rhs = flat_boundary(spec, rule, np.zeros((spec.dim, rule.n_points)), initial_values)
     orders = [solve(rhs).reshape(spec.dim, rule.n_points)]
     tails = [norm(orders[0])]
     termination, best_order, best_tail = Termination.MAX_ORDER, 0, tails[0]
@@ -807,8 +892,7 @@ def plain_recurrence(spec, cfg):
         for r, terms in enumerate(spec.nonlinear):
             for term in terms:
                 q[r] += term.coefficient * coefficient(term.factors, m - 1)
-        q = q.ravel()
-        q[op.boundary_rows] = 0.0
+        q = flat_boundary(spec, rule, q, 0.0)
         step = cfg.hbar * solve(q).reshape(spec.dim, rule.n_points)
         zm = step if m == 1 else (1.0 + cfg.hbar) * orders[m - 1] + step
         tail = norm(zm)
@@ -884,8 +968,8 @@ class TestReducedDeformationStep:
             chi = 0.0 if m == 1 else 1.0
             lz = matrix @ series.orders[m - 1].ravel()
             rhs = chi * lz + hbar * (lz + q.ravel())
-            rhs[op.boundary_rows] = 0.0
-            full = op.solve(rhs).reshape(got.shape)
+            # the operator writes zero in its boundary rows itself
+            full = op.solve(rhs.reshape(got.shape), np.zeros_like(spec.bc_split[2]))
             assert np.abs(got - full).max() <= 1e-11 * np.abs(full).max(), f"order {m}"
             series.append(got)
 
@@ -982,9 +1066,12 @@ class TestBlockFactorization:
         assert len(op.pinv) == len(component_groups(spec.sigma))
         assert sum(block_ranks(op)) == v_scaled.shape[1]
         rng = np.random.default_rng(n)
+        decay_rows = reference_boundary_rows(spec, rule)[1]
         for rhs in rng.normal(size=(5, len(row_scale))):
+            rhs[decay_rows] = 0.0  # the value the operator writes there
             ref = v_scaled @ (u_t @ (rhs / row_scale))
-            assert np.abs(op.solve(rhs) - ref).max() <= 1e-7 * np.abs(ref).max()
+            got = flat_solve(op, spec, rule, rhs)
+            assert np.abs(got - ref).max() <= 1e-7 * np.abs(ref).max()
 
     @pytest.mark.parametrize("n", [50, 12], ids=["pinv", "lu"])
     def test_each_block_keeps_only_its_own_rows(self, n):
@@ -1023,8 +1110,9 @@ class TestBlockFactorization:
         v_scaled, u_t, row_scale = whole_matrix_pinv(spec, rule)
         assert sum(block_ranks(op)) == v_scaled.shape[1]
         rhs = np.random.default_rng(3).normal(size=len(row_scale))
+        rhs[reference_boundary_rows(spec, rule)[1]] = 0.0  # the value the operator writes there
         ref = v_scaled @ (u_t @ (rhs / row_scale))
-        assert np.abs(op.solve(rhs) - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert np.abs(flat_solve(op, spec, rule, rhs) - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_truncation_is_relative_to_the_largest_singular_value_of_all(self, monkeypatch):
         # a cutoff that drops a middle singular value of the second block
@@ -1045,8 +1133,9 @@ class TestBlockFactorization:
         assert v_scaled.shape[0] == 2 * second
         assert sum(block_ranks(op)) == v_scaled.shape[1] == int(np.sum(s > rcond * s[0]))
         rhs = np.random.default_rng(4).normal(size=2 * second)
+        rhs[reference_boundary_rows(spec, rule)[1]] = 0.0  # the value the operator writes there
         ref = v_scaled @ (u_t @ (rhs / row_scale))
-        assert np.abs(op.solve(rhs) - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert np.abs(flat_solve(op, spec, rule, rhs) - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_a_fully_coupled_sigma_takes_one_svd(self, monkeypatch):
         calls = []
